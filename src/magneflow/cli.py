@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -50,8 +51,15 @@ def _artifact(kind: str, config: dict, seed: int, payload: dict) -> dict:
 
 
 def _write_json(path: str, obj: dict):
+    encoder = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False)
+    # A dry run rejects non-finite numbers before the file exists, so a
+    # failure leaves no partial artifact; the file is then streamed, which
+    # keeps the whole text out of memory.
+    for _ in encoder.iterencode(obj):
+        pass
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
+        for chunk in encoder.iterencode(obj):
+            fh.write(chunk)
         fh.write("\n")
 
 
@@ -138,6 +146,8 @@ def _initial_state(args, model: MagneticModel):
 
 
 def cmd_simulate(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise InputError(f"--tol must be a finite number >= 0, got {args.tol!r}")
     alphas = _parse_alphas(args.alpha)
     model = MagneticModel(n=args.n, alphas=alphas)
     family = commuting_basis(model)

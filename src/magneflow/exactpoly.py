@@ -86,9 +86,8 @@ class PhasePoly:
         if not isinstance(n, int) or n < 1:
             raise InputError(f"ambient sphere dimension must be an integer >= 1, got {n!r}")
         width = 2 * (n + 1)
-        canon: dict = {}
-        items = terms.items() if isinstance(terms, Mapping) else (terms or ())
-        for expo, coeff in items:
+        checked = []
+        for expo, coeff in terms.items() if isinstance(terms, Mapping) else (terms or ()):
             expo = tuple(int(e) for e in expo)
             if len(expo) != width:
                 raise InputError(
@@ -98,15 +97,8 @@ class PhasePoly:
                 raise InputError(f"negative exponent in {expo}")
             c = _coerce_coeff(coeff)
             if c:
-                c0 = canon.get(expo)
-                if c0 is None:
-                    canon[expo] = c
-                else:
-                    c = c0 + c
-                    if c:
-                        canon[expo] = c
-                    else:
-                        del canon[expo]
+                checked.append((expo, c))
+        canon = _accumulate({}, checked)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", canon)
 
@@ -114,10 +106,6 @@ class PhasePoly:
         raise AttributeError("PhasePoly is immutable")
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, n: int) -> "PhasePoly":
-        return cls(n)
 
     @classmethod
     def constant(cls, n: int, value) -> "PhasePoly":
@@ -178,27 +166,14 @@ class PhasePoly:
         if not isinstance(other, PhasePoly):
             return NotImplemented
         self._require_same_space(other)
-        terms = dict(self.terms)
-        for expo, coeff in other.terms.items():
-            c = terms.get(expo, _ZERO) + coeff
-            if c:
-                terms[expo] = c
-            elif expo in terms:
-                del terms[expo]
-        return _raw(self.n, terms)
+        return _raw(self.n, _accumulate(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         if not isinstance(other, PhasePoly):
             return NotImplemented
         self._require_same_space(other)
-        terms = dict(self.terms)
-        for expo, coeff in other.terms.items():
-            c = terms.get(expo, _ZERO) - coeff
-            if c:
-                terms[expo] = c
-            elif expo in terms:
-                del terms[expo]
-        return _raw(self.n, terms)
+        negated = ((e, -c) for e, c in other.terms.items())
+        return _raw(self.n, _accumulate(dict(self.terms), negated))
 
     def __neg__(self):
         return _raw(self.n, {e: -c for e, c in self.terms.items()})
@@ -373,14 +348,12 @@ class PhasePoly:
             raw = data["terms"]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed polynomial record: {exc}") from None
-        terms = {}
+        terms = []
         for item in raw:
             try:
-                expo = tuple(int(e) for e in item["e"])
-                coeff = parse_rational(item["c"])
+                terms.append((tuple(int(e) for e in item["e"]), parse_rational(item["c"])))
             except (KeyError, TypeError, ValueError) as exc:
                 raise InputError(f"malformed polynomial term: {exc}") from None
-            terms[expo] = terms.get(expo, Fraction(0)) + coeff
         return cls(n, terms)
 
     # -- debugging ---------------------------------------------------------
@@ -410,7 +383,6 @@ class PhasePoly:
         return out.replace("+ -", "- ")
 
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -422,24 +394,37 @@ def _raw(n: int, terms: dict) -> PhasePoly:
     return poly
 
 
+def _accumulate(acc: dict, items) -> dict:
+    """acc += items at the raw term-dict level, dropping terms that cancel.
+
+    `items` yields (exponent, nonzero Fraction) pairs; this is the one loop
+    that keeps a term dict free of zero coefficients.
+    """
+    get = acc.get
+    for expo, c in items:
+        c0 = get(expo)
+        if c0 is None:
+            acc[expo] = c
+        else:
+            c = c0 + c
+            if c:
+                acc[expo] = c
+            else:
+                del acc[expo]
+    return acc
+
+
 def _mul_into(acc: dict, left: dict, right: dict, scale: Fraction):
     """acc += scale * left * right, at the raw term-dict level."""
     if not left or not right:
         return
     right_items = list(right.items())
-    for el, cl in left.items():
-        cls_ = cl * scale
-        for er, cr in right_items:
-            key = tuple(a + b for a, b in zip(el, er))
-            c = acc.get(key)
-            if c is None:
-                acc[key] = cls_ * cr
-            else:
-                c = c + cls_ * cr
-                if c:
-                    acc[key] = c
-                else:
-                    del acc[key]
+    scaled = [(el, cl * scale) for el, cl in left.items()]
+    _accumulate(acc, (
+        (tuple(a + b for a, b in zip(el, er)), cl * cr)
+        for el, cl in scaled
+        for er, cr in right_items
+    ))
 
 
 def x_var(i: int, n: int) -> PhasePoly:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,19 +37,25 @@ __all__ = [
 ]
 
 INITIAL_TOLERANCE = 1e-6
+# RATTLE's constraint quadratic has the coefficient dt**4, which overflows
+# from this step size on.
+MAX_ABS_DT = sys.float_info.max ** 0.25
 CSV_FORMAT = "%.17g"
 
 
 def project_initial(x, p):
     """Snap an almost-admissible initial state onto the constraint set.
 
-    States further than 1e-6 from the sphere or from tangency are
-    rejected as input errors instead of silently repaired.
+    Non-finite states, and states further than 1e-6 from the sphere or
+    from tangency, are rejected as input errors instead of silently
+    repaired.
     """
     x = np.array(x, dtype=float)
     p = np.array(p, dtype=float)
     if x.shape != p.shape or x.ndim != 1:
         raise InputError("initial state must be two vectors of equal length")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p))):
+        raise InputError("initial state must be finite")
     norm = np.linalg.norm(x)
     if abs(norm - 1.0) > INITIAL_TOLERANCE:
         raise InputError(f"initial position is off the sphere by {abs(norm - 1.0):.3e}")
@@ -99,7 +106,7 @@ def _rattle(x0, p0, model: MagneticModel, dt: float):
     b = -2.0 * dt * dt * float(w @ x0)
     c = float(w @ w) - 1.0
     disc = b * b - 4.0 * a2 * c
-    if disc < 0.0:
+    if not disc >= 0.0:  # also catches a NaN from overflow
         raise StepError(f"constraint projection lost the sphere (dt={dt:g})")
     denom = -b + math.sqrt(disc)
     lam = 0.0 if c == 0.0 else 2.0 * c / denom
@@ -138,10 +145,6 @@ class TrajectoryRecord:
     tangency_residual: np.ndarray
     meta: dict = field(default_factory=dict)
 
-    @property
-    def states(self) -> np.ndarray:
-        return np.hstack([self.xs, self.ps])
-
 
 def _diagnostic_polys(model: MagneticModel, family: IntegralFamily | None):
     polys = []
@@ -170,8 +173,8 @@ def integrate(
     """
     if not (isinstance(steps, int) and steps >= 0):
         raise InputError(f"steps must be a nonnegative integer, got {steps!r}")
-    if not (dt != 0.0 and math.isfinite(dt)):
-        raise InputError(f"dt must be a nonzero finite number, got {dt!r}")
+    if not (dt != 0.0 and abs(dt) < MAX_ABS_DT):
+        raise InputError(f"dt must be nonzero with |dt| < {MAX_ABS_DT:.4g}, got {dt!r}")
     if not (isinstance(record_every, int) and record_every >= 1):
         raise InputError(f"record_every must be a positive integer, got {record_every!r}")
 
@@ -221,10 +224,7 @@ def picture_map(record: TrajectoryRecord, model: MagneticModel) -> TrajectoryRec
     series is the dynamical form of the equivalence between the two
     descriptions of the flow.
     """
-    shifted_x = record.xs.copy()
-    shifted_p = np.empty_like(record.ps)
-    for r in range(record.xs.shape[0]):
-        _, shifted_p[r] = gauge_shift(record.xs[r], record.ps[r], +1, model)
+    shifted_x, shifted_p = gauge_shift(record.xs, record.ps, +1, model)
     states = np.hstack([shifted_x, shifted_p])
     h_kin = compiled_evaluator(kinetic_energy(model.n))(states)
     meta = dict(record.meta)

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 from .errors import InputError
 from .exactpoly import PhasePoly, format_rational, parse_rational, p_var, x_var
-from .magnetic_model import MagneticModel, _add_killing_square, ambient_units
+from .magnetic_model import MagneticModel, _add_killing_square, ambient_units, level_blocks
 
 __all__ = [
     "killing",
@@ -50,34 +50,28 @@ def _coerce_vector(values: Sequence, n: int, what: str) -> list:
     return vec
 
 
+def _neumann_quadratic(n: int, lam: Mapping, mu: Mapping) -> dict:
+    """Raw terms of (1/2) sum_{l<m, lam_l != lam_m}
+    (mu_l - mu_m)/(lam_l - lam_m) * M_lm^2, where lam and mu map the same
+    ascending 1-based indices to rationals."""
+    idxs = list(lam)
+    terms: dict = {}
+    for ai, l in enumerate(idxs):
+        for m in idxs[ai + 1:]:
+            if lam[l] == lam[m]:
+                continue
+            coeff = (mu[l] - mu[m]) / (lam[l] - lam[m]) / 2
+            if coeff:
+                _add_killing_square(terms, l, m, n, coeff)
+    return terms
+
+
 def uhlenbeck_integral(a: Sequence, b: Sequence) -> PhasePoly:
     """F_B for pairwise distinct a.  Raises if any a_i coincide; use
     degenerate_integral for that case."""
-    n = len(a) - 1
-    if n < 1:
-        raise InputError("need at least two coordinates")
-    av = _coerce_vector(a, n, "a")
-    bv = _coerce_vector(b, n, "b")
-    if len(set(av)) != len(av):
+    if len({Fraction(v) for v in a}) != len(a):
         raise InputError("a-values must be pairwise distinct; use degenerate_integral")
-    terms: dict = {}
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            coeff = (bv[i] - bv[j]) / (av[i] - av[j]) / 2
-            if coeff:
-                _add_killing_square(terms, i + 1, j + 1, n, coeff)
-    poly = PhasePoly(n, terms)
-    for i in range(n + 1):
-        if bv[i]:
-            poly = poly + bv[i] * (x_var(i + 1, n) ** 2)
-    return poly
-
-
-def _level_blocks(av: Sequence) -> list:
-    groups: dict = {}
-    for idx, value in enumerate(av):
-        groups.setdefault(value, []).append(idx)
-    return sorted(groups.values(), key=lambda blk: blk[0])
+    return degenerate_integral(a, b)
 
 
 def degenerate_integral(a: Sequence, b: Sequence) -> PhasePoly:
@@ -88,22 +82,14 @@ def degenerate_integral(a: Sequence, b: Sequence) -> PhasePoly:
         raise InputError("need at least two coordinates")
     av = _coerce_vector(a, n, "a")
     bv = _coerce_vector(b, n, "b")
-    for block in _level_blocks(av):
+    for block in level_blocks(av):
         vals = {bv[i] for i in block}
         if len(vals) != 1:
             raise InputError(
                 "b must be constant on each level block of a; "
                 f"block {[i + 1 for i in block]} carries values {sorted(vals)}"
             )
-    terms: dict = {}
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            if av[i] == av[j]:
-                continue
-            coeff = (bv[i] - bv[j]) / (av[i] - av[j]) / 2
-            if coeff:
-                _add_killing_square(terms, i + 1, j + 1, n, coeff)
-    poly = PhasePoly(n, terms)
+    poly = PhasePoly(n, _neumann_quadratic(n, dict(enumerate(av, 1)), dict(enumerate(bv, 1))))
     for i in range(n + 1):
         if bv[i]:
             poly = poly + bv[i] * (x_var(i + 1, n) ** 2)
@@ -150,17 +136,7 @@ def limit_integral(n: int, group: Sequence[int], lam: Mapping, mu: Mapping) -> P
     unit_lams = [lam_v[u[0]] for u in group_units]
     if len(set(unit_lams)) != len(unit_lams):
         raise InputError("lambda must take distinct values on distinct units")
-
-    terms: dict = {}
-    for ai in range(len(idxs)):
-        for aj in range(ai + 1, len(idxs)):
-            l, m_idx = idxs[ai], idxs[aj]
-            if lam_v[l] == lam_v[m_idx]:
-                continue
-            coeff = (mu_v[l] - mu_v[m_idx]) / (lam_v[l] - lam_v[m_idx]) / 2
-            if coeff:
-                _add_killing_square(terms, l, m_idx, n, coeff)
-    return PhasePoly(n, terms)
+    return PhasePoly(n, _neumann_quadratic(n, lam_v, mu_v))
 
 
 @dataclass

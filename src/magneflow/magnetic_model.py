@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
-from .exactpoly import PhasePoly, format_rational, parse_rational, p_var, x_var
+from .exactpoly import PhasePoly, _accumulate, format_rational, parse_rational, p_var, x_var
 
 __all__ = [
     "MagneticModel",
@@ -45,6 +45,15 @@ __all__ = [
     "SkewNormalForm",
     "skew_normal_form",
 ]
+
+
+def level_blocks(values: Sequence, start: int = 0) -> tuple:
+    """Indices (counted from `start`) grouped by equal value, as tuples
+    ordered by their smallest index."""
+    groups: dict = {}
+    for idx, value in enumerate(values, start=start):
+        groups.setdefault(value, []).append(idx)
+    return tuple(tuple(blk) for blk in groups.values())
 
 
 def ambient_units(n: int) -> tuple:
@@ -93,12 +102,8 @@ class MagneticModel:
 
     @cached_property
     def partition(self) -> tuple:
-        """Blocks of indices with equal a-value, ordered by smallest index."""
-        groups: dict = {}
-        for idx, value in enumerate(self.a, start=1):
-            groups.setdefault(value, []).append(idx)
-        blocks = sorted(groups.values(), key=lambda blk: blk[0])
-        return tuple(tuple(blk) for blk in blocks)
+        """Blocks of 1-based indices with equal a-value."""
+        return level_blocks(self.a, start=1)
 
     @cached_property
     def units(self) -> tuple:
@@ -150,20 +155,11 @@ def _add_killing_square(terms: dict, i: int, j: int, n: int, coeff: Fraction):
 
     xi, xj = i - 1, j - 1
     pi, pj = n + i, n + j
-    for expo, c in (
+    _accumulate(terms, (
         (mono(xi, xi, pj, pj), coeff),
         (mono(xi, xj, pi, pj), -2 * coeff),
         (mono(xj, xj, pi, pi), coeff),
-    ):
-        c0 = terms.get(expo)
-        if c0 is None:
-            terms[expo] = c
-        else:
-            c = c0 + c
-            if c:
-                terms[expo] = c
-            else:
-                del terms[expo]
+    ))
 
 
 def kinetic_energy(n: int) -> PhasePoly:
@@ -211,72 +207,62 @@ def hamiltonian_pert(model: MagneticModel) -> PhasePoly:
     return kinetic_energy(model.n) - sigma_linear(model) + potential(model)
 
 
-def sigma_sharp_polys(model: MagneticModel) -> list:
-    """Components of the magnetic covector field as polynomials in X.
+def _plane_block(alphas: Sequence, d: int) -> list:
+    """The d x d plane-block matrix: +alpha_k at (2k, 2k+1), -alpha_k at
+    (2k+1, 2k), zero elsewhere.  Entries keep the type of the alphas
+    (Fraction or float)."""
+    zero = 0 * alphas[0] if len(alphas) else 0
+    mat = [[zero] * d for _ in range(d)]
+    for k, alpha in enumerate(alphas):
+        mat[2 * k][2 * k + 1] = alpha
+        mat[2 * k + 1][2 * k] = -alpha
+    return mat
 
-    Component 2i carries +alpha_i X_{2i-1}/2 and component 2i-1 carries
-    -alpha_i X_{2i}/2; the unpaired component (even n) is zero.
-    """
+
+def omega_matrix(model: MagneticModel) -> list:
+    """Exact matrix of the magnetic 2-form: Omega[2i-1][2i] = alpha_i."""
+    return _plane_block(model.alphas, model.n + 1)
+
+
+def sigma_coefficient_matrix(model: MagneticModel) -> list:
+    """Exact matrix C = -Omega/2 with sigma_a = sum_b C[a][b] X_b
+    (0-based rows/cols)."""
+    return [[-v / 2 for v in row] for row in omega_matrix(model)]
+
+
+def sigma_sharp_polys(model: MagneticModel) -> list:
+    """Components sigma_a = sum_b C[a][b] X_b of the magnetic covector
+    field as polynomials in X."""
     n = model.n
-    comps = [PhasePoly(n) for _ in range(n + 1)]
-    for k, alpha in enumerate(model.alphas):
-        if not alpha:
-            continue
-        half_alpha = alpha / 2
-        comps[2 * k] = -half_alpha * x_var(2 * k + 2, n)
-        comps[2 * k + 1] = half_alpha * x_var(2 * k + 1, n)
-    return comps
+    return [
+        sum((c * x_var(b + 1, n) for b, c in enumerate(row) if c), PhasePoly(n))
+        for row in sigma_coefficient_matrix(model)
+    ]
 
 
 def sigma_sharp(model: MagneticModel, x: np.ndarray) -> np.ndarray:
-    """Float evaluation of the magnetic covector field at X."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    for k, alpha in enumerate(model.alpha_floats):
-        if alpha == 0.0:
-            continue
-        i, j = 2 * k, 2 * k + 1
-        out[i] = -0.5 * alpha * x[j]
-        out[j] = 0.5 * alpha * x[i]
-    return out
+    """Float evaluation of the magnetic covector field, x @ (Omega/2); x may
+    be one point (d,) or a stack of points (R, d)."""
+    half_omega = np.array(_plane_block(model.alpha_floats, model.n + 1)) / 2
+    return np.asarray(x, dtype=float) @ half_omega
 
 
 def gauge_shift(x: np.ndarray, p: np.ndarray, direction: int, model: MagneticModel):
     """Shift momenta by the magnetic covector field: P -> P + direction*sigma(X).
 
-    The point must sit on the unit sphere (checked to 1e-9); the shift
+    x and p are one phase point (d,) or a stack of points (R, d).  Every
+    point must sit on the unit sphere (checked to 1e-9); the shift
     preserves tangency because sigma(X) is orthogonal to X.
     """
     if direction not in (1, -1):
         raise InputError(f"shift direction must be +1 or -1, got {direction!r}")
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
-    if x.shape != (model.n + 1,) or p.shape != (model.n + 1,):
+    if x.shape != p.shape or x.ndim not in (1, 2) or x.shape[-1] != model.n + 1:
         raise InputError("phase point has wrong dimension for this model")
-    if abs(np.linalg.norm(x) - 1.0) > 1e-9:
+    if np.any(np.abs(np.linalg.norm(x, axis=-1) - 1.0) > 1e-9):
         raise InputError("gauge shift requires |X| = 1 within 1e-9")
     return x.copy(), p + direction * sigma_sharp(model, x)
-
-
-def sigma_coefficient_matrix(model: MagneticModel) -> list:
-    """Exact matrix C with sigma_a = sum_b C[a][b] X_b (0-based rows/cols)."""
-    d = model.n + 1
-    mat = [[Fraction(0)] * d for _ in range(d)]
-    for k, alpha in enumerate(model.alphas):
-        half_alpha = alpha / 2
-        mat[2 * k][2 * k + 1] = -half_alpha
-        mat[2 * k + 1][2 * k] = half_alpha
-    return mat
-
-
-def omega_matrix(model: MagneticModel) -> list:
-    """Exact matrix of the magnetic 2-form: Omega[2i-1][2i] = alpha_i."""
-    d = model.n + 1
-    mat = [[Fraction(0)] * d for _ in range(d)]
-    for k, alpha in enumerate(model.alphas):
-        mat[2 * k][2 * k + 1] = alpha
-        mat[2 * k + 1][2 * k] = -alpha
-    return mat
 
 
 # -- skew normal form ---------------------------------------------------------
@@ -292,12 +278,7 @@ class SkewNormalForm:
     residual: float
 
     def block_matrix(self) -> np.ndarray:
-        d = self.q.shape[0]
-        block = np.zeros((d, d))
-        for k, alpha in enumerate(self.alphas):
-            block[2 * k, 2 * k + 1] = alpha
-            block[2 * k + 1, 2 * k] = -alpha
-        return block
+        return np.array(_plane_block(self.alphas, self.q.shape[0]), dtype=float)
 
     def to_dict(self) -> dict:
         return {
@@ -307,7 +288,12 @@ class SkewNormalForm:
         }
 
 
-def skew_normal_form(omega, cluster_rtol: float = 1e-8) -> SkewNormalForm:
+# Eigenvalues of the Gram matrix closer than this, relative to the largest,
+# belong to one plane cluster.
+CLUSTER_RTOL = 1e-8
+
+
+def skew_normal_form(omega) -> SkewNormalForm:
     """Orthogonally block-diagonalize a real skew-symmetric matrix.
 
     Works through the symmetric positive semidefinite Gram matrix
@@ -323,6 +309,12 @@ def skew_normal_form(omega, cluster_rtol: float = 1e-8) -> SkewNormalForm:
     d = om.shape[0]
     if d < 1:
         raise InputError("empty matrix")
+    if not np.all(np.isfinite(om)):
+        raise InputError("matrix entries must be finite")
+    # The Gram matrix squares the entries, so it overflows first; its
+    # entries are bounded by (d * max|entry|)^2.
+    if d * np.abs(om).max() >= np.sqrt(np.finfo(float).max):
+        raise InputError("matrix entries are too large: the Gram matrix would overflow")
     norm = np.linalg.norm(om)
     if np.linalg.norm(om + om.T) > 1e-12 * max(norm, 1e-300):
         raise InputError("matrix is not skew-symmetric within tolerance")
@@ -337,7 +329,7 @@ def skew_normal_form(omega, cluster_rtol: float = 1e-8) -> SkewNormalForm:
     evals = evals[order]
     evecs = evecs[:, order]
     scale = max(evals[0], 0.0)
-    tol = cluster_rtol * scale
+    tol = CLUSTER_RTOL * scale
 
     clusters = []
     start = 0

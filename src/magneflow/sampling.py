@@ -1,8 +1,8 @@
 """Deterministic sampling of constrained phase points.
 
 All randomness flows from one integer seed through a counter-based
-Philox generator; named substreams keep results independent of execution
-order, so concurrent checks cannot change any reported number.
+Philox generator; named substreams keep each check's draws independent
+of which other checks ran before it.
 """
 
 from __future__ import annotations

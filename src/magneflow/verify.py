@@ -8,14 +8,12 @@ is still a failure.
 
 Numerical pieces (functional independence, the probe rank tests) draw
 all randomness from one seed through named substreams, so reports are
-reproducible regardless of worker count.
+reproducible from the seed alone.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -55,16 +53,6 @@ _STREAM_PROBE = 3
 ON_CONSTRAINT_RTOL = 1e-10
 RANK_THRESHOLD_REL = 1e-8
 FULL_RANK_QUOTA = 0.95
-
-
-def _worker_count(workers: int | None) -> int:
-    if workers is None:
-        raw = os.environ.get("MAGNEFLOW_THREADS", "1")
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise InputError(f"MAGNEFLOW_THREADS must be an integer, got {raw!r}") from None
-    return max(1, workers)
 
 
 # -- finite-difference oracle -------------------------------------------------
@@ -128,11 +116,9 @@ def check_commutation(
     family: IntegralFamily,
     include_hamiltonian: bool = True,
     seed: int = 0,
-    workers: int | None = None,
 ) -> list:
     """Exact brackets of all member pairs (self pairs included) and of each
-    member with the Hamiltonian.  Pure computations; safe to run on any
-    number of threads without changing the result."""
+    member with the Hamiltonian."""
     members = family.members()
     labels = family.labels()
     if include_hamiltonian:
@@ -141,24 +127,15 @@ def check_commutation(
     rng = sampling.generator(seed, _STREAM_COMMUTATION)
     points = sampling.constrained_points(rng, family.model.n, 50)
 
-    tasks = []
+    results = []
     for i in range(len(members)):
         for j in range(i, len(members)):
             if include_hamiltonian and i == len(members) - 1:
                 continue  # no (H, H) self pair
-            tasks.append((i, j))
-
-    def run(task):
-        i, j = task
-        bracket = poisson_bracket(members[i], members[j])
-        status, witness = _classify_bracket(members[i], members[j], bracket, points)
-        return PairResult(labels[i], labels[j], status, witness)
-
-    nworkers = _worker_count(workers)
-    if nworkers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            return list(pool.map(run, tasks))
-    return [run(t) for t in tasks]
+            bracket = poisson_bracket(members[i], members[j])
+            status, witness = _classify_bracket(members[i], members[j], bracket, points)
+            results.append(PairResult(labels[i], labels[j], status, witness))
+    return results
 
 
 def potential_compatibility(k1: PhasePoly, u1: PhasePoly, k2: PhasePoly, u2: PhasePoly) -> bool:
@@ -520,7 +497,6 @@ def run_verification(
     family: IntegralFamily,
     samples: int = 100,
     seed: int = 0,
-    workers: int | None = None,
     with_probe: bool = True,
 ) -> VerificationReport:
     """Full verification pass over a family: exact commutation, numeric
@@ -529,7 +505,7 @@ def run_verification(
     timing = {}
 
     t0 = time.perf_counter()
-    pairs = check_commutation(family, include_hamiltonian=True, seed=seed, workers=workers)
+    pairs = check_commutation(family, include_hamiltonian=True, seed=seed)
     timing["commutation"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from magneflow import __version__
-from magneflow.cli import main
+from magneflow.cli import _write_json, main
 
 
 def run(capsys, *argv):
@@ -159,6 +159,24 @@ def test_normal_form_rejects_bad_matrices(tmp_path, capsys):
     ragged = tmp_path / "ragged.json"
     ragged.write_text(json.dumps({"omega": [[0, 1], [1]]}))
     assert run(capsys, "normal-form", "--in", str(ragged), "--out", out)[0] == 2
+    # non-finite entries, and entries whose Gram matrix overflows: exit 2,
+    # and no partial artifact
+    for value in (float("nan"), float("inf"), 1e200):
+        matrix = tmp_path / f"{value}.json"
+        matrix.write_text(json.dumps({"omega": [[0.0, value, 0.0], [-value, 0.0, 0.0], [0.0] * 3]}))
+        code, _, err = run(capsys, "normal-form", "--in", str(matrix), "--out", out)
+        assert code == 2 and err.startswith("error: matrix")
+        assert not (tmp_path / "form.json").exists()
+
+
+def test_artifacts_are_strict_json(tmp_path):
+    path = tmp_path / "out.json"
+    for value in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            _write_json(str(path), {"a": [1.0, {"b": value}]})
+        assert not path.exists()
+    _write_json(str(path), {"b": [1.0], "a": 2})
+    assert path.read_text() == '{\n  "a": 2,\n  "b": [\n    1.0\n  ]\n}\n'
 
 
 # -- simulate -----------------------------------------------------------------
@@ -233,12 +251,38 @@ def test_simulate_rejects_bad_init(tmp_path, capsys):
         "--steps", "5", "--init", str(init), "--out", str(tmp_path / "x"),
     )
     assert code == 2
-    init.write_text(json.dumps({"x": [1.1, 0.0, 0.0], "p": [0.0, 1.0, 0.0]}))
-    code, _, _ = run(
-        capsys, "simulate", "--n", "2", "--alpha", "1", "--dt", "1e-3",
-        "--steps", "5", "--init", str(init), "--out", str(tmp_path / "x"),
+    for state in (
+        {"x": [1.1, 0.0, 0.0], "p": [0.0, 1.0, 0.0]},
+        {"x": [float("nan"), 0.0, 0.0], "p": [0.0, 1.0, 0.0]},
+        {"x": [1.0, 0.0, 0.0], "p": [0.0, float("nan"), 0.0]},
+        {"x": [1.0, 0.0, 0.0], "p": [0.0, float("inf"), 0.0]},
+    ):
+        init.write_text(json.dumps(state))
+        code, _, _ = run(
+            capsys, "simulate", "--n", "2", "--alpha", "1", "--dt", "1e-3",
+            "--steps", "5", "--init", str(init), "--out", str(tmp_path / "x"),
+        )
+        assert code == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--tol", "nan"),
+    ("--tol", "inf"),
+    ("--tol", "-1e-5"),
+    ("--dt", "nan"),
+    ("--dt", "1e300"),
+])
+def test_simulate_rejects_bad_flag_values(tmp_path, capsys, flag, value):
+    argv = {"--dt": "1e-3", "--tol": "1e-5"}
+    argv[flag] = value
+    code, _, err = run(
+        capsys, "simulate", "--n", "2", "--alpha", "1", "--steps", "5", "--seed", "3",
+        "--dt", argv["--dt"], "--tol", argv["--tol"], "--out", str(tmp_path / "x"),
     )
     assert code == 2
+    assert flag.lstrip("-") in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_simulate_check_picture(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Integral builders: rotation momenta, Neumann-type quadratics, limits."""
 
+import hashlib
+import json
 from fractions import Fraction as F
 
 import numpy as np
@@ -262,6 +264,34 @@ def test_family_json_round_trip():
     assert again.model == fam.model
     assert again.members() == fam.members()
     assert again.quad_provenance == fam.quad_provenance
+
+
+# sha256 of json.dumps(family.to_dict(), sort_keys=True) for the model matrix
+# of scripts/run_ci_matrix.py plus (9, all rates 1).  The family is exact
+# (Fraction coefficients, canonically sorted terms), so the digests do not
+# depend on the platform; any change to the builders that alters a single
+# term or provenance record changes them.
+FAMILY_DIGESTS = (
+    (2, "1", "a2c81feb62c2ac79981a4cdf9ac1bb0fd0b887376df580766e8076228b645aa8"),
+    (3, "1,2", "b1bf0f202e6b58ff1601df7335690573be687f90fbbfef7bb088ed52eaa2b47f"),
+    (3, "1,1", "c1956e545a117af43789a09641acead3a6b8d0a91bf0315d31e3980d5fd87263"),
+    (4, "1,2", "703d93383f773a4c2ab0e02177b2adc46ef02c9a856404f60dcaa59b4bd25e12"),
+    (4, "1,1", "f71282d469b6be116aa9f7d7de17eed002fe1c14369d75b4833a39a571ecc337"),
+    (5, "1,2,3", "201ee226bea880c8ce0eaf8171ef5f4f98ccc33127549028538d53376532ca5d"),
+    (5, "1,1,2", "45ac65e5b37c621f08179fcf009140eee49d113562748ca76850ef4e2fbbb306"),
+    (5, "1,1,1", "ceeea5e7ee033d7baa85e913546682a366dac31eb06c6f0a7ebfea39c616bbe4"),
+    (6, "1,1,1", "3e0c6723960a9a77698bf41a99f079e1bbfa2d414fbbcfb19e2a0d2d8e83b1b2"),
+    (7, "1,2,3,4", "5cdb5f766ba5dd18096fdffeb0f35813cb7d56d4b7bbbb63933fbdb1b5883ca2"),
+    (7, "1,1,2,2", "3de08516078d28f872c4b5a7e76612a79dbef9daa80ecd2729a127b1fe87c297"),
+    (9, "1,1,1,1,1", "328c6e5e55a482a64b60703d024d70511dd3f50ba7d40a58359e0f1fbbaba1cb"),
+)
+
+
+@pytest.mark.parametrize("n, alpha, digest", FAMILY_DIGESTS)
+def test_family_matches_golden_digest(n, alpha, digest):
+    fam = commuting_basis(model_of(n, *alpha.split(",")))
+    text = json.dumps(fam.to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_family_from_dict_rejects_mismatched_dimension():

@@ -194,6 +194,16 @@ def test_gauge_shift_round_trip():
     _, p_shifted = gauge_shift(x, p, +1, model)
     _, p_back = gauge_shift(x, p_shifted, -1, model)
     assert np.max(np.abs(p_back - p)) < 1e-15
+    # a stack of points shifts row by row, bit for bit
+    xs = rng.normal(size=(7, 5))
+    xs /= np.linalg.norm(xs, axis=1, keepdims=True)
+    ps = rng.normal(size=(7, 5))
+    for direction in (+1, -1):
+        xs_out, ps_out = gauge_shift(xs, ps, direction, model)
+        assert np.array_equal(xs_out, xs)
+        for r in range(xs.shape[0]):
+            _, row = gauge_shift(xs[r], ps[r], direction, model)
+            assert np.array_equal(ps_out[r], row)
 
 
 def test_gauge_shift_point_value():
@@ -210,6 +220,11 @@ def test_gauge_shift_rejects_off_sphere_points():
         gauge_shift(np.array([1.1, 0.0, 0.0]), np.zeros(3), +1, model)
     with pytest.raises(InputError):
         gauge_shift(np.array([1.0, 0.0, 0.0]), np.zeros(3), +2, model)
+    batch = np.array([[1.0, 0.0, 0.0], [0.0, 1.1, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(InputError):
+        gauge_shift(batch, np.zeros((3, 3)), +1, model)
+    with pytest.raises(InputError):
+        gauge_shift(batch, np.zeros(3), +1, model)
 
 
 def test_gauge_shift_preserves_tangency():

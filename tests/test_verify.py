@@ -118,25 +118,6 @@ def test_tampered_family_detected():
     assert any(r.status == "nonzero" for r in results)
 
 
-def test_commutation_worker_count_does_not_change_results():
-    fam = commuting_basis(model_of(3, 1, 1))
-    serial = check_commutation(fam, seed=5, workers=1)
-    threaded = check_commutation(fam, seed=5, workers=4)
-    assert [(r.left, r.right, r.status) for r in serial] == [
-        (r.left, r.right, r.status) for r in threaded
-    ]
-
-
-def test_worker_env_var_validation(monkeypatch):
-    fam = commuting_basis(model_of(2, 1))
-    monkeypatch.setenv("MAGNEFLOW_THREADS", "not-a-number")
-    with pytest.raises(InputError):
-        check_commutation(fam, seed=0)
-    monkeypatch.setenv("MAGNEFLOW_THREADS", "2")
-    results = check_commutation(fam, seed=0)
-    assert all(r.status == "zero_polynomial" for r in results)
-
-
 # -- potential compatibility ------------------------------------------------------
 
 
