@@ -102,6 +102,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise InputError(f"--samples must be at least 1, got {args.samples}")
     data = _load_json(args.family)
     payload = data.get("family", data) if isinstance(data, dict) else None
     if not isinstance(payload, dict):

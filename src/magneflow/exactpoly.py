@@ -33,6 +33,10 @@ __all__ = [
     "format_rational",
 ]
 
+# Byte budget of the gathered factors that one chunk of rows of
+# compiled_evaluator holds at a time.
+EVAL_CHUNK_BYTES = 4 << 20
+
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
@@ -468,7 +472,12 @@ def compiled_evaluator(poly: PhasePoly):
 
     The exact layer stays exact; this is the one sanctioned fast path for
     evaluating a fixed polynomial at many float points (trajectory
-    diagnostics, rank sampling).
+    diagnostics, rank sampling).  Each term is compiled to the slot
+    indices of its factors (X1^2 gives [0, 0]), padded to a common length
+    with a sentinel slot that reads a column of ones; a term's value is
+    the product of its gathered factors.  Rows are evaluated in chunks of
+    at most EVAL_CHUNK_BYTES of gathered factors, so the working memory
+    does not grow with R.
     """
     import numpy as np
 
@@ -479,12 +488,22 @@ def compiled_evaluator(poly: PhasePoly):
             return np.zeros(points.shape[0])
         return zero
     coeffs = np.array([float(c) for c in poly.terms.values()])
-    expos = np.array([list(e) for e in poly.terms.keys()], dtype=np.int64)
+    factors = [[slot for slot, e in enumerate(expo) for _ in range(e)] for expo in poly.terms]
+    depth = max(len(f) for f in factors)
+    slots = np.array([f + [width] * (depth - len(f)) for f in factors], dtype=np.intp)
+    chunk = max(1, EVAL_CHUNK_BYTES // (8 * len(factors) * max(depth, 1)))
 
     def evaluate(points):
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != width:
             raise InputError(f"expected points of shape (R, {width})")
-        return (points[:, None, :] ** expos[None, :, :]).prod(axis=2) @ coeffs
+        rows = points.shape[0]
+        out = np.empty(rows)
+        padded = np.ones((min(chunk, rows), width + 1))
+        for s in range(0, rows, chunk):
+            block = padded[: min(chunk, rows - s)]
+            block[:, :width] = points[s : s + chunk]
+            out[s : s + chunk] = block[:, slots].prod(axis=2) @ coeffs
+        return out
 
     return evaluate

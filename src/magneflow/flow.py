@@ -41,21 +41,25 @@ INITIAL_TOLERANCE = 1e-6
 # from this step size on.
 MAX_ABS_DT = sys.float_info.max ** 0.25
 CSV_FORMAT = "%.17g"
+# Rows converted to Python floats at a time by write_csv.
+CSV_CHUNK_ROWS = 4096
 
 
 def project_initial(x, p):
     """Snap an almost-admissible initial state onto the constraint set.
 
-    Non-finite states, and states further than 1e-6 from the sphere or
-    from tangency, are rejected as input errors instead of silently
-    repaired.
+    Non-finite states, states whose |x|^2 or |p|^2 overflows, and states
+    further than 1e-6 from the sphere or from tangency, are rejected as
+    input errors instead of silently repaired.
     """
     x = np.array(x, dtype=float)
     p = np.array(p, dtype=float)
     if x.shape != p.shape or x.ndim != 1:
         raise InputError("initial state must be two vectors of equal length")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p))):
-        raise InputError("initial state must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = (float(x @ x), float(p @ p))
+    if not all(math.isfinite(s) for s in squares):
+        raise InputError("initial state must be finite, with finite |x|^2 and |p|^2")
     norm = np.linalg.norm(x)
     if abs(norm - 1.0) > INITIAL_TOLERANCE:
         raise InputError(f"initial position is off the sphere by {abs(norm - 1.0):.3e}")
@@ -184,22 +188,21 @@ def integrate(
             f"state has dimension {x.size}, model needs {model.n + 1}"
         )
 
-    rec_t = [0.0]
-    rec_x = [x.copy()]
-    rec_p = [p.copy()]
+    rows = steps // record_every + 1 + (steps % record_every != 0)
+    times = np.empty(rows)
+    xs = np.empty((rows, x.size))
+    ps = np.empty((rows, x.size))
+    times[0], xs[0], ps[0] = 0.0, x, p
+    row = 1
     for k in range(1, steps + 1):
         try:
             x, p = step(x, p, model, dt)
         except StepError as exc:
             raise StepError(f"step {k}: {exc}") from None
         if k % record_every == 0 or k == steps:
-            rec_t.append(k * dt)
-            rec_x.append(x.copy())
-            rec_p.append(p.copy())
+            times[row], xs[row], ps[row] = k * dt, x, p
+            row += 1
 
-    times = np.array(rec_t)
-    xs = np.array(rec_x)
-    ps = np.array(rec_p)
     states = np.hstack([xs, ps])
     diagnostics = {}
     for label, poly in _diagnostic_polys(model, family):
@@ -283,8 +286,9 @@ def write_csv(record: TrajectoryRecord, path, extra_meta: dict | None = None):
     columns += [record.diagnostics[k] for k in record.diagnostics]
     columns += [record.sphere_residual, record.tangency_residual]
     rows = np.column_stack(columns)
+    line = ",".join([CSV_FORMAT] * rows.shape[1]) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(CSV_FORMAT % v for v in row) + "\n")
+        for s in range(0, rows.shape[0], CSV_CHUNK_ROWS):
+            fh.write("".join(line % tuple(row) for row in rows[s : s + CSV_CHUNK_ROWS].tolist()))

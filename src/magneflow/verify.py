@@ -192,20 +192,25 @@ def _gradient_tensor(members, points: np.ndarray) -> np.ndarray:
     return grads
 
 
-def _projected_rank(grad: np.ndarray, x: np.ndarray, p: np.ndarray) -> int:
-    """Rank of the member gradients projected tangentially to the
-    constraint set {|X|^2 = 1, <X,P> = 0}."""
-    d = x.size
-    v1 = np.concatenate([x, np.zeros(d)])
-    v2 = np.concatenate([p, x])
-    e1 = v1 / np.linalg.norm(v1)
-    v2 = v2 - (e1 @ v2) * e1
-    e2 = v2 / np.linalg.norm(v2)
-    proj = grad - np.outer(grad @ e1, e1) - np.outer(grad @ e2, e2)
+def _projected_ranks(grads: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Rank of each point's member gradients, (R, k, 2d) -> (R,), projected
+    tangentially to the constraint set {|X|^2 = 1, <X,P> = 0}."""
+    d = points.shape[1] // 2
+    x, p = points[:, :d], points[:, d:]
+    e1 = np.concatenate([x, np.zeros_like(x)], axis=1)
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+    v2 = np.concatenate([p, x], axis=1)
+    v2 -= np.einsum("rw,rw->r", e1, v2)[:, None] * e1
+    e2 = v2 / np.linalg.norm(v2, axis=1, keepdims=True)
+    proj = grads.copy()
+    for e in (e1, e2):
+        proj -= (grads @ e[:, :, None]) * e[:, None, :]
     svals = np.linalg.svd(proj, compute_uv=False)
-    if svals.size == 0 or svals[0] == 0.0:
-        return 0
-    return int(np.sum(svals > RANK_THRESHOLD_REL * svals[0]))
+    return np.sum(svals > RANK_THRESHOLD_REL * svals[:, :1], axis=1)
+
+
+def _rank_points(n: int, samples: int, seed: int, stream: int) -> np.ndarray:
+    return sampling.constrained_points(sampling.generator(seed, stream), n, samples)
 
 
 def functional_independence(
@@ -218,25 +223,17 @@ def functional_independence(
 ) -> RankStats:
     """Numeric rank of the member differentials restricted to the unit
     cotangent structure, at seeded random points."""
+    members = list(members)
     if expected_rank is None:
         expected_rank = len(members)
-    rng = sampling.generator(seed, stream)
-    points = sampling.constrained_points(rng, n, samples)
-    grads = _gradient_tensor(list(members), points)
-    d = n + 1
-    ranks = []
-    failures = []
-    for r in range(samples):
-        rank = _projected_rank(grads[r], points[r, :d], points[r, d:])
-        ranks.append(rank)
-        if rank < expected_rank:
-            failures.append((r, rank))
-    full = sum(1 for r in ranks if r >= expected_rank)
+    points = _rank_points(n, samples, seed, stream)
+    ranks = _projected_ranks(_gradient_tensor(members, points), points).tolist()
+    failures = [(r, rank) for r, rank in enumerate(ranks) if rank < expected_rank]
     return RankStats(
         samples=samples,
         expected_rank=expected_rank,
         ranks=ranks,
-        full_rank_count=full,
+        full_rank_count=samples - len(failures),
         failures=failures,
     )
 
@@ -391,7 +388,9 @@ def superintegrability_probe(
         q for q, prov in zip(family.quads, family.quad_provenance)
         if prov.get("kind") == "indicator"
     ]
-    members = family.members()
+    # Every candidate is rank-tested at the same seeded points next to the
+    # same members, so both are computed once, on the first candidate.
+    points = member_grads = None
     results = []
     for block in model.partition:
         planes = [u for u in model.block_units(block) if len(u) == 2]
@@ -431,18 +430,16 @@ def superintegrability_probe(
             commutes_ind = all(
                 poisson_bracket(poly, q).is_zero for q in indicator_quads
             )
-            stats = functional_independence(
-                members + [poly],
-                n,
-                samples=samples,
-                seed=seed,
-                expected_rank=n + 1,
-                stream=_STREAM_PROBE,
-            )
+            if member_grads is None:
+                points = _rank_points(n, samples, seed, _STREAM_PROBE)
+                member_grads = _gradient_tensor(family.members(), points)
+            grads = np.concatenate([member_grads, _gradient_tensor([poly], points)], axis=1)
+            ranks = _projected_ranks(grads, points)
+            full_rank_fraction = int(np.sum(ranks >= n + 1)) / samples if samples else 0.0
             qualifies = (
                 commutes_h
                 and commutes_ind
-                and stats.full_rank_fraction >= FULL_RANK_QUOTA
+                and full_rank_fraction >= FULL_RANK_QUOTA
             )
             results.append(ProbeResult(
                 block=tuple(block),
@@ -451,7 +448,7 @@ def superintegrability_probe(
                 cross_pair=cross,
                 commutes_with_hamiltonian=commutes_h,
                 commutes_with_indicator_quads=commutes_ind,
-                full_rank_fraction=stats.full_rank_fraction,
+                full_rank_fraction=full_rank_fraction,
                 is_additional_integral=qualifies,
             ))
     return results

@@ -5,6 +5,7 @@ status lines, and artifact files.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -128,6 +129,17 @@ def test_verify_rejects_malformed_input(tmp_path, capsys):
     wrong.write_text(json.dumps({"artifact": "integral-family"}))
     code, _, _ = run(capsys, "verify", "--family", str(wrong), "--report", report)
     assert code == 2
+
+
+@pytest.mark.parametrize("samples", ["-1", "0"])
+def test_verify_rejects_bad_sample_counts(tmp_path, capsys, samples):
+    family = build_family(tmp_path, capsys)
+    report = tmp_path / "report.json"
+    code, _, err = run(capsys, "verify", "--family", str(family),
+                       "--samples", samples, "--report", str(report))
+    assert code == 2
+    assert err.startswith("error:") and "--samples" in err
+    assert not report.exists()
 
 
 # -- normal-form --------------------------------------------------------------
@@ -263,6 +275,23 @@ def test_simulate_rejects_bad_init(tmp_path, capsys):
             "--steps", "5", "--init", str(init), "--out", str(tmp_path / "x"),
         )
         assert code == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_simulate_huge_init_momentum(tmp_path, capsys):
+    """|p|^2 overflowing is an input error; a representable but far too
+    fast state is a step failure.  Neither prints a numpy warning."""
+    init = tmp_path / "init.json"
+    argv = ["simulate", "--n", "2", "--alpha", "1", "--dt", "1e-3", "--steps", "5",
+            "--no-normalize", "--init", str(init), "--out", str(tmp_path / "x")]
+    for speed, want, prefix in ((1e200, 2, "error:"), (1e100, 1, "integration failed:")):
+        init.write_text(json.dumps({"x": [1.0, 0.0, 0.0], "p": [0.0, speed, 0.0]}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(capsys, *argv)
+        assert code == want
+        assert caught == []
+        assert len(err.splitlines()) == 1 and err.startswith(prefix)
     assert not (tmp_path / "x.csv").exists()
 
 

@@ -1,6 +1,8 @@
 """Exact polynomial layer: arithmetic, calculus, bracket, serialization."""
 
 import math
+import random
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -10,14 +12,18 @@ from hypothesis import strategies as st
 
 from magneflow import (
     InputError,
+    MagneticModel,
     PhasePoly,
+    compiled_evaluator,
     fd_bracket_oracle,
     format_rational,
+    hamiltonian_pert,
     parse_rational,
     poisson_bracket,
     p_var,
     x_var,
 )
+from magneflow import exactpoly
 
 N = 2
 WIDTH = 2 * (N + 1)
@@ -199,6 +205,96 @@ def test_evaluate_exact_is_exact():
     f = x_var(1, N) ** 2
     value = f.evaluate_exact([F(3, 5), F(4, 5), 0, 0, 0, 0])
     assert value == F(9, 25)
+
+
+# -- compiled float evaluator ------------------------------------------------------
+
+
+def random_poly(rng, n, terms, max_exponent=4):
+    width = 2 * (n + 1)
+    raw = {}
+    for _ in range(terms):
+        expo = [0] * width
+        for slot in rng.sample(range(width), rng.randint(0, 2)):
+            expo[slot] = rng.randint(1, max_exponent)
+        raw[tuple(expo)] = F(rng.randint(-40, 40), rng.randint(1, 9))
+    return PhasePoly(n, raw)
+
+
+def dyadic_points(rng, rows, width):
+    """Rational points with power-of-two denominators, so that converting
+    them to float is exact."""
+    return [[F(rng.randint(-96, 96), 64) for _ in range(width)] for _ in range(rows)]
+
+
+def assert_matches_exact(poly, rational_points):
+    """compiled_evaluator against evaluate_exact, to 1e-13 of the sum of
+    the absolute term values (the scale rounding errors are relative to)."""
+    magnitude = PhasePoly(poly.n, {e: abs(c) for e, c in poly.terms.items()})
+    values = compiled_evaluator(poly)(np.array(rational_points, dtype=float))
+    assert values.shape == (len(rational_points),)
+    for got, z in zip(values, rational_points):
+        exact = poly.evaluate_exact(z)
+        scale = magnitude.evaluate_exact([abs(c) for c in z])
+        assert abs(F(got) - exact) <= F(1e-13) * max(scale, F(1))
+
+
+def test_compiled_evaluator_matches_exact_values():
+    rng = random.Random(5)
+    for n in (1, 2, 4):
+        for terms in (1, 3, 12):
+            poly = random_poly(rng, n, terms)
+            assert_matches_exact(poly, dyadic_points(rng, 20, poly.width))
+    # every exponent 1..4 in one slot, next to a mixed term of degree 4
+    x1, p2 = x_var(1, N), p_var(2, N)
+    poly = x1 + F(-2, 3) * x1 ** 2 + F(5) * x1 ** 3 + F(1, 7) * x1 ** 4 + x1 ** 2 * p2 ** 2
+    assert_matches_exact(poly, dyadic_points(rng, 20, WIDTH))
+
+
+def test_compiled_evaluator_zero_and_constant():
+    pts = np.random.default_rng(1).standard_normal((7, WIDTH))
+    assert np.array_equal(compiled_evaluator(PhasePoly(N))(pts), np.zeros(7))
+    assert np.array_equal(compiled_evaluator(PhasePoly.constant(N, F(-5, 4)))(pts),
+                          np.full(7, -1.25))
+    assert_matches_exact(PhasePoly.constant(N, F(3, 8)), dyadic_points(random.Random(2), 3, WIDTH))
+
+
+def test_compiled_evaluator_rejects_bad_shapes_and_takes_no_rows():
+    f = compiled_evaluator(x_var(1, N) * p_var(2, N))
+    assert f(np.empty((0, WIDTH))).shape == (0,)
+    with pytest.raises(InputError):
+        f(np.zeros((3, WIDTH + 1)))
+    with pytest.raises(InputError):
+        f(np.zeros(WIDTH))
+
+
+def test_compiled_evaluator_chunks_are_invariant(monkeypatch):
+    rng = random.Random(9)
+    poly = random_poly(rng, 3, 10)
+    depth = max(sum(e) for e in poly.terms)
+    chunk = 7
+    monkeypatch.setattr(exactpoly, "EVAL_CHUNK_BYTES", 8 * poly.num_terms * depth * chunk)
+    f = compiled_evaluator(poly)
+    rational = dyadic_points(rng, 5 * chunk + 3, poly.width)  # ragged last chunk
+    assert_matches_exact(poly, rational)
+    pts = np.array(rational, dtype=float)
+    whole = f(pts)
+    pieces = np.concatenate([f(pts[s : s + chunk]) for s in range(0, len(pts), chunk)])
+    assert whole.tobytes() == pieces.tobytes()
+
+
+def test_compiled_evaluator_memory_is_bounded():
+    poly = hamiltonian_pert(MagneticModel(n=4, alphas=(F(1), F(2))))
+    pts = np.random.default_rng(3).standard_normal((200_000, poly.width))
+    f = compiled_evaluator(poly)
+    tracemalloc.start()
+    try:
+        values = f(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (200_000,)
+    assert peak < 16 * 2**20
 
 
 # -- substitution ---------------------------------------------------------

@@ -20,7 +20,7 @@ from magneflow import (
     write_csv,
 )
 from magneflow import sampling
-from magneflow.flow import _rotate
+from magneflow.flow import CSV_CHUNK_ROWS, TrajectoryRecord, _rotate
 
 
 def model_of(n, *alphas):
@@ -50,6 +50,14 @@ def test_project_initial_rejects_large_defects():
         project_initial(np.array([1.0, 0.0, 0.0]), np.array([0.01, 1.0, 0.0]))
     with pytest.raises(InputError):
         project_initial(np.ones((2, 3)), np.ones((2, 3)))
+
+
+def test_project_initial_rejects_overflowing_squares():
+    for x, p in (([1.0, 0.0, 0.0], [0.0, 1e200, 0.0]), ([1e200, 0.0, 0.0], [0.0, 1.0, 0.0])):
+        with pytest.raises(InputError, match="finite"):
+            project_initial(np.array(x), np.array(p))
+    _, p = project_initial(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1e100, 0.0]))
+    assert p[1] == 1e100
 
 
 # -- geometry of single flows ---------------------------------------------------
@@ -210,6 +218,23 @@ def test_recording_stride_includes_last_step():
     assert rec.times.shape == (12,)  # 0, 10, ..., 100, 105
 
 
+@pytest.mark.parametrize("steps, every", [(0, 1), (6, 1), (10, 5), (11, 5), (3, 7), (7, 7)])
+def test_recorded_rows_match_the_stride(steps, every):
+    model = model_of(2, 1)
+    x0, p0 = seeded_state(2)
+    rec = integrate(model, x0, p0, dt=1e-2, steps=steps, record_every=every)
+    ks = sorted({0, steps, *range(0, steps + 1, every)})
+    assert rec.times.tolist() == [k * 1e-2 for k in ks]
+    assert rec.xs.shape == rec.ps.shape == (len(ks), 3)
+    x, p = project_initial(x0, p0)
+    rows = [(x, p)]
+    for k in range(1, steps + 1):
+        x, p = step(x, p, model, 1e-2)
+        rows.append((x, p))
+    assert np.array_equal(rec.xs, [rows[k][0] for k in ks])
+    assert np.array_equal(rec.ps, [rows[k][1] for k in ks])
+
+
 def test_integrate_validates_parameters():
     model = model_of(2, 1)
     x0, p0 = seeded_state(2)
@@ -257,3 +282,24 @@ def test_csv_output_round_trips(tmp_path):
     # 17 significant digits reproduce the doubles bit for bit
     assert np.array_equal(data[:, 1:4], rec.xs)
     assert np.array_equal(data[:, 4:7], rec.ps)
+
+
+def test_csv_matches_value_by_value_formatting(tmp_path):
+    """The chunked writer produces the bytes of formatting every value on
+    its own, across a ragged last chunk and awkward values."""
+    rng = np.random.default_rng(8)
+    rows = CSV_CHUNK_ROWS + 1000
+    xs = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-300, 300, (rows, 3))
+    xs[0] = [-0.0, 5e-324, 1.7976931348623157e308]
+    rec = TrajectoryRecord(
+        times=np.arange(rows) * 1e-3, xs=xs, ps=rng.standard_normal((rows, 3)),
+        diagnostics={"H": rng.standard_normal(rows)},
+        sphere_residual=rng.standard_normal(rows) * 1e-16,
+        tangency_residual=np.zeros(rows), meta={"k": 1},
+    )
+    path = tmp_path / "rows.csv"
+    write_csv(rec, path)
+    body = path.read_text().splitlines()[2:]
+    table = np.column_stack([rec.times, rec.xs, rec.ps, rec.diagnostics["H"],
+                             rec.sphere_residual, rec.tangency_residual])
+    assert body == [",".join("%.17g" % v for v in row) for row in table]

@@ -1,5 +1,6 @@
 """Verification layer: commutation tiers, independence, membership, probe."""
 
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -26,6 +27,13 @@ from magneflow import (
     uhlenbeck_integral,
     x_var,
     p_var,
+)
+from magneflow.verify import (
+    RANK_THRESHOLD_REL,
+    _STREAM_PROBE,
+    _gradient_tensor,
+    _projected_ranks,
+    _rank_points,
 )
 
 
@@ -196,6 +204,64 @@ def test_rank_can_exceed_family_size_with_extra_function():
     assert stats.full_rank_count >= 38
 
 
+def projected_rank_oracle(grad, x, p):
+    """Scalar reference for one point: rank of the (k, 2d) member gradients
+    projected tangentially to {|X|^2 = 1, <X,P> = 0}."""
+    d = x.size
+    v1 = np.concatenate([x, np.zeros(d)])
+    v2 = np.concatenate([p, x])
+    e1 = v1 / np.linalg.norm(v1)
+    v2 = v2 - (e1 @ v2) * e1
+    e2 = v2 / np.linalg.norm(v2)
+    proj = grad - np.outer(grad @ e1, e1) - np.outer(grad @ e2, e2)
+    svals = np.linalg.svd(proj, compute_uv=False)
+    if svals.size == 0 or svals[0] == 0.0:
+        return 0
+    return int(np.sum(svals > RANK_THRESHOLD_REL * svals[0]))
+
+
+def oracle_ranks(grads, points):
+    d = points.shape[1] // 2
+    return [projected_rank_oracle(g, z[:d], z[d:]) for g, z in zip(grads, points)]
+
+
+CI_MATRIX = [
+    (2, "1"), (3, "1,2"), (3, "1,1"), (4, "1,2"), (4, "1,1"), (5, "1,2,3"),
+    (5, "1,1,2"), (5, "1,1,1"), (6, "1,1,1"), (7, "1,2,3,4"), (7, "1,1,2,2"),
+]
+
+
+@pytest.mark.parametrize("n, alpha", CI_MATRIX)
+def test_batched_ranks_match_scalar_oracle(n, alpha):
+    fam = commuting_basis(model_of(n, *alpha.split(",")))
+    points = _rank_points(n, 40, 3, 2)
+    grads = _gradient_tensor(fam.members(), points)
+    ranks = _projected_ranks(grads, points)
+    assert ranks.tolist() == oracle_ranks(grads, points)
+    assert ranks.tolist() == [n] * 40
+    # a duplicated member and a vanishing gradient lower the rank alike
+    dup = np.concatenate([grads, grads[:, :1]], axis=1)
+    assert _projected_ranks(dup, points).tolist() == oracle_ranks(dup, points) == [n] * 40
+    flat = np.concatenate([grads, np.zeros_like(grads[:, :1])], axis=1)
+    assert _projected_ranks(flat, points).tolist() == oracle_ranks(flat, points) == [n] * 40
+
+
+def test_batched_ranks_of_zero_gradients_are_zero():
+    points = _rank_points(3, 10, 0, 2)
+    zeros = np.zeros((10, 3, 8))
+    assert _projected_ranks(zeros, points).tolist() == oracle_ranks(zeros, points) == [0] * 10
+    mixed = np.random.default_rng(4).standard_normal((10, 3, 8))
+    mixed[::2] = 0.0
+    assert _projected_ranks(mixed, points).tolist() == oracle_ranks(mixed, points)
+    assert _projected_ranks(mixed, points)[::2].tolist() == [0] * 5
+    # the differentials of |X|^2 and <X,P> are projected away, down to
+    # round-off far below the threshold next to one generic gradient
+    x, p = points[:, :4], points[:, 4:]
+    generic = np.random.default_rng(5).standard_normal((10, 8))
+    normals = np.stack([np.hstack([x, 0 * x]), np.hstack([p, x]), generic], axis=1)
+    assert _projected_ranks(normals, points).tolist() == oracle_ranks(normals, points) == [1] * 10
+
+
 def test_independence_is_seed_deterministic():
     fam = commuting_basis(model_of(3, 1, 2))
     s1 = functional_independence(fam.members(), 3, samples=30, seed=11)
@@ -315,6 +381,29 @@ def test_probe_in_plane_generators_commute_but_add_no_rank():
         assert r.commutes_with_hamiltonian  # they are family members
         assert r.full_rank_fraction == 0.0  # duplicates cannot raise rank
         assert not r.is_additional_integral
+
+
+def candidate_poly(label, n):
+    """The probe candidate that a label such as 'M(1,3)+M(2,4)' names."""
+    total = PhasePoly(n)
+    for sign, l, m in re.findall(r"([+-]?)M\((\d+),(\d+)\)", label):
+        term = killing(int(l), int(m), n)
+        total = total - term if sign == "-" else total + term
+    return total
+
+
+@pytest.mark.parametrize("n, alpha", [(4, "1,1"), (6, "1,1,1"), (7, "1,1,2,2")])
+def test_probe_ranks_match_standalone_independence(n, alpha):
+    model = model_of(n, *alpha.split(","))
+    fam = commuting_basis(model)
+    results = superintegrability_probe(model, fam, samples=30, seed=5)
+    assert results
+    for r in results:
+        stats = functional_independence(
+            fam.members() + [candidate_poly(r.label, n)], n, samples=30, seed=5,
+            expected_rank=n + 1, stream=_STREAM_PROBE,
+        )
+        assert r.full_rank_fraction == stats.full_rank_fraction
 
 
 # -- full report --------------------------------------------------------------------
