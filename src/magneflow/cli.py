@@ -104,6 +104,8 @@ def cmd_build(args) -> int:
 def cmd_verify(args) -> int:
     if args.samples < 1:
         raise InputError(f"--samples must be at least 1, got {args.samples}")
+    if args.seed < 0:
+        raise InputError(f"--seed must be non-negative, got {args.seed}")
     data = _load_json(args.family)
     payload = data.get("family", data) if isinstance(data, dict) else None
     if not isinstance(payload, dict):
@@ -150,6 +152,8 @@ def _initial_state(args, model: MagneticModel):
 def cmd_simulate(args) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise InputError(f"--tol must be a finite number >= 0, got {args.tol!r}")
+    if args.seed < 0:
+        raise InputError(f"--seed must be non-negative, got {args.seed}")
     alphas = _parse_alphas(args.alpha)
     model = MagneticModel(n=args.n, alphas=alphas)
     family = commuting_basis(model)

@@ -246,21 +246,9 @@ class PhasePoly:
 
     # -- evaluation --------------------------------------------------------
 
-    def evaluate(self, point: Sequence[float]) -> float:
-        """Evaluate at a float phase point (X1..X{n+1}, P1..P{n+1})."""
-        if len(point) != self.width:
-            raise InputError(f"point has length {len(point)}, expected {self.width}")
-        total = 0.0
-        for expo, coeff in self.terms.items():
-            v = float(coeff)
-            for z, e in zip(point, expo):
-                if e:
-                    v *= z ** e
-            total += v
-        return total
-
     def evaluate_exact(self, point: Sequence) -> Fraction:
-        """Evaluate at a rational phase point, exactly."""
+        """Evaluate at a rational phase point (X1..X{n+1}, P1..P{n+1}),
+        exactly.  Float points go through `compiled_evaluator`."""
         if len(point) != self.width:
             raise InputError(f"point has length {len(point)}, expected {self.width}")
         pt = [Fraction(z) for z in point]
@@ -470,9 +458,9 @@ def poisson_bracket(f: PhasePoly, g: PhasePoly) -> PhasePoly:
 def compiled_evaluator(poly: PhasePoly):
     """Vectorized float evaluator: maps an (R, 2(n+1)) point array to (R,).
 
-    The exact layer stays exact; this is the one sanctioned fast path for
-    evaluating a fixed polynomial at many float points (trajectory
-    diagnostics, rank sampling).  Each term is compiled to the slot
+    The exact layer stays exact; this is the one float evaluator
+    (trajectory diagnostics, rank sampling, bracket classification and the
+    finite-difference oracle).  Each term is compiled to the slot
     indices of its factors (X1^2 gives [0, 0]), padded to a common length
     with a sentinel slot that reads a column of ones; a term's value is
     the product of its gathered factors.  Rows are evaluated in chunks of

@@ -38,8 +38,10 @@ __all__ = [
 
 INITIAL_TOLERANCE = 1e-6
 # RATTLE's constraint quadratic has the coefficient dt**4, which overflows
-# from this step size on.
+# from MAX_ABS_DT on and underflows below MIN_ABS_DT; once dt**2 underflows
+# as well, the multiplier's denominator is zero.
 MAX_ABS_DT = sys.float_info.max ** 0.25
+MIN_ABS_DT = sys.float_info.min ** 0.25
 CSV_FORMAT = "%.17g"
 # Rows converted to Python floats at a time by write_csv.
 CSV_CHUNK_ROWS = 4096
@@ -177,8 +179,10 @@ def integrate(
     """
     if not (isinstance(steps, int) and steps >= 0):
         raise InputError(f"steps must be a nonnegative integer, got {steps!r}")
-    if not (dt != 0.0 and abs(dt) < MAX_ABS_DT):
-        raise InputError(f"dt must be nonzero with |dt| < {MAX_ABS_DT:.4g}, got {dt!r}")
+    if not MIN_ABS_DT <= abs(dt) < MAX_ABS_DT:
+        raise InputError(
+            f"dt must satisfy {MIN_ABS_DT:.4g} <= |dt| < {MAX_ABS_DT:.4g}, got {dt!r}"
+        )
     if not (isinstance(record_every, int) and record_every >= 1):
         raise InputError(f"record_every must be a positive integer, got {record_every!r}")
 

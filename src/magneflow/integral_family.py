@@ -142,15 +142,13 @@ def limit_integral(n: int, group: Sequence[int], lam: Mapping, mu: Mapping) -> P
 @dataclass
 class IntegralFamily:
     """The n candidate integrals for a model: quadratics first, then the
-    plane rotation momenta.  `hamiltonian_coeffs` is filled in by the
-    verification layer once membership of H in the family is solved."""
+    plane rotation momenta."""
 
     model: MagneticModel
     quads: tuple
     quad_provenance: tuple
     linears: tuple
     linear_provenance: tuple
-    hamiltonian_coeffs: dict | None = None
 
     def members(self) -> list:
         return list(self.quads) + list(self.linears)
@@ -167,10 +165,7 @@ class IntegralFamily:
             integrals.append({"tag": "quad", "provenance": prov, "poly": poly.to_dict()})
         for poly, prov in zip(self.linears, self.linear_provenance):
             integrals.append({"tag": "linear", "provenance": prov, "poly": poly.to_dict()})
-        out = {"model": self.model.to_dict(), "integrals": integrals}
-        if self.hamiltonian_coeffs is not None:
-            out["hamiltonian_coeffs"] = dict(self.hamiltonian_coeffs)
-        return out
+        return {"model": self.model.to_dict(), "integrals": integrals}
 
     @classmethod
     def from_dict(cls, data) -> "IntegralFamily":
@@ -197,13 +192,16 @@ class IntegralFamily:
                 lprov.append(prov)
             else:
                 raise InputError(f"unknown integral tag {tag!r}")
+        if len(quads) + len(linears) != model.n:
+            raise InputError(
+                f"a family on S^{model.n} has {model.n} integrals, got {len(quads) + len(linears)}"
+            )
         return cls(
             model=model,
             quads=tuple(quads),
             quad_provenance=tuple(qprov),
             linears=tuple(linears),
             linear_provenance=tuple(lprov),
-            hamiltonian_coeffs=data.get("hamiltonian_coeffs"),
         )
 
 

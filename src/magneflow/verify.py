@@ -13,7 +13,6 @@ reproducible from the seed alone.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -53,31 +52,35 @@ _STREAM_PROBE = 3
 ON_CONSTRAINT_RTOL = 1e-10
 RANK_THRESHOLD_REL = 1e-8
 FULL_RANK_QUOTA = 0.95
+FD_STEP = 1e-5
 
 
 # -- finite-difference oracle -------------------------------------------------
 
 
-def fd_bracket_oracle(f: PhasePoly, g: PhasePoly, point, h: float = 1e-5) -> float:
-    """Central-difference estimate of {f, g} at a float point.
+def fd_bracket_oracle(f: PhasePoly, g: PhasePoly, point) -> float:
+    """Central-difference estimate of {f, g} at a float point, with step
+    FD_STEP.
 
-    Uses only the evaluators, never the symbolic bracket, so it serves as
-    an independent cross-check of the exact engine.
+    Uses only the float evaluator, never the symbolic bracket, so it serves
+    as an independent cross-check of the exact engine.  The points shifted
+    by +FD_STEP and -FD_STEP in each slot are stacked into one array, so f
+    and g are evaluated once each.
     """
+    width = f.width
     z = np.asarray(point, dtype=float)
+    if z.shape != (width,):
+        raise InputError(f"point has shape {z.shape}, expected ({width},)")
+    shifts = FD_STEP * np.eye(width)
+    stencil = np.concatenate([z + shifts, z - shifts])
+
+    def central_differences(poly):
+        values = compiled_evaluator(poly)(stencil)
+        return (values[:width] - values[width:]) / (2.0 * FD_STEP)
+
+    df, dg = central_differences(f), central_differences(g)
     d = f.n + 1
-
-    def cd(poly, slot):
-        zp = z.copy()
-        zp[slot] += h
-        zm = z.copy()
-        zm[slot] -= h
-        return (poly.evaluate(zp) - poly.evaluate(zm)) / (2.0 * h)
-
-    total = 0.0
-    for i in range(d):
-        total += cd(f, i) * cd(g, d + i) - cd(f, d + i) * cd(g, i)
-    return total
+    return float(df[:d] @ dg[d:] - df[d:] @ dg[:d])
 
 
 # -- pairwise commutation ------------------------------------------------------
@@ -102,36 +105,26 @@ class PairResult:
 def _classify_bracket(f, g, bracket, points) -> tuple:
     if bracket.is_zero:
         return "zero_polynomial", 0
-    scale = 1.0
-    residual = 0.0
-    for z in points:
-        scale = max(scale, abs(f.evaluate(z)), abs(g.evaluate(z)))
-        residual = max(residual, abs(bracket.evaluate(z)))
-    if residual <= ON_CONSTRAINT_RTOL * scale:
+
+    def peak(poly):
+        return float(np.max(np.abs(compiled_evaluator(poly)(points))))
+
+    if peak(bracket) <= ON_CONSTRAINT_RTOL * max(1.0, peak(f), peak(g)):
         return "zero_on_constraints", bracket.num_terms
     return "nonzero", bracket.num_terms
 
 
-def check_commutation(
-    family: IntegralFamily,
-    include_hamiltonian: bool = True,
-    seed: int = 0,
-) -> list:
+def check_commutation(family: IntegralFamily, seed: int = 0) -> list:
     """Exact brackets of all member pairs (self pairs included) and of each
     member with the Hamiltonian."""
-    members = family.members()
-    labels = family.labels()
-    if include_hamiltonian:
-        members = members + [hamiltonian_pert(family.model)]
-        labels = labels + ["H"]
+    members = family.members() + [hamiltonian_pert(family.model)]
+    labels = family.labels() + ["H"]
     rng = sampling.generator(seed, _STREAM_COMMUTATION)
     points = sampling.constrained_points(rng, family.model.n, 50)
 
     results = []
-    for i in range(len(members)):
+    for i in range(len(members) - 1):  # no (H, H) self pair
         for j in range(i, len(members)):
-            if include_hamiltonian and i == len(members) - 1:
-                continue  # no (H, H) self pair
             bracket = poisson_bracket(members[i], members[j])
             status, witness = _classify_bracket(members[i], members[j], bracket, points)
             results.append(PairResult(labels[i], labels[j], status, witness))
@@ -218,14 +211,13 @@ def functional_independence(
     n: int,
     samples: int = 100,
     seed: int = 0,
-    expected_rank: int | None = None,
     stream: int = _STREAM_INDEPENDENCE,
 ) -> RankStats:
     """Numeric rank of the member differentials restricted to the unit
-    cotangent structure, at seeded random points."""
+    cotangent structure, at seeded random points; a point is full rank when
+    the rank equals the number of members."""
     members = list(members)
-    if expected_rank is None:
-        expected_rank = len(members)
+    expected_rank = len(members)
     points = _rank_points(n, samples, seed, stream)
     ranks = _projected_ranks(_gradient_tensor(members, points), points).tolist()
     failures = [(r, rank) for r, rank in enumerate(ranks) if rank < expected_rank]
@@ -335,9 +327,7 @@ def hamiltonian_membership(
             recomposed = recomposed + c * col
     if not (recomposed - h).is_zero:
         return MembershipResult(ok=False, coefficients=None)
-    coeffs = dict(zip(names, solution))
-    family.hamiltonian_coeffs = {k: format_rational(v) for k, v in coeffs.items()}
-    return MembershipResult(ok=True, coefficients=coeffs)
+    return MembershipResult(ok=True, coefficients=dict(zip(names, solution)))
 
 
 # -- superintegrability probe ----------------------------------------------------
@@ -367,12 +357,7 @@ class ProbeResult:
         }
 
 
-def superintegrability_probe(
-    model: MagneticModel,
-    family: IntegralFamily,
-    samples: int = 100,
-    seed: int = 0,
-) -> list:
+def superintegrability_probe(family: IntegralFamily, samples: int = 100, seed: int = 0) -> list:
     """Search blocks with at least two coordinate planes for extra integrals.
 
     Candidates are the single rotation momenta M_lm with l, m in the
@@ -382,6 +367,7 @@ def superintegrability_probe(
     indicator quadratic is identically zero and it raises the numeric
     rank of the family to n+1 at the sampled points.
     """
+    model = family.model
     n = model.n
     h = hamiltonian_pert(model)
     indicator_quads = [
@@ -466,7 +452,6 @@ class VerificationReport:
     rank_stats: RankStats
     membership: MembershipResult
     probe_results: list
-    wall_time: dict
 
     @property
     def passed(self) -> bool:
@@ -474,8 +459,8 @@ class VerificationReport:
         rank_ok = self.rank_stats.full_rank_fraction >= FULL_RANK_QUOTA
         return pairs_ok and rank_ok and self.membership.ok
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "model": self.model.to_dict(),
             "seed": self.seed,
             "samples": self.samples,
@@ -485,49 +470,20 @@ class VerificationReport:
             "probe_results": [p.to_dict() for p in self.probe_results],
             "passed": self.passed,
         }
-        if include_timing:
-            out["wall_time"] = dict(self.wall_time)
-        return out
 
 
 def run_verification(
-    family: IntegralFamily,
-    samples: int = 100,
-    seed: int = 0,
-    with_probe: bool = True,
+    family: IntegralFamily, samples: int = 100, seed: int = 0
 ) -> VerificationReport:
     """Full verification pass over a family: exact commutation, numeric
-    independence, exact membership of H, optional extra-integral probe."""
+    independence, exact membership of H, and the extra-integral probe."""
     model = family.model
-    timing = {}
-
-    t0 = time.perf_counter()
-    pairs = check_commutation(family, include_hamiltonian=True, seed=seed)
-    timing["commutation"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    rank = functional_independence(
-        family.members(), model.n, samples=samples, seed=seed, expected_rank=model.n
-    )
-    timing["independence"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    membership = hamiltonian_membership(family)
-    timing["membership"] = time.perf_counter() - t0
-
-    probe_results: list = []
-    if with_probe:
-        t0 = time.perf_counter()
-        probe_results = superintegrability_probe(model, family, samples=samples, seed=seed)
-        timing["probe"] = time.perf_counter() - t0
-
     return VerificationReport(
         model=model,
         seed=seed,
         samples=samples,
-        pair_results=pairs,
-        rank_stats=rank,
-        membership=membership,
-        probe_results=probe_results,
-        wall_time=timing,
+        pair_results=check_commutation(family, seed=seed),
+        rank_stats=functional_independence(family.members(), model.n, samples=samples, seed=seed),
+        membership=hamiltonian_membership(family),
+        probe_results=superintegrability_probe(family, samples=samples, seed=seed),
     )

@@ -16,6 +16,7 @@ import numpy as np
 
 from magneflow import (
     MagneticModel,
+    check_commutation,
     commuting_basis,
     drift_report,
     functional_independence,
@@ -26,7 +27,6 @@ from magneflow import (
     kinetic_energy,
     picture_map,
     poisson_bracket,
-    run_verification,
     skew_normal_form,
     superintegrability_probe,
     uhlenbeck_integral,
@@ -74,9 +74,7 @@ def test_01_pairwise_brackets_vanish_exactly():
     start = time.perf_counter()
     bad = []
     for n, alphas in CI_MATRIX:
-        report = run_verification(family_for(n, alphas), samples=10, seed=SEED,
-                                  with_probe=False)
-        for pair in report.pair_results:
+        for pair in check_commutation(family_for(n, alphas), seed=SEED):
             if pair.status != "zero_polynomial":
                 bad.append((n, alphas, pair.left, pair.right, pair.status))
     elapsed = time.perf_counter() - start
@@ -116,9 +114,7 @@ def test_04_functional_independence():
     bad = []
     for n, alphas in CI_MATRIX:
         fam = family_for(n, alphas)
-        stats = functional_independence(
-            fam.members(), n, samples=100, seed=SEED, expected_rank=n
-        )
+        stats = functional_independence(fam.members(), n, samples=100, seed=SEED)
         if stats.full_rank_count < 95:
             bad.append((n, alphas, stats.histogram()))
     verdict(4, "rank n at 95 of 100 sample points", not bad, f"rank defects {bad}")
@@ -217,7 +213,7 @@ def test_09_single_generator_superintegrability_probe():
         fam = family_for(n, alphas)
         h = hamiltonian_pert(fam.model)
         oracle = cross_pair_brackets(fam.model)
-        probes = superintegrability_probe(fam.model, fam, samples=100, seed=SEED)
+        probes = superintegrability_probe(fam, samples=100, seed=SEED)
         singles = [r for r in probes if r.kind == "generator" and r.cross_pair]
         if len(singles) != count or sorted(r.label for r in singles) != sorted(oracle):
             bad.append((n, alphas, "candidates", [r.label for r in singles]))
@@ -237,7 +233,7 @@ def test_09_single_generator_superintegrability_probe():
 def test_09_companion_pair_combinations_extend_the_family():
     for (n, alphas), count in (((4, ("1", "1")), 2), ((6, ("1", "1", "1")), 6)):
         fam = family_for(n, alphas)
-        probes = superintegrability_probe(fam.model, fam, samples=100, seed=SEED)
+        probes = superintegrability_probe(fam, samples=100, seed=SEED)
         combos = [r for r in probes if r.kind in ("pair_sum", "pair_diff")]
         assert len(combos) == count, (n, alphas, [r.label for r in combos])
         for r in combos:

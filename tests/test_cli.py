@@ -4,14 +4,22 @@ Every test drives `main(argv)` in process and checks exit codes, printed
 status lines, and artifact files.
 """
 
+import contextlib
+import io
 import json
+import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magneflow import __version__
 from magneflow.cli import _write_json, main
+from magneflow.flow import MAX_ABS_DT, MIN_ABS_DT
 
 
 def run(capsys, *argv):
@@ -139,6 +147,16 @@ def test_verify_rejects_bad_sample_counts(tmp_path, capsys, samples):
                        "--samples", samples, "--report", str(report))
     assert code == 2
     assert err.startswith("error:") and "--samples" in err
+    assert not report.exists()
+
+
+def test_verify_rejects_negative_seed(tmp_path, capsys):
+    family = build_family(tmp_path, capsys)
+    report = tmp_path / "report.json"
+    code, _, err = run(capsys, "verify", "--family", str(family),
+                       "--seed", "-5", "--report", str(report))
+    assert code == 2
+    assert err.startswith("error:") and "--seed" in err
     assert not report.exists()
 
 
@@ -301,17 +319,67 @@ def test_simulate_huge_init_momentum(tmp_path, capsys):
     ("--tol", "-1e-5"),
     ("--dt", "nan"),
     ("--dt", "1e300"),
+    ("--dt", "5e-324"),
+    ("--seed", "-1"),
 ])
 def test_simulate_rejects_bad_flag_values(tmp_path, capsys, flag, value):
-    argv = {"--dt": "1e-3", "--tol": "1e-5"}
+    argv = {"--dt": "1e-3", "--tol": "1e-5", "--seed": "3"}
     argv[flag] = value
     code, _, err = run(
-        capsys, "simulate", "--n", "2", "--alpha", "1", "--steps", "5", "--seed", "3",
+        capsys, "simulate", "--n", "2", "--alpha", "1", "--steps", "5", "--seed", argv["--seed"],
         "--dt", argv["--dt"], "--tol", argv["--tol"], "--out", str(tmp_path / "x"),
     )
     assert code == 2
     assert flag.lstrip("-") in err
     assert not (tmp_path / "x.csv").exists()
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                  2.2e-308, 1e-200, -1e-200, 1e300, -1e300, 1e-3, -1e-3]
+
+
+def flag_is_valid(flag, value):
+    """Which `simulate` flag values the front end and `integrate` accept."""
+    if flag == "--dt":
+        return MIN_ABS_DT <= abs(value) < MAX_ABS_DT
+    if flag == "--tol":
+        return math.isfinite(value) and value >= 0.0
+    if flag == "--record-every":
+        return value >= 1
+    return value >= 0  # --steps, --seed
+
+
+@given(
+    dt=st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(-0.1, 0.1), st.floats()),
+    tol=st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()),
+    seed=st.integers(-1, 3),
+    steps=st.integers(-1, 5),
+    record_every=st.integers(-1, 3),
+)
+@settings(max_examples=60, deadline=None)
+def test_simulate_flag_boundary_property(dt, tol, seed, steps, record_every):
+    values = {"--dt": dt, "--tol": tol, "--seed": seed, "--steps": steps,
+              "--record-every": record_every}
+    # --flag=VALUE, so that argparse does not read a value like -1e-200 as a flag
+    argv = [f"{flag}={value!r}" for flag, value in values.items()]
+    invalid = [flag for flag, value in values.items() if not flag_is_valid(flag, value)]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        code = main(["simulate", "--n", "2", "--alpha", "1", *argv,
+                     "--out", str(Path(tmp) / "x")])
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if invalid:
+        assert code == 2
+        error_lines = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(error_lines) == 1
+        # integrate() spells the --record-every flag as record_every
+        assert any(flag[2:] in error_lines[0] or flag[2:].replace("-", "_") in error_lines[0]
+                   for flag in invalid)
+    else:
+        assert code in (0, 1)
 
 
 def test_simulate_check_picture(tmp_path, capsys):

@@ -42,7 +42,7 @@ def model_of(n, *alphas):
 
 
 def test_killing_point_value():
-    assert killing(1, 2, 2).evaluate([1, 0, 0, 0, 1, 0]) == 1.0
+    assert killing(1, 2, 2).evaluate_exact([1, 0, 0, 0, 1, 0]) == 1
 
 
 def test_killing_index_validation():
@@ -67,7 +67,7 @@ def test_overlapping_rotations_close_with_minus_sign():
     pts = sampling.constrained_points(rng, n, 10)
     for z in pts:
         numeric = fd_bracket_oracle(m12, m23, z)
-        assert abs(numeric - (-m13.evaluate(z))) < 1e-8
+        assert abs(numeric - (-float(m13.evaluate_exact(z)))) < 1e-8
     assert poisson_bracket(m12, m23) == -m13
     assert poisson_bracket(m12, m13) == killing(2, 3, n)
 
@@ -300,6 +300,20 @@ def test_family_from_dict_rejects_mismatched_dimension():
     data["model"] = {"n": 3, "alphas": ["1", "1"]}
     with pytest.raises(InputError):
         IntegralFamily.from_dict(data)
+
+
+def test_family_from_dict_rejects_wrong_member_count():
+    data = commuting_basis(model_of(3, 1, 2)).to_dict()
+    data["integrals"].pop(0)
+    with pytest.raises(InputError, match="has 3 integrals, got 2"):
+        IntegralFamily.from_dict(data)
+
+
+def test_family_from_dict_ignores_a_stored_hamiltonian_expansion():
+    fam = commuting_basis(model_of(2, 1))
+    data = fam.to_dict()
+    data["hamiltonian_coeffs"] = {"F1": "1/8"}
+    assert IntegralFamily.from_dict(data).to_dict() == fam.to_dict()
 
 
 def test_family_from_dict_rejects_unknown_tag():
