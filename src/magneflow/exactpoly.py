@@ -1,14 +1,29 @@
 """Exact sparse polynomial algebra on ambient phase space.
 
 Phase space is R^{2(n+1)} with positions X1..X{n+1} and conjugate momenta
-P1..P{n+1}.  Coefficients are exact rationals (`fractions.Fraction`), so
-every identity established with these polynomials is an identity over Q,
-not a numerical statement.
+P1..P{n+1}.  Variables are numbered by slot, X block first: Xi is slot
+i-1 and Pi is slot n+i.  Coefficients are exact rationals, so every
+identity established with these polynomials is an identity over Q, not a
+numerical statement.
 
-A monomial is an exponent tuple of length 2(n+1), X block first.  The
-canonical term order is graded lexicographic on (total degree, exponent
-tuple), X before P; the zero polynomial is the empty term map.  The
-Poisson bracket uses the convention
+A monomial is the sorted tuple of its factor slots: X1^2*P2 is
+(0, 0, n+2) and the constant monomial is ().  The members of the
+commuting family have degree at most 4, so these tuples are short
+whatever n is.  A polynomial holds Python int numerators over one
+positive common denominator, kept in lowest terms (the gcd of the
+denominator and all numerators is 1), so equal polynomials have equal
+representations.  Python ints never overflow, so this is the same
+arithmetic over Q as with `Fraction` coefficients, without a gcd on
+every operation: a product merges two factor tuples and multiplies ints,
+a partial derivative drops one occurrence of a slot and multiplies by its
+count, and a sum, product or bracket reduces by one gcd at the end (see
+Monagan and Pearce, "Sparse polynomial multiplication and division in
+Maple 14", 2009, for packed monomials with machine coefficients).
+
+The constructor and the serialized form use exponent tuples of length
+2(n+1), X block first.  The canonical term order is graded
+lexicographic on (total degree, exponent tuple); the zero polynomial has
+no terms.  The Poisson bracket uses the convention
 
     {f, g} = sum_i  df/dXi * dg/dPi  -  df/dPi * dg/dXi
 
@@ -17,8 +32,11 @@ so that {Xi, Pj} = delta_ij.
 
 from __future__ import annotations
 
+import math
 import re
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError
@@ -36,6 +54,11 @@ __all__ = [
 # Byte budget of the gathered factors that one chunk of rows of
 # compiled_evaluator holds at a time.
 EVAL_CHUNK_BYTES = 4 << 20
+
+# Largest total degree of one term that the constructor accepts.  A term
+# holds one factor slot per unit of degree, so an unchecked exponent in a
+# family file would become a tuple of that many entries.
+MAX_TERM_DEGREE = 64
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -72,6 +95,19 @@ def _coerce_coeff(c) -> Fraction:
     )
 
 
+def _factors(expo: tuple) -> tuple:
+    """Factor tuple of an exponent tuple: (2, 0, 1, 0) -> (0, 0, 2)."""
+    return tuple(slot for slot, e in enumerate(expo) for _ in range(e))
+
+
+def _exponents(factors: tuple, width: int) -> tuple:
+    """Exponent tuple of a factor tuple, inverse of _factors."""
+    expo = [0] * width
+    for slot in factors:
+        expo[slot] += 1
+    return tuple(expo)
+
+
 def _mono_key(expo: tuple) -> tuple:
     return (sum(expo), expo)
 
@@ -79,12 +115,16 @@ def _mono_key(expo: tuple) -> tuple:
 class PhasePoly:
     """Sparse polynomial in X1..X{n+1}, P1..P{n+1} over the rationals.
 
-    `terms` maps exponent tuples (X block first, then P block) to nonzero
-    Fraction coefficients.  Instances are treated as immutable; every
-    operation returns a new polynomial in canonical form.
+    `terms` maps factor tuples to nonzero int numerators and `den` is
+    their positive common denominator, in lowest terms.  The constructor
+    takes exponent tuples (X block first, then P block) with exact
+    coefficients.  Instances are treated as immutable; every operation
+    returns a new polynomial in canonical form.  The first partial
+    derivatives are computed on first use and kept in `_derivs`, since
+    one member is bracketed with every other.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "terms", "den", "_derivs")
 
     def __init__(self, n: int, terms: Mapping | Iterable | None = None):
         if not isinstance(n, int) or n < 1:
@@ -99,12 +139,12 @@ class PhasePoly:
                 )
             if any(e < 0 for e in expo):
                 raise InputError(f"negative exponent in {expo}")
+            if sum(expo) > MAX_TERM_DEGREE:
+                raise InputError(f"term {expo} has degree above {MAX_TERM_DEGREE}")
             c = _coerce_coeff(coeff)
             if c:
-                checked.append((expo, c))
-        canon = _accumulate({}, checked)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", canon)
+                checked.append((_factors(expo), c))
+        _assign(self, n, *_lowest_terms(*_sum_items(checked)))
 
     def __setattr__(self, name, value):
         raise AttributeError("PhasePoly is immutable")
@@ -115,13 +155,6 @@ class PhasePoly:
     def constant(cls, n: int, value) -> "PhasePoly":
         width = 2 * (n + 1)
         return cls(n, {(0,) * width: _coerce_coeff(value)})
-
-    @classmethod
-    def _unit(cls, n: int, slot: int) -> "PhasePoly":
-        width = 2 * (n + 1)
-        expo = [0] * width
-        expo[slot] = 1
-        return cls(n, {tuple(expo): Fraction(1)})
 
     # -- basic structure ---------------------------------------------------
 
@@ -139,26 +172,31 @@ class PhasePoly:
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        return max(map(len, self.terms), default=-1)
 
     def bidegree_profile(self) -> set:
         """Set of (X-degree, P-degree) pairs occurring among the terms."""
         half = self.n + 1
-        return {(sum(e[:half]), sum(e[half:])) for e in self.terms}
+        profile = set()
+        for mono in self.terms:
+            x_degree = bisect_left(mono, half)
+            profile.add((x_degree, len(mono) - x_degree))
+        return profile
 
     def p_degree_parts(self) -> dict:
         """Split into homogeneous components by momentum degree."""
         half = self.n + 1
         parts: dict = {}
-        for expo, coeff in self.terms.items():
-            parts.setdefault(sum(expo[half:]), {})[expo] = coeff
-        return {d: PhasePoly(self.n, t) for d, t in sorted(parts.items())}
+        for mono, c in self.terms.items():
+            parts.setdefault(len(mono) - bisect_left(mono, half), {})[mono] = c
+        return {d: _raw(self.n, t, self.den) for d, t in sorted(parts.items())}
 
     def sorted_terms(self) -> list:
-        """Terms in the canonical graded lexicographic order."""
-        return sorted(self.terms.items(), key=lambda kv: _mono_key(kv[0]))
+        """(exponent tuple, Fraction) pairs in the canonical graded
+        lexicographic order."""
+        width = self.width
+        items = [(_exponents(m, width), Fraction(c, self.den)) for m, c in self.terms.items()]
+        return sorted(items, key=lambda kv: _mono_key(kv[0]))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -166,33 +204,41 @@ class PhasePoly:
         if self.n != other.n:
             raise InputError(f"mixed phase spaces: n={self.n} vs n={other.n}")
 
+    def _combine(self, other: "PhasePoly", sign: int) -> "PhasePoly":
+        """self + sign * other over the least common denominator."""
+        self._require_same_space(other)
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        acc = {m: c * a for m, c in self.terms.items()}
+        _accumulate(acc, ((m, c * b) for m, c in other.terms.items()))
+        return _raw(self.n, acc, den)
+
     def __add__(self, other):
         if not isinstance(other, PhasePoly):
             return NotImplemented
-        self._require_same_space(other)
-        return _raw(self.n, _accumulate(dict(self.terms), other.terms.items()))
+        return self._combine(other, 1)
 
     def __sub__(self, other):
         if not isinstance(other, PhasePoly):
             return NotImplemented
-        self._require_same_space(other)
-        negated = ((e, -c) for e, c in other.terms.items())
-        return _raw(self.n, _accumulate(dict(self.terms), negated))
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return _raw(self.n, {e: -c for e, c in self.terms.items()})
+        return _raw(self.n, {m: -c for m, c in self.terms.items()}, self.den)
 
     def __mul__(self, other):
         if isinstance(other, PhasePoly):
             self._require_same_space(other)
             acc: dict = {}
-            _mul_into(acc, self.terms, other.terms, _ONE)
-            return _raw(self.n, acc)
+            _mul_into(acc, self.terms.items(), other.terms.items())
+            return _raw(self.n, acc, self.den * other.den)
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
             if not q:
                 return PhasePoly(self.n)
-            return _raw(self.n, {e: c * q for e, c in self.terms.items()})
+            num = q.numerator
+            return _raw(self.n, {m: c * num for m, c in self.terms.items()},
+                        self.den * q.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -214,21 +260,14 @@ class PhasePoly:
     def __eq__(self, other):
         if not isinstance(other, PhasePoly):
             return NotImplemented
-        return self.n == other.n and self.terms == other.terms
+        return self.n == other.n and self.den == other.den and self.terms == other.terms
 
     __hash__ = None
 
     # -- calculus ----------------------------------------------------------
 
     def _partial(self, slot: int) -> "PhasePoly":
-        terms: dict = {}
-        for expo, coeff in self.terms.items():
-            k = expo[slot]
-            if k:
-                lowered = list(expo)
-                lowered[slot] = k - 1
-                terms[tuple(lowered)] = coeff * k
-        return _raw(self.n, terms)
+        return _raw(self.n, dict(_partials(self).get(slot, ())), self.den)
 
     def partial_x(self, i: int) -> "PhasePoly":
         """d/dXi, 1-based index."""
@@ -253,13 +292,12 @@ class PhasePoly:
             raise InputError(f"point has length {len(point)}, expected {self.width}")
         pt = [Fraction(z) for z in point]
         total = Fraction(0)
-        for expo, coeff in self.terms.items():
-            v = coeff
-            for z, e in zip(pt, expo):
-                if e:
-                    v *= z ** e
+        for mono, c in self.terms.items():
+            v = Fraction(c)
+            for slot in mono:
+                v *= pt[slot]
             total += v
-        return total
+        return total / self.den
 
     # -- substitution ------------------------------------------------------
 
@@ -284,11 +322,10 @@ class PhasePoly:
             return got
 
         acc = PhasePoly(self.n)
-        for expo, coeff in self.terms.items():
-            term = PhasePoly.constant(self.n, coeff)
-            for slot, e in enumerate(expo):
-                if e:
-                    term = term * power(slot, e)
+        for mono, c in self.terms.items():
+            term = PhasePoly.constant(self.n, Fraction(c, self.den))
+            for slot, run in groupby(mono):
+                term = term * power(slot, len(list(run)))
             acc = acc + term
         return acc
 
@@ -340,6 +377,8 @@ class PhasePoly:
             raw = data["terms"]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed polynomial record: {exc}") from None
+        if not isinstance(raw, list):
+            raise InputError("malformed polynomial record: 'terms' must be a list")
         terms = []
         for item in raw:
             try:
@@ -375,84 +414,126 @@ class PhasePoly:
         return out.replace("+ -", "- ")
 
 
-_ONE = Fraction(1)
-
-
-def _raw(n: int, terms: dict) -> PhasePoly:
-    """Internal constructor for already-canonical term dicts."""
-    poly = PhasePoly.__new__(PhasePoly)
+def _assign(poly: PhasePoly, n: int, terms: dict, den: int):
     object.__setattr__(poly, "n", n)
     object.__setattr__(poly, "terms", terms)
+    object.__setattr__(poly, "den", den)
+
+
+def _lowest_terms(terms: dict, den: int) -> tuple:
+    """Divide an int term dict and its denominator by their common gcd."""
+    if not terms:
+        return terms, 1
+    g = math.gcd(den, *terms.values())
+    if g == 1:
+        return terms, den
+    return {m: c // g for m, c in terms.items()}, den // g
+
+
+def _raw(n: int, terms: dict, den: int) -> PhasePoly:
+    """Internal constructor: an int term dict without zero numerators over
+    a positive denominator, reduced here to lowest terms."""
+    poly = PhasePoly.__new__(PhasePoly)
+    _assign(poly, n, *_lowest_terms(terms, den))
     return poly
+
+
+def _sum_items(items: list) -> tuple:
+    """(int term dict, common denominator) of the sum of (factor tuple,
+    nonzero int or Fraction) pairs, added in order."""
+    den = math.lcm(*(c.denominator for _, c in items))
+    return _accumulate({}, ((m, c.numerator * (den // c.denominator)) for m, c in items)), den
+
+
+def _from_factors(n: int, items) -> PhasePoly:
+    """Polynomial of the sum of (factor tuple, nonzero exact coefficient)
+    pairs; the factor tuples must be sorted and lie in 0..2n+1."""
+    return _raw(n, *_sum_items(list(items)))
 
 
 def _accumulate(acc: dict, items) -> dict:
     """acc += items at the raw term-dict level, dropping terms that cancel.
 
-    `items` yields (exponent, nonzero Fraction) pairs; this is the one loop
-    that keeps a term dict free of zero coefficients.
+    `items` yields (monomial, nonzero coefficient) pairs; this is the one
+    loop that keeps a term dict free of zero coefficients.
     """
     get = acc.get
-    for expo, c in items:
-        c0 = get(expo)
+    for mono, c in items:
+        c0 = get(mono)
         if c0 is None:
-            acc[expo] = c
+            acc[mono] = c
         else:
             c = c0 + c
             if c:
-                acc[expo] = c
+                acc[mono] = c
             else:
-                del acc[expo]
+                del acc[mono]
     return acc
 
 
-def _mul_into(acc: dict, left: dict, right: dict, scale: Fraction):
-    """acc += scale * left * right, at the raw term-dict level."""
-    if not left or not right:
-        return
-    right_items = list(right.items())
-    scaled = [(el, cl * scale) for el, cl in left.items()]
+def _mul_into(acc: dict, left, right):
+    """acc += left * right, for collections of (factor tuple, int) pairs."""
     _accumulate(acc, (
-        (tuple(a + b for a, b in zip(el, er)), cl * cr)
-        for el, cl in scaled
-        for er, cr in right_items
+        (tuple(sorted(ml + mr)), cl * cr)
+        for ml, cl in left
+        for mr, cr in right
     ))
+
+
+def _partials(poly: PhasePoly) -> dict:
+    """Every first partial derivative of poly over its denominator, in one
+    pass over the terms and once per polynomial: slot -> list of (factor
+    tuple, int) pairs, each list in term order.  A term with k factors of
+    a slot gives k times the term with one factor of it dropped.  The
+    lists are shared; callers must not change them."""
+    out = getattr(poly, "_derivs", None)
+    if out is None:
+        out = {}
+        for mono, c in poly.terms.items():
+            prev = None
+            for i, slot in enumerate(mono):
+                if slot != prev:
+                    prev = slot
+                    out.setdefault(slot, []).append((mono[:i] + mono[i + 1:], c * mono.count(slot)))
+        object.__setattr__(poly, "_derivs", out)
+    return out
 
 
 def x_var(i: int, n: int) -> PhasePoly:
     """The coordinate polynomial Xi (1-based)."""
     if not 1 <= i <= n + 1:
         raise InputError(f"variable index {i} out of range 1..{n + 1}")
-    return PhasePoly._unit(n, i - 1)
+    return _raw(n, {(i - 1,): 1}, 1)
 
 
 def p_var(i: int, n: int) -> PhasePoly:
     """The momentum polynomial Pi (1-based)."""
     if not 1 <= i <= n + 1:
         raise InputError(f"variable index {i} out of range 1..{n + 1}")
-    return PhasePoly._unit(n, n + i)
+    return _raw(n, {(n + i,): 1}, 1)
 
 
 def poisson_bracket(f: PhasePoly, g: PhasePoly) -> PhasePoly:
     """Canonical Poisson bracket {f, g}, exact.
 
-    Computed slot by slot as sum_i df/dXi dg/dPi - df/dPi dg/dXi with a
-    single accumulator dict so no intermediate polynomials are built.
+    The partial derivatives of f and g are taken on the integer
+    numerators, once per polynomial; sum_i df/dXi dg/dPi - df/dPi dg/dXi
+    accumulates integer products in a single dict over the denominator
+    den(f) den(g), and one gcd reduces the result.
     """
     if f.n != g.n:
         raise InputError(f"mixed phase spaces: n={f.n} vs n={g.n}")
     n = f.n
+    df, dg = _partials(f), _partials(g)
     acc: dict = {}
     for i in range(n + 1):
-        fx = f._partial(i).terms
-        if fx:
-            gp = g._partial(n + 1 + i).terms
-            _mul_into(acc, fx, gp, _ONE)
-        fp = f._partial(n + 1 + i).terms
-        if fp:
-            gx = g._partial(i).terms
-            _mul_into(acc, fp, gx, -_ONE)
-    return _raw(n, acc)
+        fx, gp = df.get(i), dg.get(n + 1 + i)
+        if fx and gp:
+            _mul_into(acc, fx, gp)
+        fp, gx = df.get(n + 1 + i), dg.get(i)
+        if fp and gx:
+            _mul_into(acc, [(m, -c) for m, c in fp], gx)
+    return _raw(n, acc, f.den * g.den)
 
 
 def compiled_evaluator(poly: PhasePoly):
@@ -460,12 +541,13 @@ def compiled_evaluator(poly: PhasePoly):
 
     The exact layer stays exact; this is the one float evaluator
     (trajectory diagnostics, rank sampling, bracket classification and the
-    finite-difference oracle).  Each term is compiled to the slot
-    indices of its factors (X1^2 gives [0, 0]), padded to a common length
-    with a sentinel slot that reads a column of ones; a term's value is
-    the product of its gathered factors.  Rows are evaluated in chunks of
-    at most EVAL_CHUNK_BYTES of gathered factors, so the working memory
-    does not grow with R.
+    finite-difference oracle).  Each term's factor tuple (X1^2 gives
+    (0, 0)) is padded to a common length with a sentinel slot that reads
+    a column of ones; a term's value is the product of its gathered
+    factors.  Each coefficient is its numerator divided by the
+    denominator, an int division that rounds correctly.  Rows are
+    evaluated in chunks of at most EVAL_CHUNK_BYTES of gathered factors,
+    so the working memory does not grow with R.
     """
     import numpy as np
 
@@ -475,10 +557,10 @@ def compiled_evaluator(poly: PhasePoly):
             points = np.asarray(points, dtype=float)
             return np.zeros(points.shape[0])
         return zero
-    coeffs = np.array([float(c) for c in poly.terms.values()])
-    factors = [[slot for slot, e in enumerate(expo) for _ in range(e)] for expo in poly.terms]
-    depth = max(len(f) for f in factors)
-    slots = np.array([f + [width] * (depth - len(f)) for f in factors], dtype=np.intp)
+    coeffs = np.array([c / poly.den for c in poly.terms.values()])
+    factors = list(poly.terms)
+    depth = poly.degree()
+    slots = np.array([m + (width,) * (depth - len(m)) for m in factors], dtype=np.intp)
     chunk = max(1, EVAL_CHUNK_BYTES // (8 * len(factors) * max(depth, 1)))
 
     def evaluate(points):

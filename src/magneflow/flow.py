@@ -38,10 +38,14 @@ __all__ = [
 
 INITIAL_TOLERANCE = 1e-6
 # RATTLE's constraint quadratic has the coefficient dt**4, which overflows
-# from MAX_ABS_DT on and underflows below MIN_ABS_DT; once dt**2 underflows
-# as well, the multiplier's denominator is zero.
+# from MAX_ABS_DT on.  Its constant term |w|^2 - 1 carries about one
+# rounding unit eps of error, and the multiplier divides it by dt**2, so
+# the half-step momentum gets a radial error of about eps/dt.  The
+# tangency projection removes that to a relative eps, which leaves an
+# error of about eps**2/dt: one rounding unit at MIN_ABS_DT = eps, and
+# noise of order one at dt = 1e-32.
 MAX_ABS_DT = sys.float_info.max ** 0.25
-MIN_ABS_DT = sys.float_info.min ** 0.25
+MIN_ABS_DT = sys.float_info.epsilon
 CSV_FORMAT = "%.17g"
 # Rows converted to Python floats at a time by write_csv.
 CSV_CHUNK_ROWS = 4096

@@ -23,8 +23,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import InputError
-from .exactpoly import PhasePoly, format_rational, parse_rational, p_var, x_var
-from .magnetic_model import MagneticModel, _add_killing_square, ambient_units, level_blocks
+from .exactpoly import PhasePoly, _from_factors, format_rational, parse_rational, p_var, x_var
+from .magnetic_model import MagneticModel, _killing_square_terms, ambient_units, level_blocks
 
 __all__ = [
     "killing",
@@ -50,20 +50,19 @@ def _coerce_vector(values: Sequence, n: int, what: str) -> list:
     return vec
 
 
-def _neumann_quadratic(n: int, lam: Mapping, mu: Mapping) -> dict:
-    """Raw terms of (1/2) sum_{l<m, lam_l != lam_m}
-    (mu_l - mu_m)/(lam_l - lam_m) * M_lm^2, where lam and mu map the same
-    ascending 1-based indices to rationals."""
+def _neumann_quadratic(n: int, lam: Mapping, mu: Mapping) -> PhasePoly:
+    """(1/2) sum_{l<m, lam_l != lam_m} (mu_l - mu_m)/(lam_l - lam_m) * M_lm^2,
+    where lam and mu map the same ascending 1-based indices to rationals."""
     idxs = list(lam)
-    terms: dict = {}
+    terms = []
     for ai, l in enumerate(idxs):
         for m in idxs[ai + 1:]:
             if lam[l] == lam[m]:
                 continue
             coeff = (mu[l] - mu[m]) / (lam[l] - lam[m]) / 2
             if coeff:
-                _add_killing_square(terms, l, m, n, coeff)
-    return terms
+                terms.extend(_killing_square_terms(l, m, n, coeff))
+    return _from_factors(n, terms)
 
 
 def uhlenbeck_integral(a: Sequence, b: Sequence) -> PhasePoly:
@@ -89,7 +88,7 @@ def degenerate_integral(a: Sequence, b: Sequence) -> PhasePoly:
                 "b must be constant on each level block of a; "
                 f"block {[i + 1 for i in block]} carries values {sorted(vals)}"
             )
-    poly = PhasePoly(n, _neumann_quadratic(n, dict(enumerate(av, 1)), dict(enumerate(bv, 1))))
+    poly = _neumann_quadratic(n, dict(enumerate(av, 1)), dict(enumerate(bv, 1)))
     for i in range(n + 1):
         if bv[i]:
             poly = poly + bv[i] * (x_var(i + 1, n) ** 2)
@@ -136,7 +135,7 @@ def limit_integral(n: int, group: Sequence[int], lam: Mapping, mu: Mapping) -> P
     unit_lams = [lam_v[u[0]] for u in group_units]
     if len(set(unit_lams)) != len(unit_lams):
         raise InputError("lambda must take distinct values on distinct units")
-    return PhasePoly(n, _neumann_quadratic(n, lam_v, mu_v))
+    return _neumann_quadratic(n, lam_v, mu_v)
 
 
 @dataclass
@@ -174,14 +173,18 @@ class IntegralFamily:
             raw = data["integrals"]
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed family record: {exc}") from None
+        if not isinstance(raw, list):
+            raise InputError("malformed family record: 'integrals' must be a list")
         quads, qprov, linears, lprov = [], [], [], []
         for item in raw:
             try:
                 tag = item["tag"]
                 poly = PhasePoly.from_dict(item["poly"])
                 prov = item.get("provenance", {})
-            except (KeyError, TypeError) as exc:
+            except (KeyError, TypeError, AttributeError) as exc:
                 raise InputError(f"malformed integral record: {exc}") from None
+            if not isinstance(prov, dict):
+                raise InputError("malformed integral record: 'provenance' must be an object")
             if poly.n != model.n:
                 raise InputError("integral polynomial does not match the model dimension")
             if tag == "quad":

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
-from .exactpoly import PhasePoly, _accumulate, format_rational, parse_rational, p_var, x_var
+from .exactpoly import PhasePoly, _from_factors, format_rational, parse_rational, p_var, x_var
 
 __all__ = [
     "MagneticModel",
@@ -143,23 +143,16 @@ class MagneticModel:
 # -- exact polynomial builders ----------------------------------------------
 
 
-def _add_killing_square(terms: dict, i: int, j: int, n: int, coeff: Fraction):
-    """terms += coeff * (Xi Pj - Xj Pi)^2, raw term-dict level, 1-based i<j."""
-    width = 2 * (n + 1)
-
-    def mono(*slots):
-        e = [0] * width
-        for s in slots:
-            e[s] += 1
-        return tuple(e)
-
+def _killing_square_terms(i: int, j: int, n: int, coeff: Fraction) -> tuple:
+    """The (factor tuple, coefficient) terms of coeff * (Xi Pj - Xj Pi)^2,
+    1-based i < j."""
     xi, xj = i - 1, j - 1
     pi, pj = n + i, n + j
-    _accumulate(terms, (
-        (mono(xi, xi, pj, pj), coeff),
-        (mono(xi, xj, pi, pj), -2 * coeff),
-        (mono(xj, xj, pi, pi), coeff),
-    ))
+    return (
+        ((xi, xi, pj, pj), coeff),
+        ((xi, xj, pi, pj), -2 * coeff),
+        ((xj, xj, pi, pi), coeff),
+    )
 
 
 def kinetic_energy(n: int) -> PhasePoly:
@@ -169,11 +162,12 @@ def kinetic_energy(n: int) -> PhasePoly:
     (1/2)|P|^2, the round-sphere kinetic energy.
     """
     half = Fraction(1, 2)
-    terms: dict = {}
-    for i in range(1, n + 2):
-        for j in range(i + 1, n + 2):
-            _add_killing_square(terms, i, j, n, half)
-    return PhasePoly(n, terms)
+    return _from_factors(n, (
+        term
+        for i in range(1, n + 2)
+        for j in range(i + 1, n + 2)
+        for term in _killing_square_terms(i, j, n, half)
+    ))
 
 
 def sigma_linear(model: MagneticModel) -> PhasePoly:

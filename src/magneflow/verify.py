@@ -13,6 +13,7 @@ reproducible from the seed alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -248,17 +249,23 @@ class MembershipResult:
 
 
 def _solve_exact(columns, target: PhasePoly):
-    """Solve target = sum_k c_k columns[k] exactly over Q; None if impossible."""
-    monos = set(target.terms)
-    for col in columns:
-        monos.update(col.terms)
-    monos = sorted(monos)
+    """Solve target = sum_k c_k columns[k] exactly over Q; None if impossible.
+
+    Fraction-free Gauss-Jordan elimination on the integer numerators (one
+    row per monomial): the unknowns are y_k = c_k den(target) / den(k),
+    a row is combined with the pivot row by integer multipliers and then
+    divided by the gcd of its entries, and rows with a zero in the pivot
+    column are not touched.  The pivot of a column is the first remaining
+    row with a nonzero in it, and free unknowns are 0.  The reduced
+    row-echelon form is unique, so the solution is the one that rational
+    Gauss-Jordan elimination gives.
+    """
+    polys = list(columns) + [target]
+    monos = set()
+    for poly in polys:
+        monos.update(poly.terms)
+    rows = [[poly.terms.get(m, 0) for poly in polys] for m in sorted(monos)]
     ncols = len(columns)
-    rows = []
-    for e in monos:
-        row = [col.terms.get(e, Fraction(0)) for col in columns]
-        row.append(target.terms.get(e, Fraction(0)))
-        rows.append(row)
 
     pivot_cols = []
     rank = 0
@@ -267,20 +274,23 @@ def _solve_exact(columns, target: PhasePoly):
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
-        rows[rank] = [v / lead for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        pivot_row = rows[rank]
+        lead = pivot_row[col]
+        for r, row in enumerate(rows):
+            entry = row[col]
+            if entry and r != rank:
+                g = math.gcd(lead, entry)
+                a, b = lead // g, entry // g
+                row = [a * u - b * v for u, v in zip(row, pivot_row)]
+                content = math.gcd(*row)
+                rows[r] = [u // content for u in row] if content > 1 else row
         pivot_cols.append(col)
         rank += 1
-    for r in range(rank, len(rows)):
-        if rows[r][ncols]:
-            return None
+    if any(row[ncols] for row in rows[rank:]):
+        return None
     solution = [Fraction(0)] * ncols
-    for r, col in enumerate(pivot_cols):
-        solution[col] = rows[r][ncols]
+    for row, col in zip(rows, pivot_cols):
+        solution[col] = Fraction(row[ncols] * columns[col].den, row[col] * target.den)
     return solution
 
 

@@ -28,6 +28,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def one_error_line(err):
+    lines = err.splitlines()
+    return len(lines) == 1 and lines[0].startswith("error:")
+
+
 def build_family(tmp_path, capsys, n=3, alpha="1,2", name="family.json"):
     path = tmp_path / name
     code, _, _ = run(capsys, "build", "--n", str(n), "--alpha", alpha, "--out", str(path))
@@ -160,6 +165,28 @@ def test_verify_rejects_negative_seed(tmp_path, capsys):
     assert not report.exists()
 
 
+@given(
+    samples=st.one_of(st.integers(-3, 4), st.sampled_from([-2**63, -2**70])),
+    seed=st.one_of(st.integers(-3, 3), st.sampled_from([-2**70, 2**64, 2**70])),
+)
+@settings(max_examples=40, deadline=None)
+def test_verify_flag_boundary_property(samples, seed):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        family, report = Path(tmp) / "f.json", Path(tmp) / "r.json"
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            main(["build", "--n", "2", "--alpha", "1", "--out", str(family)])
+            code = main(["verify", "--family", str(family), f"--samples={samples}",
+                         f"--seed={seed}", "--report", str(report)])
+        written = report.exists()
+    invalid = [flag for flag, ok in (("--samples", samples >= 1), ("--seed", seed >= 0)) if not ok]
+    if invalid:
+        assert code == 2 and one_error_line(err.getvalue()) and not written
+        assert any(flag in err.getvalue() for flag in invalid)
+    else:
+        assert code == 0 and err.getvalue() == "" and written
+
+
 # -- normal-form --------------------------------------------------------------
 
 
@@ -197,6 +224,57 @@ def test_normal_form_rejects_bad_matrices(tmp_path, capsys):
         code, _, err = run(capsys, "normal-form", "--in", str(matrix), "--out", out)
         assert code == 2 and err.startswith("error: matrix")
         assert not (tmp_path / "form.json").exists()
+
+
+_ENTRIES = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e200, -1e300, 1.7976931348623157e308,
+                     5e-324, -0.0]),
+)
+
+
+@st.composite
+def matrix_inputs(draw):
+    """(JSON payload, expected to be accepted): finite skew matrices built
+    as A - A^T, and matrices with a non-finite or huge entry, a non-square
+    or ragged shape, or no rows."""
+    kind = draw(st.sampled_from(["skew", "bad_entry", "non_square", "ragged", "empty"]))
+    d = draw(st.integers(1, 4))
+    if kind == "skew":
+        a = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=d * d, max_size=d * d)))
+        a = a.reshape(d, d)
+        return (a - a.T).tolist(), True
+    if kind == "bad_entry":
+        rows = [[0.0] * d for _ in range(d)]
+        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        value = draw(st.sampled_from([math.nan, math.inf, -math.inf, 1e200, -1e300]))
+        rows[i][j] = value
+        rows[j][i] = -value
+        return rows, False
+    if kind == "non_square":
+        cols = draw(st.integers(0, 4).filter(lambda c: c != d))
+        return [[draw(_ENTRIES) for _ in range(cols)] for _ in range(d)], False
+    if kind == "ragged":
+        return [[draw(_ENTRIES) for _ in range(k + 1)] for k in range(d + 1)], False
+    return [], False
+
+
+@given(matrix_inputs())
+@settings(max_examples=60, deadline=None)
+def test_normal_form_matrix_boundary_property(case):
+    matrix, accepted = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp) / "m.json", Path(tmp) / "form.json"
+        # json.dumps writes NaN and Infinity, which json.load reads back
+        src.write_text(json.dumps({"omega": matrix}))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["normal-form", "--in", str(src), "--out", str(out)])
+        written = out.exists()
+    if accepted:
+        assert code == 0 and err.getvalue() == "" and written
+    else:
+        assert code == 2 and one_error_line(err.getvalue()) and not written
 
 
 def test_artifacts_are_strict_json(tmp_path):
@@ -320,17 +398,21 @@ def test_simulate_huge_init_momentum(tmp_path, capsys):
     ("--dt", "nan"),
     ("--dt", "1e300"),
     ("--dt", "5e-324"),
+    ("--dt", "1e-20"),
     ("--seed", "-1"),
+    ("--steps", "-1"),
+    ("--record-every", "0"),
 ])
 def test_simulate_rejects_bad_flag_values(tmp_path, capsys, flag, value):
-    argv = {"--dt": "1e-3", "--tol": "1e-5", "--seed": "3"}
+    argv = {"--dt": "1e-3", "--tol": "1e-5", "--seed": "3", "--steps": "5",
+            "--record-every": "1"}
     argv[flag] = value
     code, _, err = run(
-        capsys, "simulate", "--n", "2", "--alpha", "1", "--steps", "5", "--seed", argv["--seed"],
-        "--dt", argv["--dt"], "--tol", argv["--tol"], "--out", str(tmp_path / "x"),
+        capsys, "simulate", "--n", "2", "--alpha", "1",
+        *(f"{key}={val}" for key, val in argv.items()), "--out", str(tmp_path / "x"),
     )
     assert code == 2
-    assert flag.lstrip("-") in err
+    assert err.startswith(f"error: {flag} ") and len(err.splitlines()) == 1
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -375,9 +457,7 @@ def test_simulate_flag_boundary_property(dt, tol, seed, steps, record_every):
         assert code == 2
         error_lines = [line for line in err.splitlines() if line.startswith("error:")]
         assert len(error_lines) == 1
-        # integrate() spells the --record-every flag as record_every
-        assert any(flag[2:] in error_lines[0] or flag[2:].replace("-", "_") in error_lines[0]
-                   for flag in invalid)
+        assert any(flag in error_lines[0] for flag in invalid)
     else:
         assert code in (0, 1)
 
@@ -415,6 +495,22 @@ def test_version_flag(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
     assert out.strip() == f"magneflow {__version__}"
+
+
+def test_unwritable_output_exits_two_and_defects_exit_three(tmp_path, capsys, monkeypatch):
+    code, _, err = run(capsys, "build", "--n", "2", "--alpha", "1",
+                       "--out", str(tmp_path / "missing" / "f.json"))
+    assert code == 2 and one_error_line(err)
+
+    def broken(model):
+        raise RuntimeError("broken invariant")
+
+    monkeypatch.setattr("magneflow.cli.commuting_basis", broken)
+    code, _, err = run(capsys, "build", "--n", "2", "--alpha", "1",
+                       "--out", str(tmp_path / "f.json"))
+    assert code == 3
+    assert err.splitlines()[-1] == "internal error: RuntimeError: broken invariant"
+    assert "Traceback" in err
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):

@@ -189,6 +189,115 @@ def test_bracket_matches_finite_differences(f, g, point):
     assert abs(symbolic - numeric) <= 1e-6 * max(1.0, abs(symbolic))
 
 
+# -- exact reference: dense exponent tuples over Fraction ------------------
+
+
+def reference_partial(terms, slot):
+    """d/d(slot) of an {exponent tuple: Fraction} dict."""
+    out = {}
+    for expo, coeff in terms.items():
+        k = expo[slot]
+        if k:
+            lowered = list(expo)
+            lowered[slot] = k - 1
+            out[tuple(lowered)] = coeff * k
+    return out
+
+
+def reference_mul_into(acc, left, right, scale):
+    for el, cl in left.items():
+        for er, cr in right.items():
+            expo = tuple(a + b for a, b in zip(el, er))
+            c = acc.get(expo, F(0)) + scale * cl * cr
+            if c:
+                acc[expo] = c
+            else:
+                acc.pop(expo, None)
+
+
+def reference_bracket(f, g):
+    """{f, g} as an {exponent tuple: Fraction} dict, computed on exponent
+    tuples with Fraction coefficients, slot by slot."""
+    n = f.n
+    fd, gd = dict(f.sorted_terms()), dict(g.sorted_terms())
+    acc = {}
+    for i in range(n + 1):
+        reference_mul_into(acc, reference_partial(fd, i), reference_partial(gd, n + 1 + i), 1)
+        reference_mul_into(acc, reference_partial(fd, n + 1 + i), reference_partial(gd, i), -1)
+    return acc
+
+
+def assert_canonical(poly):
+    """Sorted in-range factor tuples, nonzero int numerators, a positive
+    denominator, and no common factor left."""
+    assert isinstance(poly.den, int) and poly.den > 0
+    for mono, c in poly.terms.items():
+        assert list(mono) == sorted(mono) and all(0 <= s < poly.width for s in mono)
+        assert isinstance(c, int) and c != 0
+    assert math.gcd(poly.den, *poly.terms.values()) == 1
+    assert poly.terms or poly.den == 1
+
+
+def wide_coeffs():
+    """Exact coefficients with small, huge, negative and large-denominator
+    numerators and denominators."""
+    big = st.integers(-10**40, 10**40)
+    return st.one_of(
+        st.integers(-3, 3),
+        big,
+        st.builds(F, big, st.integers(1, 10**30)),
+        st.fractions(min_value=F(-3), max_value=F(3), max_denominator=12),
+    )
+
+
+def wide_polys(n, max_degree=3, max_terms=6):
+    width = 2 * (n + 1)
+    term = st.tuples(st.lists(st.integers(0, width - 1), max_size=max_degree), wide_coeffs())
+    return st.lists(term, max_size=max_terms).map(lambda raw: build_poly(n, raw))
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(wide_polys(n), wide_polys(n))))
+@settings(max_examples=150, deadline=None)
+def test_bracket_matches_fraction_reference(pair):
+    f, g = pair
+    bracket = poisson_bracket(f, g)
+    assert_canonical(bracket)
+    assert dict(bracket.sorted_terms()) == reference_bracket(f, g)
+    assert bracket.is_zero == (not reference_bracket(f, g))
+
+
+@given(st.integers(1, 2).flatmap(lambda n: st.tuples(wide_polys(n), wide_polys(n))))
+@settings(max_examples=100, deadline=None)
+def test_arithmetic_matches_fraction_reference(pair):
+    f, g = pair
+    fd, gd = dict(f.sorted_terms()), dict(g.sorted_terms())
+    for poly in (f, g, f + g, f - g, f * g, -f, F(-7, 10**12) * f):
+        assert_canonical(poly)
+    total = dict(fd)
+    for expo, c in gd.items():
+        total[expo] = total.get(expo, F(0)) + c
+    assert dict((f + g).sorted_terms()) == {e: c for e, c in total.items() if c}
+    product = {}
+    reference_mul_into(product, fd, gd, 1)
+    assert dict((f * g).sorted_terms()) == product
+    for slot in range(f.width):
+        assert dict(f._partial(slot).sorted_terms()) == reference_partial(fd, slot)
+    assert PhasePoly(f.n, fd) == f
+
+
+def test_float_coefficients_are_correctly_rounded():
+    """Coefficients over a shared denominator reach the float evaluator as
+    numerator / denominator, rounded once: at the unit vectors a linear
+    polynomial returns float() of each exact coefficient."""
+    rng = random.Random(11)
+    coeffs = [F(rng.randint(-10**25, 10**25), rng.randint(1, 10**22)) for _ in range(WIDTH)]
+    coeffs[0] = F(1, 3)
+    poly = PhasePoly(N, {tuple(int(i == k) for i in range(WIDTH)): c for k, c in enumerate(coeffs)})
+    assert poly.den > max(c.denominator for c in coeffs)
+    values = compiled_evaluator(poly)(np.eye(WIDTH))
+    assert values.tolist() == [float(c) for c in coeffs]
+
+
 # -- evaluation -----------------------------------------------------------
 
 
@@ -230,7 +339,7 @@ def dyadic_points(rng, rows, width):
 def assert_matches_exact(poly, rational_points):
     """compiled_evaluator against evaluate_exact, to 1e-13 of the sum of
     the absolute term values (the scale rounding errors are relative to)."""
-    magnitude = PhasePoly(poly.n, {e: abs(c) for e, c in poly.terms.items()})
+    magnitude = PhasePoly(poly.n, {e: abs(c) for e, c in poly.sorted_terms()})
     values = compiled_evaluator(poly)(np.array(rational_points, dtype=float))
     assert values.shape == (len(rational_points),)
     for got, z in zip(values, rational_points):
@@ -271,7 +380,7 @@ def test_compiled_evaluator_rejects_bad_shapes_and_takes_no_rows():
 def test_compiled_evaluator_chunks_are_invariant(monkeypatch):
     rng = random.Random(9)
     poly = random_poly(rng, 3, 10)
-    depth = max(sum(e) for e in poly.terms)
+    depth = poly.degree()
     chunk = 7
     monkeypatch.setattr(exactpoly, "EVAL_CHUNK_BYTES", 8 * poly.num_terms * depth * chunk)
     f = compiled_evaluator(poly)
@@ -383,3 +492,7 @@ def test_from_dict_rejects_garbage():
         PhasePoly.from_dict({"n": 2, "terms": [{"c": "0.5", "e": [0] * 6}]})
     with pytest.raises(InputError):
         PhasePoly.from_dict({"n": 2, "terms": [{"c": "1", "e": [0] * 4}]})
+    with pytest.raises(InputError):
+        PhasePoly.from_dict({"n": 2, "terms": 5})
+    with pytest.raises(InputError):
+        PhasePoly.from_dict({"n": 2, "terms": [{"c": "1", "e": [10**9] + [0] * 5}]})

@@ -20,7 +20,7 @@ from magneflow import (
     write_csv,
 )
 from magneflow import sampling
-from magneflow.flow import CSV_CHUNK_ROWS, TrajectoryRecord, _rotate
+from magneflow.flow import CSV_CHUNK_ROWS, MIN_ABS_DT, TrajectoryRecord, _rotate
 
 
 def model_of(n, *alphas):
@@ -241,11 +241,29 @@ def test_integrate_validates_parameters():
     with pytest.raises(InputError):
         integrate(model, x0, p0, dt=0.0, steps=10)
     with pytest.raises(InputError):
+        integrate(model, x0, p0, dt=MIN_ABS_DT / 2, steps=10)
+    with pytest.raises(InputError):
         integrate(model, x0, p0, dt=1e-3, steps=-1)
     with pytest.raises(InputError):
         integrate(model, x0, p0, dt=1e-3, steps=10, record_every=0)
     with pytest.raises(InputError):
         integrate(model_of(3, 1, 1), x0, p0, dt=1e-3, steps=10)
+
+
+@pytest.mark.parametrize("seed", [2, 7])
+def test_tiny_steps_stay_at_roundoff(seed):
+    """Down to MIN_ABS_DT the RATTLE solve keeps the orbit on the
+    constraint set and the integrals at roundoff.  Above about 1e-5 the
+    drift is the O(dt^2) splitting error, which dt**2 bounds here."""
+    model = model_of(4, 1, 2)
+    fam = commuting_basis(model)
+    x0, p0 = seeded_state(4, seed)
+    ladder = [10.0 ** -k for k in range(3, 16, 2)] + [MIN_ABS_DT, -MIN_ABS_DT]
+    for dt in ladder:
+        report = drift_report(integrate(model, x0, p0, dt=dt, steps=5, family=fam))
+        worst = max(entry["max_rel_drift"] for entry in report["series"].values())
+        assert worst <= 1e-12 + dt * dt, dt
+        assert max(report["constraints"].values()) <= 1e-14, dt
 
 
 def test_family_model_mismatch_rejected():

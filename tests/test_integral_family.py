@@ -324,6 +324,23 @@ def test_family_from_dict_rejects_unknown_tag():
         IntegralFamily.from_dict(data)
 
 
+@pytest.mark.parametrize("path, value", [
+    (("integrals",), None),
+    (("integrals",), 2),
+    (("integrals", 0, "provenance"), 1.5),
+    (("integrals", 0, "provenance"), ["kind"]),
+    (("integrals", 0, "poly", "terms"), True),
+])
+def test_family_from_dict_rejects_malformed_containers(path, value):
+    data = commuting_basis(model_of(2, 1)).to_dict()
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with pytest.raises(InputError, match="malformed"):
+        IntegralFamily.from_dict(data)
+
+
 # -- deformation consistency -----------------------------------------------------
 
 T_SAMPLES = [F(1, 2), F(1, 3), F(-1, 5), F(2, 7), F(-3, 4)]
@@ -357,7 +374,7 @@ def coefficient_of_pair_square(poly, i, j, n):
     expo = [0] * width
     expo[i - 1] = 2
     expo[n + 1 + j - 1] = 2
-    return poly.terms.get(tuple(expo), F(0))
+    return dict(poly.sorted_terms()).get(tuple(expo), F(0))
 
 
 def test_two_block_deformation_limit_by_cleared_denominators():

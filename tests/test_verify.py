@@ -5,6 +5,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magneflow import (
     InputError,
@@ -34,6 +36,7 @@ from magneflow.verify import (
     _gradient_tensor,
     _projected_ranks,
     _rank_points,
+    _solve_exact,
 )
 
 
@@ -326,6 +329,88 @@ def test_perturbed_hamiltonian_not_representable():
     assert not result.ok
     assert result.coefficients is None
     assert result.to_dict() == {"ok": False, "coefficients": "not representable"}
+
+
+def reference_solve(columns, target):
+    """Gauss-Jordan elimination over Fraction, one row per exponent tuple:
+    the exact oracle of the fraction-free solver."""
+    views = [dict(col.sorted_terms()) for col in columns]
+    goal = dict(target.sorted_terms())
+    monos = set(goal)
+    for view in views:
+        monos.update(view)
+    rows = [[view.get(e, F(0)) for view in views] + [goal.get(e, F(0))] for e in sorted(monos)]
+    ncols = len(columns)
+    pivot_cols = []
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        lead = rows[rank][col]
+        rows[rank] = [v / lead for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        pivot_cols.append(col)
+        rank += 1
+    if any(rows[r][ncols] for r in range(rank, len(rows))):
+        return None
+    solution = [F(0)] * ncols
+    for r, col in enumerate(pivot_cols):
+        solution[col] = rows[r][ncols]
+    return solution
+
+
+def _poly_from_slots(n, raw):
+    total = PhasePoly(n)
+    for slots, coeff in raw:
+        term = PhasePoly.constant(n, coeff)
+        for s in slots:
+            term = term * (x_var(s + 1, n) if s <= n else p_var(s - n, n))
+        total = total + term
+    return total
+
+
+_BIG = st.integers(-10**30, 10**30)
+_COEFFS = st.one_of(st.integers(-3, 3), _BIG, st.builds(F, _BIG, st.integers(1, 10**20)))
+
+
+@st.composite
+def membership_systems(draw, n=2):
+    """Columns with large and large-denominator coefficients, sometimes a
+    dependent column, and a target in their span or off it."""
+    term = st.tuples(st.lists(st.integers(0, 2 * n + 1), max_size=2), _COEFFS)
+    polys = st.lists(term, max_size=4).map(lambda raw: _poly_from_slots(n, raw))
+    columns = draw(st.lists(polys, min_size=1, max_size=5))
+    weights = draw(st.lists(_COEFFS, min_size=len(columns), max_size=len(columns)))
+    combination = PhasePoly(n)
+    for w, col in zip(weights, columns):
+        combination = combination + w * col
+    if draw(st.booleans()):
+        columns.insert(draw(st.integers(0, len(columns))), combination)
+    extra = draw(polys) if draw(st.booleans()) else PhasePoly(n)
+    return columns, combination + extra
+
+
+@given(membership_systems())
+@settings(max_examples=150, deadline=None)
+def test_solve_exact_matches_fraction_gauss_jordan(system):
+    columns, target = system
+    assert _solve_exact(columns, target) == reference_solve(columns, target)
+
+
+@pytest.mark.parametrize("n, alpha", [(4, "1,1"), (6, "1,1,1"), (7, "1,2,3,4"), (9, "1,1,2,2,3")])
+def test_membership_solution_matches_fraction_gauss_jordan(n, alpha):
+    fam = commuting_basis(model_of(n, *alpha.split(",")))
+    columns = fam.members() + [lin * lin for lin in fam.linears]
+    columns += [sphere_poly(n), PhasePoly.constant(n, 1)]
+    h = hamiltonian_pert(fam.model)
+    solution = _solve_exact(columns, h)
+    assert solution == reference_solve(columns, h)
+    assert list(hamiltonian_membership(fam).coefficients.values()) == solution
 
 
 # -- superintegrability probe ----------------------------------------------------------
