@@ -140,11 +140,17 @@ def cmd_verify(args) -> int:
 def _initial_state(args, model: MagneticModel):
     if args.init is not None:
         data = _load_json(args.init)
+        bad = f"{args.init} must contain float arrays 'x' and 'p'"
+        x, p = (data.get("x"), data.get("p")) if isinstance(data, dict) else (None, None)
+        # JSON true/false and strings such as "1" are not coordinates,
+        # though numpy would convert them
+        if not all(isinstance(v, list) and all(type(e) in (int, float) for e in v)
+                   for v in (x, p)):
+            raise InputError(bad)
         try:
-            x = np.array(data["x"], dtype=float)
-            p = np.array(data["p"], dtype=float)
-        except (KeyError, TypeError, ValueError):
-            raise InputError(f"{args.init} must contain float arrays 'x' and 'p'") from None
+            x, p = np.array(x, dtype=float), np.array(p, dtype=float)
+        except OverflowError:  # an integer beyond the float range
+            raise InputError(bad) from None
         if x.shape != (model.n + 1,) or p.shape != (model.n + 1,):
             raise InputError(f"initial state must have {model.n + 1} components")
         x, p = project_initial(x, p)

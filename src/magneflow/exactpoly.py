@@ -382,9 +382,17 @@ class PhasePoly:
         terms = []
         for item in raw:
             try:
-                terms.append((tuple(int(e) for e in item["e"]), parse_rational(item["c"])))
+                expo, coeff = item["e"], parse_rational(item["c"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise InputError(f"malformed polynomial term: {exc}") from None
+            # int() would read 1.5, "2" and true as exponents; the
+            # constructor rejects negative ones
+            if not (isinstance(expo, list) and all(type(e) is int for e in expo)):
+                raise InputError(
+                    f"malformed polynomial term: exponents must be a list of "
+                    f"integers, got {expo!r}"
+                )
+            terms.append((tuple(expo), coeff))
         return cls(n, terms)
 
     # -- debugging ---------------------------------------------------------

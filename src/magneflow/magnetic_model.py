@@ -120,12 +120,13 @@ class MagneticModel:
         return tuple(u for u in self.units if members.issuperset(u))
 
     @cached_property
-    def alpha_floats(self) -> np.ndarray:
-        return np.array([float(a) for a in self.alphas])
+    def alpha_floats(self) -> tuple:
+        return tuple(float(a) for a in self.alphas)
 
     @cached_property
-    def a_floats(self) -> np.ndarray:
-        return np.array([float(a) for a in self.a])
+    def two_a_floats(self) -> tuple:
+        """Float coefficients 2a of the potential gradient 2a*X."""
+        return tuple(2.0 * float(a) for a in self.a)
 
     def to_dict(self) -> dict:
         return {"n": self.n, "alphas": [format_rational(a) for a in self.alphas]}

@@ -5,6 +5,7 @@ status lines, and artifact files.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -142,6 +143,19 @@ def test_verify_rejects_malformed_input(tmp_path, capsys):
     wrong.write_text(json.dumps({"artifact": "integral-family"}))
     code, _, _ = run(capsys, "verify", "--family", str(wrong), "--report", report)
     assert code == 2
+
+
+@pytest.mark.parametrize("bad", [1.5, "2", True, -1])
+def test_verify_rejects_non_integer_exponents(tmp_path, capsys, bad):
+    family = build_family(tmp_path, capsys, n=2, alpha="1")
+    data = json.loads(family.read_text())
+    data["family"]["integrals"][0]["poly"]["terms"][0]["e"][0] = bad
+    family.write_text(json.dumps(data))
+    report = tmp_path / "report.json"
+    code, _, err = run(capsys, "verify", "--family", str(family), "--report", str(report))
+    assert code == 2
+    assert one_error_line(err) and "exponent" in err
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("samples", ["-1", "0"])
@@ -364,6 +378,12 @@ def test_simulate_rejects_bad_init(tmp_path, capsys):
         {"x": [float("nan"), 0.0, 0.0], "p": [0.0, 1.0, 0.0]},
         {"x": [1.0, 0.0, 0.0], "p": [0.0, float("nan"), 0.0]},
         {"x": [1.0, 0.0, 0.0], "p": [0.0, float("inf"), 0.0]},
+        {"x": [True, False, False], "p": [False, True, False]},
+        {"x": ["1", "0", "0"], "p": [0.0, 1.0, 0.0]},
+        {"x": [10 ** 400, 0, 0], "p": [0, 1, 0]},
+        {"x": [[1.0], [0.0], [0.0]], "p": [0.0, 1.0, 0.0]},
+        {"x": [1.0, 0.0, 0.0]},
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
     ):
         init.write_text(json.dumps(state))
         code, _, _ = run(
@@ -372,6 +392,12 @@ def test_simulate_rejects_bad_init(tmp_path, capsys):
         )
         assert code == 2
     assert not (tmp_path / "x.csv").exists()
+    init.write_text(json.dumps({"x": [1, 0, 0], "p": [0, 1, 0]}))  # JSON integers are numbers
+    code, _, _ = run(
+        capsys, "simulate", "--n", "2", "--alpha", "1", "--dt", "1e-3",
+        "--steps", "5", "--init", str(init), "--out", str(tmp_path / "x"),
+    )
+    assert code == 0
 
 
 def test_simulate_huge_init_momentum(tmp_path, capsys):
@@ -389,6 +415,64 @@ def test_simulate_huge_init_momentum(tmp_path, capsys):
         assert caught == []
         assert len(err.splitlines()) == 1 and err.startswith(prefix)
     assert not (tmp_path / "x.csv").exists()
+
+
+INIT_NUMBERS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e200, -1e200, 1e-200, 0.0, -0.0, 1.0]),
+    st.floats(),
+    st.integers(-(2 ** 70), 2 ** 70),
+    st.just(10 ** 400),
+)
+INIT_NON_LISTS = st.one_of(
+    st.none(), st.booleans(), INIT_NUMBERS, st.text(max_size=3),
+    st.dictionaries(st.text(max_size=2), INIT_NUMBERS, max_size=2),
+)
+INIT_VECTORS = st.one_of(
+    st.lists(INIT_NUMBERS, min_size=3, max_size=3),
+    st.lists(INIT_NUMBERS, max_size=5),
+    st.lists(st.lists(INIT_NUMBERS, max_size=3), max_size=3),
+    INIT_NON_LISTS,
+)
+
+
+@st.composite
+def near_admissible_states(draw):
+    """A unit state at n=2, pushed off the sphere and given a radial
+    momentum of up to ten times the 1e-6 input tolerance."""
+    off = draw(st.floats(-1e-5, 1e-5))
+    radial = draw(st.floats(-1e-5, 1e-5))
+    speed = draw(st.sampled_from([1.0, 1e-160, 1e-3, 1e3, 1e100]))
+    return {"x": [1.0 + off, 0.0, 0.0], "p": [radial, speed, 0.0]}
+
+
+INIT_PAYLOADS = st.one_of(
+    st.fixed_dictionaries({"x": INIT_VECTORS, "p": INIT_VECTORS}),
+    near_admissible_states(),
+    st.dictionaries(st.sampled_from(["x", "p", "y"]), INIT_VECTORS, max_size=2),
+    INIT_VECTORS,
+)
+
+
+@given(payload=INIT_PAYLOADS, normalize=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_simulate_init_file_property(payload, normalize):
+    """Whatever an --init file holds, simulate exits 0, 1 or 2 without a
+    traceback or a numpy warning, and an exit 2 prints one `error:` line."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        init = Path(tmp) / "init.json"
+        init.write_text(json.dumps(payload))
+        code = main(["simulate", "--n", "2", "--alpha", "1", "--dt", "1e-3", "--steps", "3",
+                     "--init", str(init), "--out", str(Path(tmp) / "x"),
+                     *([] if normalize else ["--no-normalize"])])
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert caught == []
+    if code == 2:
+        assert one_error_line(err)
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -486,6 +570,32 @@ def test_simulate_outputs_are_deterministic(tmp_path, capsys):
         one = (tmp_path / f"d1{suffix}").read_bytes().replace(b"d1", b"dX")
         two = (tmp_path / f"d2{suffix}").read_bytes().replace(b"d2", b"dX")
         assert one == two
+
+
+# sha256 of `simulate --check-picture` outputs (dt 1e-3, 2000 steps, seed 42),
+# taken when `step` became a fixed-order Python-float computation.  A refactor
+# keeps these bytes or changes a digest on purpose and says why.
+SIMULATE_DIGESTS = (
+    (4, "1,2", 1,
+     "8775b0b7bb4addc82ac99226b41c6d598b6f13d75a6160cd49236b8f08f0c7db",
+     "0412dc117b31e6dcd93d3feeaed4432530fe0d68ca2ee7f22aad583bc286276e"),
+    (5, "1,1,2", 7,
+     "c17ad0aac9bb4171ae78a78730af02f707cfa7900b05a5b36f9f8357f60759d8",
+     "a5645928c9872441bc76090cb534d475467674dbb9f2796a933e0a4a290f5374"),
+)
+
+
+@pytest.mark.parametrize("n, alpha, every, csv_digest, drift_digest", SIMULATE_DIGESTS,
+                         ids=["n4", "n5-every7"])
+def test_simulate_matches_golden_digest(tmp_path, capsys, monkeypatch,
+                                        n, alpha, every, csv_digest, drift_digest):
+    monkeypatch.chdir(tmp_path)  # the CSV metadata records the --out prefix
+    code, _, _ = run(capsys, "simulate", "--n", str(n), "--alpha", alpha, "--dt", "1e-3",
+                     "--steps", "2000", "--seed", "42", "--record-every", str(every),
+                     "--check-picture", "--out", "sim")
+    assert code == 0
+    for name, digest in (("sim.csv", csv_digest), ("sim.drift.json", drift_digest)):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 # -- parser-level behaviour -----------------------------------------------------

@@ -496,3 +496,10 @@ def test_from_dict_rejects_garbage():
         PhasePoly.from_dict({"n": 2, "terms": 5})
     with pytest.raises(InputError):
         PhasePoly.from_dict({"n": 2, "terms": [{"c": "1", "e": [10**9] + [0] * 5}]})
+    # an exponent is a non-negative int, not anything int() accepts
+    for bad in (1.5, 1.0, "2", True, -1, None):
+        with pytest.raises(InputError):
+            PhasePoly.from_dict({"n": 2, "terms": [{"c": "1", "e": [bad] + [0] * 5}]})
+    for expo in ([1.5, 0, 0, 0, 0, "2"], "000000", {"0": 0}):
+        with pytest.raises(InputError):
+            PhasePoly.from_dict({"n": 2, "terms": [{"c": "1", "e": expo}]})

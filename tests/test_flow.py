@@ -20,7 +20,7 @@ from magneflow import (
     write_csv,
 )
 from magneflow import sampling
-from magneflow.flow import CSV_CHUNK_ROWS, MIN_ABS_DT, TrajectoryRecord, _rotate
+from magneflow.flow import CSV_CHUNK_ROWS, MIN_ABS_DT, TrajectoryRecord
 
 
 def model_of(n, *alphas):
@@ -60,6 +60,109 @@ def test_project_initial_rejects_overflowing_squares():
     assert p[1] == 1e100
 
 
+# -- the numpy reference step ------------------------------------------------------
+#
+# `step` runs on Python floats.  The vectorised step below is the oracle it
+# is checked against: the same splitting, with numpy element-wise arithmetic
+# and `@` dot products.
+
+
+def reference_rotate(x, p, model, tau):
+    """Exact flow of the rotational part for time tau: plane k turns by
+    -alpha_k * tau / 2, alike for positions and momenta."""
+    x = np.array(x, dtype=float)
+    p = np.array(p, dtype=float)
+    for k, alpha in enumerate(float(a) for a in model.alphas):
+        if alpha == 0.0:
+            continue
+        i, j = 2 * k, 2 * k + 1
+        phi = alpha * tau / 2.0
+        c, s = math.cos(phi), math.sin(phi)
+        for vec in (x, p):
+            u, v = vec[i], vec[j]
+            vec[i] = c * u + s * v
+            vec[j] = -s * u + c * v
+    return x, p
+
+
+def reference_rattle(x0, p0, model, dt):
+    """One RATTLE step for 0.5|P|^2 + U(X) on the unit cotangent set."""
+    two_a = 2.0 * np.array([float(a) for a in model.a])
+    g0 = two_a * x0
+    w = x0 + dt * p0 - 0.5 * dt * dt * g0
+    a2 = dt ** 4
+    b = -2.0 * dt * dt * float(w @ x0)
+    c = float(w @ w) - 1.0
+    disc = b * b - 4.0 * a2 * c
+    assert disc >= 0.0
+    lam = 0.0 if c == 0.0 else 2.0 * c / (-b + math.sqrt(disc))
+    x1 = w - dt * dt * lam * x0
+    p_half = p0 - 0.5 * dt * (g0 + 2.0 * lam * x0)
+    q = p_half - 0.5 * dt * (two_a * x1)
+    mu = float(x1 @ q) / (dt * float(x1 @ x1))
+    return x1, q - dt * mu * x1
+
+
+def reference_step(x, p, model, dt):
+    x, p = reference_rotate(x, p, model, dt / 2.0)
+    x, p = reference_rattle(x, p, model, dt)
+    return reference_rotate(x, p, model, dt / 2.0)
+
+
+def assert_close_in_ulps(got, want, ulps):
+    """Componentwise agreement to `ulps` rounding units of the vector's
+    largest entry (a dot product rounds at that scale, not at the scale
+    of a small component)."""
+    got, want = np.asarray(got), np.asarray(want)
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert np.max(np.abs(got - want)) <= ulps * np.finfo(float).eps * scale
+
+
+# Zero rates, odd and even d.  The test states have speeds from 1e-3 to
+# about 3, so |dt * p| <= 0.3 for the largest dt.  Towards |dt * p| = 1 the
+# constraint quadratic amplifies the one-rounding difference of the dot
+# products, to about 10 ulps at dt = 0.1 and speed 10.
+REFERENCE_MODELS = [
+    (2, ("0",)), (2, ("1",)), (3, ("0", "2")), (3, ("1", "1")),
+    (4, ("1", "2")), (4, ("0", "3/2")), (7, ("1", "0", "3", "1/2")), (7, ("0", "0", "0", "0")),
+]
+
+
+@pytest.mark.parametrize("n, alphas", REFERENCE_MODELS)
+def test_step_matches_numpy_reference(n, alphas):
+    model = model_of(n, *alphas)
+    rng = np.random.default_rng(n)
+    for _ in range(200):
+        x, p = sampling.constrained_point(rng, n)
+        p = p * 10.0 ** rng.uniform(-3, 0.5)
+        dt = float(rng.choice([1e-2, -1e-2, 0.1, -0.1, 1e-5, -1e-5]))
+        got_x, got_p = step(x, p, model, dt)
+        want_x, want_p = reference_step(x, p, model, dt)
+        assert all(type(v) is float for v in got_x + got_p)
+        assert_close_in_ulps(got_x, want_x, 4)
+        assert_close_in_ulps(got_p, want_p, 4)
+
+
+@pytest.mark.parametrize("n, alphas", [(4, ("1", "2")), (5, ("1", "1", "2"))])
+def test_orbit_matches_numpy_reference(n, alphas):
+    model = model_of(n, *alphas)
+    x0, p0 = seeded_state(n)
+    steps = 10_000
+    rec = integrate(model, x0, p0, dt=1e-2, steps=steps, record_every=steps)
+    x, p = project_initial(x0, p0)
+    for _ in range(steps):
+        x, p = reference_step(x, p, model, 1e-2)
+    assert np.max(np.abs(rec.xs[-1] - x)) < 1e-11
+    assert np.max(np.abs(rec.ps[-1] - p)) < 1e-11
+
+
+def test_zero_step_returns_copies():
+    model = model_of(2, 1)
+    x0, p0 = [1.0, 0.0, -0.0], [0.0, 1.0, 0.0]
+    x, p = step(x0, p0, model, 0.0)
+    assert (x, p) == (x0, p0) and x is not x0 and p is not p0
+
+
 # -- geometry of single flows ---------------------------------------------------
 
 
@@ -77,18 +180,20 @@ def test_zero_rate_flow_stays_on_great_circle():
 
 
 def test_rotation_subflow_closed_form():
+    """One step is the closed-form turn of each plane by alpha*dt/4 on
+    both sides of the RATTLE step; the unpaired last coordinate does not
+    turn."""
     model = model_of(2, 2)
     rng = np.random.default_rng(1)
-    x = rng.normal(size=3)
-    p = rng.normal(size=3)
-    tau = 0.37
-    x2, p2 = _rotate(x, p, model, tau)
-    phi = 2.0 * tau / 2.0  # alpha * tau / 2
+    x, p = sampling.constrained_point(rng, 2)
+    dt = 0.37
+    phi = 2.0 * (dt / 2.0) / 2.0  # alpha * tau / 2 with tau = dt / 2
     c, s = math.cos(phi), math.sin(phi)
-    for before, after in ((x, x2), (p, p2)):
-        assert abs(after[0] - (c * before[0] + s * before[1])) < 1e-14
-        assert abs(after[1] - (-s * before[0] + c * before[1])) < 1e-14
-        assert after[2] == before[2]
+    turn = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+    x1, p1 = reference_rattle(turn @ x, turn @ p, model, dt)
+    got_x, got_p = step(x, p, model, dt)
+    assert_close_in_ulps(got_x, turn @ x1, 4)
+    assert_close_in_ulps(got_p, turn @ p1, 4)
 
 
 def test_single_step_reversibility():
@@ -148,6 +253,22 @@ def test_halving_dt_quarters_energy_drift():
 
     ratio = h_drift(2e-3, 1000) / h_drift(1e-3, 2000)
     assert 3.0 <= ratio <= 5.0
+
+
+def test_long_run_energy_error_stays_bounded():
+    """A symmetric symplectic splitting keeps its energy error at O(dt^2)
+    with no secular drift (Hairer, Lubich and Wanner, Geometric Numerical
+    Integration, ch. IX).  Over 1e5 steps the error stays below dt^2 (the
+    seeded orbits reach about 0.25 dt^2), and the worst error in the last
+    fifth of the run is no larger than twice the worst in the first fifth."""
+    model = model_of(4, 1, 2)
+    x0, p0 = seeded_state(4)
+    dt = 1e-2
+    rec = integrate(model, x0, p0, dt=dt, steps=100_000, record_every=10)
+    h_error = np.abs(rec.diagnostics["H"] - rec.diagnostics["H"][0])
+    fifth = h_error.size // 5
+    assert h_error.max() < dt * dt
+    assert h_error[-fifth:].max() <= 2.0 * h_error[:fifth].max()
 
 
 def test_drift_decreases_towards_exact_flow():
