@@ -7,14 +7,23 @@ consecutive rungs (expected close to 2).
 
 Usage: python3 scripts/convergence_study.py [--n N] [--alpha CSV]
        [--time T] [--seed S]
+
+Exits 0 when the drift falls monotonically, 1 when it does not, and 2
+with one "error:" line on bad input.
 """
 
 import argparse
 import math
 import sys
-from fractions import Fraction
 
-from magneflow import MagneticModel, commuting_basis, drift_report, integrate
+from magneflow import (
+    InputError,
+    MagneticModel,
+    commuting_basis,
+    drift_report,
+    integrate,
+    parse_rational,
+)
 from magneflow import sampling
 
 DT_LADDER = (1e-2, 1e-3, 1e-4)
@@ -27,8 +36,20 @@ def main() -> int:
     parser.add_argument("--time", type=float, default=10.0)
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args()
+    try:
+        return study(args)
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
-    alphas = tuple(Fraction(a) for a in args.alpha.split(","))
+
+def study(args) -> int:
+    coarsest = DT_LADDER[0]
+    if not (math.isfinite(args.time) and round(args.time / coarsest) >= 1):
+        raise InputError(f"--time must give at least one step of {coarsest:g}, got {args.time!r}")
+    if args.seed < 0:
+        raise InputError(f"--seed must be non-negative, got {args.seed}")
+    alphas = tuple(parse_rational(a) for a in args.alpha.split(","))
     model = MagneticModel(n=args.n, alphas=alphas)
     family = commuting_basis(model)
     rng = sampling.generator(args.seed, 4)

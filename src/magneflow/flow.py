@@ -16,10 +16,20 @@ At d = 5 a numpy step spends nearly all its time in per-call overhead,
 and its `@` dot products round as the BLAS kernel chosen at run time does
 (an FMA chain on some CPUs, a plain sum on others).  The scalar step is
 about three times faster, and its orbit does not depend on the BLAS build.
+The cos/sin of each plane's turn are computed once per (rates, dt).
+
+`write_csv` prints every number as `%.17g` does, byte for byte, but with
+numpy instead of one `%` per value.  The 17 digits of a value come from
+Dekker's exact product with 10**K held as a double-double (Loitsch's
+method), and the text from lookup tables.  A value whose rounding the
+double-double cannot settle (non-finite, |v| outside 1e-280..1e280, a
+remainder within 2**-30 of a tie, a misjudged decimal exponent) goes to
+`%` itself; on a typical orbit there are none.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -53,8 +63,9 @@ INITIAL_TOLERANCE = 1e-6
 MAX_ABS_DT = sys.float_info.max ** 0.25
 MIN_ABS_DT = sys.float_info.epsilon
 CSV_FORMAT = "%.17g"
-# Rows converted to Python floats at a time by write_csv.
-CSV_CHUNK_ROWS = 4096
+# Rows formatted at a time by write_csv; its scratch arrays peak at about
+# 500 bytes per value.
+CSV_CHUNK_ROWS = 256
 
 
 def project_initial(x, p):
@@ -83,6 +94,17 @@ def project_initial(x, p):
     return x, p
 
 
+@functools.lru_cache(maxsize=16)
+def _plane_turns(alpha_floats: tuple, dt: float) -> tuple:
+    """(first index, cos, sin) of each rotating plane's half-step turn."""
+    tau = dt / 2.0
+    return tuple(
+        (2 * k, math.cos(alpha * tau / 2.0), math.sin(alpha * tau / 2.0))
+        for k, alpha in enumerate(alpha_floats)
+        if alpha != 0.0
+    )
+
+
 def step(x, p, model: MagneticModel, dt: float):
     """One full symmetric step of size dt (dt may be negative).
 
@@ -105,12 +127,7 @@ def step(x, p, model: MagneticModel, dt: float):
     x, p = list(map(float, x)), list(map(float, p))
     if dt == 0.0:
         return x, p
-    tau = dt / 2.0
-    turns = [
-        (2 * k, math.cos(alpha * tau / 2.0), math.sin(alpha * tau / 2.0))
-        for k, alpha in enumerate(model.alpha_floats)
-        if alpha != 0.0
-    ]
+    turns = _plane_turns(model.alpha_floats, dt)
     for i, c, s in turns:
         for vec in (x, p):
             u, v = vec[i], vec[i + 1]
@@ -295,12 +312,177 @@ def drift_report(record: TrajectoryRecord) -> dict:
     return out
 
 
+# -- CSV text ------------------------------------------------------------------
+#
+# _csv_bytes prints a float v with 1e-280 <= |v| <= 1e280 from the integer
+# N = round(D), D = |v| * 10**K and K = 16 - floor(log10|v|), whose 17
+# digits are those of %.17g.  10**K is held as a double-double hi + lo,
+# and Dekker's exact two-product splits |v| * hi into an integer-valued
+# double (D >= 1e16 > 2**53) and a remainder below 10.  The remainder is
+# known to about 2**-48, so it rounds with certainty unless it lies within
+# _ROUND_GUARD of a half.  Those values, and all others the arithmetic
+# cannot settle, are printed with CSV_FORMAT.
+
+_CSV_MIN_ABS, _CSV_MAX_ABS = 1e-280, 1e280
+_POW10_MIN, _POW10_MAX = -264, 297  # K for floor(log10|v|) in [-281, 280]
+_ROUND_GUARD = 2.0 ** -30
+_SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp's split of a double into halves
+
+# Every value gets a 32-byte source of eight words: sign, NUL, ',', '\n';
+# its 17 digits after three '0's; '.', '0', 'e', NUL; the exponent.
+_SRC_SIGN, _SRC_NUL, _SRC_COMMA, _SRC_NEWLINE = 0, 1, 2, 3
+_SRC_D0, _SRC_DOT, _SRC_ZERO, _SRC_E, _SRC_EXP = 7, 24, 25, 26, 28
+_SLOT = 26  # output bytes per value: at most 24 characters and a separator
+_EXP_OFFSET = 300
+# Layouts: %.17g prints fixed notation for decimal exponents -4..16 (codes
+# 0..20) and exponent notation otherwise (code 21); zero is code 22.
+_EXP_LAYOUT, _ZERO_LAYOUT = 21, 22
+
+
+def _split(a):
+    c = a * _SPLITTER
+    high = c - (c - a)
+    return high, a - high
+
+
+def _words(strings) -> np.ndarray:
+    """ASCII strings of at most four bytes, NUL-padded, one uint32 each."""
+    return np.frombuffer(b"".join(s.encode().ljust(4, b"\0") for s in strings), np.uint32)
+
+
+_SIGN_WORDS = _words(["\0\0,\n", "-\0,\n"])
+_MARK_WORD = _words([".0e"])[0]
+
+
+def _csv_slot_table() -> np.ndarray:
+    """Source byte of every output byte, one row per (layout, trailing zeros
+    of the digits, last column).  Each source byte carries the digit index
+    from which on trailing zeros drop it (0: never)."""
+    digits = [(_SRC_D0 + i, i) for i in range(17)]
+    sign, zero = (_SRC_SIGN, 0), (_SRC_ZERO, 0)
+    layouts = []
+    for x in range(-4, 17):
+        if x >= 0:
+            fraction = [(_SRC_DOT, x + 1)] + digits[x + 1:] if x < 16 else []
+            layouts.append([sign] + [(s, 0) for s, _ in digits[:x + 1]] + fraction)
+        else:
+            layouts.append([sign, zero, (_SRC_DOT, 0)] + [zero] * (-x - 1) + digits)
+    exponent = [(_SRC_E, 0)] + [(_SRC_EXP + j, 0) for j in range(4)]
+    layouts.append([sign, digits[0], (_SRC_DOT, 1)] + digits[1:] + exponent)
+    layouts.append([sign, zero])
+    table = np.full((len(layouts), 17, 2, _SLOT), _SRC_NUL, np.intp)
+    for code, layout in enumerate(layouts):
+        for zeros in range(17):
+            kept = [s for s, drop_from in layout if not 0 < 17 - zeros <= drop_from]
+            table[code, zeros, :, : len(kept)] = kept
+    table[:, :, 0, -1] = _SRC_COMMA
+    table[:, :, 1, -1] = _SRC_NEWLINE
+    return table.reshape(-1, _SLOT)
+
+
+@functools.cache
+def _csv_tables() -> tuple:
+    """The read-only tables of _csv_bytes, built on first use so that a
+    process that writes no CSV does not pay for them:
+
+    - hi, high and low halves of hi, lo: the double-double hi + lo = 10**K
+      for K in [_POW10_MIN, _POW10_MAX], from exact int division;
+    - the ASCII words of 0000..9999 and of the exponents;
+    - the slot table.
+    """
+    hi, lo = [], []
+    for k in range(_POW10_MIN, _POW10_MAX + 1):
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        h = num / den
+        h_num, h_den = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * h_den - h_num * den) / (den * h_den))
+    hi = np.array(hi)
+    digit_words = np.frombuffer(
+        (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8),
+        np.uint32,
+    )
+    exp_words = _words(f"{e:+03d}" for e in range(-_EXP_OFFSET, _EXP_OFFSET + 1))
+    tables = (hi, *_split(hi), np.array(lo), digit_words, exp_words, _csv_slot_table())
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _csv_bytes(block: np.ndarray) -> bytes:
+    """The CSV lines of a (rows, cols) float block: exactly the bytes of
+    ",".join(CSV_FORMAT % v for v in row) + "\n" for every row.
+
+    Values whose digits are certain are printed with numpy; the others
+    (non-finite, outside 1e-280..1e280, within 2**-30 of a rounding tie,
+    or with a misjudged decimal exponent) are formatted with CSV_FORMAT.
+    """
+    hi_table, hi_high_table, hi_low_table, lo_table, digit_words, exp_words, slots = _csv_tables()
+    rows, cols = block.shape
+    v = block.ravel()
+    n = v.size
+    a = np.abs(v)
+    certain = (a >= _CSV_MIN_ABS) & (a <= _CSV_MAX_ABS)
+    a = np.where(certain, a, 1.0)
+    x = np.floor(np.log10(a)).astype(np.intp)
+    k = 16 - x - _POW10_MIN
+    high = a * hi_table.take(k)
+    a_high, a_low = _split(a)
+    b_high, b_low = hi_high_table.take(k), hi_low_table.take(k)
+    # high + rest = a * (hi + lo): high exactly, rest to about 2**-48.
+    rest = (((a_high * b_high - high) + a_high * b_low + a_low * b_high) + a_low * b_low
+            + a * lo_table.take(k))
+    rest_floor = np.floor(rest)
+    frac = rest - rest_floor
+    floor_digits = high.astype(np.int64) + rest_floor.astype(np.int64)
+    digits = floor_digits + (frac > 0.5)
+    certain &= (
+        (floor_digits >= 10 ** 16) & (digits < 10 ** 17) & (np.abs(frac - 0.5) > _ROUND_GUARD)
+    )
+
+    groups = np.empty((n, 5), np.intp)  # four digits each, the first one "000d"
+    upper = digits // 10 ** 8
+    lower = digits - upper * 10 ** 8
+    groups[:, 0] = upper // 10 ** 8
+    groups[:, 1] = upper // 10 ** 4 % 10 ** 4
+    groups[:, 2] = upper % 10 ** 4
+    groups[:, 3] = lower // 10 ** 4
+    groups[:, 4] = lower % 10 ** 4
+    src = np.empty((n, 8), np.uint32)
+    src[:, 0] = _SIGN_WORDS.take(np.signbit(v).view(np.uint8))
+    src[:, 1:6] = digit_words.take(groups)
+    src[:, 6] = _MARK_WORD
+    src[:, 7] = exp_words.take(x + _EXP_OFFSET, mode="clip")
+    src = src.view(np.uint8)
+
+    zeros = np.argmax(src[:, _SRC_D0 + 16 : _SRC_D0 - 1 : -1] != ord("0"), axis=1)
+    code = np.where((x >= -4) & (x <= 16), x + 4, _EXP_LAYOUT)
+    code[v == 0] = _ZERO_LAYOUT
+    slot = (code * 17 + zeros) * 2
+    slot.reshape(rows, cols)[:, -1] += 1
+    index = slots.take(slot, axis=0)
+    index += np.arange(0, src.size, src.shape[1])[:, None]
+    out = src.ravel().take(index)
+    for i in np.flatnonzero(~certain & (v != 0)).tolist():
+        text = (CSV_FORMAT % v[i] + ("\n" if i % cols == cols - 1 else ",")).encode()
+        out[i] = 0
+        out[i, : len(text)] = np.frombuffer(text, np.uint8)
+    return out.tobytes().translate(None, b"\0")
+
+
 def write_csv(record: TrajectoryRecord, path, extra_meta: dict | None = None):
     """Write a trajectory as deterministic CSV.
 
     Line 1 is a '#' comment carrying the run metadata as canonical JSON;
     line 2 is the header t, X1.., P1.., diagnostic labels, c1, c2 where
-    c1 = |X|^2 - 1 and c2 = <X, P>.  All numbers use repr-exact %.17g.
+    c1 = |X|^2 - 1 and c2 = <X, P>.  All numbers use repr-exact %.17g,
+    byte for byte as CSV_FORMAT prints them: numpy makes each value's 17
+    digits from a double-double product with 10**K and lays out the text,
+    and only a value whose rounding it cannot settle (non-finite, outside
+    1e-280..1e280, within 2**-30 of a tie, or with a misjudged decimal
+    exponent) is printed with CSV_FORMAT.
+    Rows are formatted CSV_CHUNK_ROWS at a time, so memory does not grow
+    with the number of rows.
     """
     d = record.xs.shape[1]
     meta = dict(record.meta)
@@ -313,13 +495,10 @@ def write_csv(record: TrajectoryRecord, path, extra_meta: dict | None = None):
         + list(record.diagnostics.keys())
         + ["c1", "c2"]
     )
-    columns = [record.times, *record.xs.T, *record.ps.T]
-    columns += [record.diagnostics[k] for k in record.diagnostics]
-    columns += [record.sphere_residual, record.tangency_residual]
-    rows = np.column_stack(columns)
-    line = ",".join([CSV_FORMAT] * rows.shape[1]) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-        fh.write(",".join(header) + "\n")
-        for s in range(0, rows.shape[0], CSV_CHUNK_ROWS):
-            fh.write("".join(line % tuple(row) for row in rows[s : s + CSV_CHUNK_ROWS].tolist()))
+    columns = [record.times, *record.xs.T, *record.ps.T, *record.diagnostics.values(),
+               record.sphere_residual, record.tangency_residual]
+    with open(path, "wb") as fh:
+        fh.write(("# " + json.dumps(meta, sort_keys=True) + "\n").encode())
+        fh.write((",".join(header) + "\n").encode())
+        for s in range(0, record.times.size, CSV_CHUNK_ROWS):
+            fh.write(_csv_bytes(np.column_stack([c[s : s + CSV_CHUNK_ROWS] for c in columns])))

@@ -2,10 +2,13 @@
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from magneflow import (
     InputError,
@@ -20,7 +23,7 @@ from magneflow import (
     write_csv,
 )
 from magneflow import sampling
-from magneflow.flow import CSV_CHUNK_ROWS, MIN_ABS_DT, TrajectoryRecord
+from magneflow.flow import CSV_CHUNK_ROWS, CSV_FORMAT, MIN_ABS_DT, TrajectoryRecord, _csv_bytes
 
 
 def model_of(n, *alphas):
@@ -442,3 +445,79 @@ def test_csv_matches_value_by_value_formatting(tmp_path):
     table = np.column_stack([rec.times, rec.xs, rec.ps, rec.diagnostics["H"],
                              rec.sphere_residual, rec.tangency_residual])
     assert body == [",".join("%.17g" % v for v in row) for row in table]
+
+
+# Values at the edges of the vectorised formatter: rounding ties (the second
+# rounds up to even), a carry into 1e17, the layout edges, two- and
+# three-digit exponents, signed zero, subnormals and non-finite values.
+HAND_PICKED = [
+    1000000000000000.25, 1000000000000000.75, 99999999999999999.0,
+    9.9999999999999991e-05, 1e-4, 1e16, 1e17, 1e99, 1e100, 1e-100,
+    -0.0, 0.0, 5e-324, 1.7976931348623157e308, math.inf, -math.inf, math.nan,
+]
+
+
+def _near_power_of_ten(exponent, ulps):
+    value = 10.0 ** exponent
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, math.copysign(math.inf, ulps))
+    return value
+
+
+_CSV_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.integers(0, 2 ** 64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64))),
+    # every layout of %.17g, fixed and exponent notation, with full mantissas
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-30, 70)),
+    st.builds(_near_power_of_ten, st.integers(-300, 300), st.integers(-3, 3)),
+    # exact ties of the 17th digit
+    st.builds(lambda i, q: math.copysign(abs(i) + q, i),
+              st.integers(-2 ** 51, 2 ** 51).filter(lambda i: abs(i) >= 10 ** 15),
+              st.sampled_from([0.25, 0.75])),
+    st.sampled_from(HAND_PICKED),
+)
+
+
+@st.composite
+def _csv_blocks(draw):
+    """A block of 1-300 rows and 1-20 columns whose entries are picked from
+    up to 40 drawn values."""
+    values = np.array(draw(st.lists(_CSV_VALUES, min_size=1, max_size=40)))
+    shape = (draw(st.integers(1, 300)), draw(st.integers(1, 20)))
+    picks = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return values[picks.integers(values.size, size=shape)]
+
+
+def _oracle(block):
+    return "".join(",".join(CSV_FORMAT % v for v in row) + "\n" for row in block.tolist()).encode()
+
+
+@given(_csv_blocks())
+@example(np.array([HAND_PICKED]))
+@example(np.array(HAND_PICKED)[:, None])
+@settings(max_examples=200, deadline=None)
+def test_csv_bytes_match_value_by_value_formatting(block):
+    assert _csv_bytes(block) == _oracle(block)
+
+
+def test_write_csv_memory_does_not_grow_with_rows(tmp_path):
+    """The writer formats a chunk of rows at a time, so its peak allocation
+    is the same for 2e4 and 2e5 rows; a full table of the columns would
+    add 80 bytes per row here."""
+    def peak_bytes(rows):
+        rng = np.random.default_rng(rows)
+        rec = TrajectoryRecord(
+            times=np.arange(rows) * 1e-3, xs=rng.standard_normal((rows, 3)),
+            ps=rng.standard_normal((rows, 3)), diagnostics={"H": rng.standard_normal(rows)},
+            sphere_residual=rng.standard_normal(rows) * 1e-16,
+            tangency_residual=rng.standard_normal(rows) * 1e-16, meta={},
+        )
+        tracemalloc.start()
+        try:
+            write_csv(rec, tmp_path / "rows.csv")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak_bytes(20_000), peak_bytes(200_000)
+    assert abs(large - small) < 2 * 2 ** 20, (small, large)

@@ -22,3 +22,22 @@ def test_script_runs_to_its_verdict(script, args, last_line):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == last_line
+
+
+@pytest.mark.parametrize("args", [
+    ["--alpha", "1/0"],
+    ["--alpha", "1,,2"],
+    ["--time", "0"],
+    ["--time", "0.004"],
+    ["--n", "0"],
+])
+def test_convergence_study_rejects_bad_input_with_one_error_line(args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "convergence_study.py"), *args],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ")
