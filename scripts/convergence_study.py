@@ -52,7 +52,7 @@ def study(args) -> int:
     alphas = tuple(parse_rational(a) for a in args.alpha.split(","))
     model = MagneticModel(n=args.n, alphas=alphas)
     family = commuting_basis(model)
-    rng = sampling.generator(args.seed, 4)
+    rng = sampling.generator(args.seed, sampling.STREAM_SIMULATE)
     x0, p0 = sampling.constrained_point(rng, args.n)
 
     print(f"model ({args.n},({args.alpha})), T={args.time:g}, seed={args.seed}")

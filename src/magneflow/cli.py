@@ -37,7 +37,6 @@ from .integral_family import IntegralFamily, commuting_basis
 from .magnetic_model import MagneticModel, skew_normal_form
 from .verify import run_verification
 
-_STREAM_SIMULATE = 4
 DEFAULT_DRIFT_TOL = 1e-5
 
 
@@ -84,15 +83,10 @@ def _load_json(path: str) -> dict:
 
 def cmd_normal_form(args) -> int:
     data = _load_json(args.infile)
-    if isinstance(data, dict):
-        for key in ("omega", "matrix"):
-            if key in data:
-                data = data[key]
-                break
-        else:
-            raise InputError(f"{args.infile} must contain an 'omega' matrix")
+    if not isinstance(data, dict) or "omega" not in data:
+        raise InputError(f"{args.infile} must contain an 'omega' matrix")
     try:
-        omega = np.array(data, dtype=float)
+        omega = np.array(data["omega"], dtype=float)
     except (TypeError, ValueError):
         raise InputError(f"{args.infile} does not contain a numeric matrix") from None
     form = skew_normal_form(omega)
@@ -116,7 +110,7 @@ def cmd_verify(args) -> int:
     if args.seed < 0:
         raise InputError(f"--seed must be non-negative, got {args.seed}")
     data = _load_json(args.family)
-    payload = data.get("family", data) if isinstance(data, dict) else None
+    payload = data.get("family") if isinstance(data, dict) else None
     if not isinstance(payload, dict):
         raise InputError(f"{args.family} does not contain a family")
     family = IntegralFamily.from_dict(payload)
@@ -160,7 +154,7 @@ def _initial_state(args, model: MagneticModel):
                 raise InputError("initial momentum is zero; cannot normalize")
             p = p / norm
         return x, p
-    rng = sampling.generator(args.seed, _STREAM_SIMULATE)
+    rng = sampling.generator(args.seed, sampling.STREAM_SIMULATE)
     return sampling.constrained_point(rng, model.n)
 
 

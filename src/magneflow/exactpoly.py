@@ -560,16 +560,12 @@ def compiled_evaluator(poly: PhasePoly):
     import numpy as np
 
     width = poly.width
-    if not poly.terms:
-        def zero(points):
-            points = np.asarray(points, dtype=float)
-            return np.zeros(points.shape[0])
-        return zero
     coeffs = np.array([c / poly.den for c in poly.terms.values()])
     factors = list(poly.terms)
-    depth = poly.degree()
-    slots = np.array([m + (width,) * (depth - len(m)) for m in factors], dtype=np.intp)
-    chunk = max(1, EVAL_CHUNK_BYTES // (8 * len(factors) * max(depth, 1)))
+    depth = max(poly.degree(), 0)
+    padded_factors = [m + (width,) * (depth - len(m)) for m in factors]
+    slots = np.array(padded_factors, dtype=np.intp).reshape(len(factors), depth)
+    chunk = max(1, EVAL_CHUNK_BYTES // max(1, 8 * len(factors) * max(depth, 1)))
 
     def evaluate(points):
         points = np.asarray(points, dtype=float)

@@ -9,7 +9,16 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["generator", "constrained_point", "constrained_points"]
+__all__ = ["STREAM_COMMUTATION", "STREAM_INDEPENDENCE", "STREAM_PROBE", "STREAM_SIMULATE",
+           "generator", "constrained_point", "constrained_points"]
+
+# Substream ids: the bracket classification points of `verify`, its
+# independence rank test, its probe rank tests, and the initial state of
+# `simulate`.
+STREAM_COMMUTATION = 1
+STREAM_INDEPENDENCE = 2
+STREAM_PROBE = 3
+STREAM_SIMULATE = 4
 
 
 def generator(seed: int, *stream: int) -> np.random.Generator:

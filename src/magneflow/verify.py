@@ -6,15 +6,19 @@ merely vanishes numerically on the constraint set is classified as
 `zero_on_constraints`; that tier exists to make failures informative and
 is still a failure.
 
-Numerical pieces (functional independence, the probe rank tests) draw
-all randomness from one seed through named substreams, so reports are
+Functional independence and the probe share one numeric rank path:
+seeded points on the constraint set, the ambient gradients of the members
+at those points (evaluated from each member's nonzero first partials
+only), their ranks after projection tangential to the constraint set, and
+a `RankStats` derived from those ranks.  All randomness comes from one
+seed through the named substreams of `sampling`, so reports are
 reproducible from the seed alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +27,7 @@ from . import sampling
 from .errors import InputError
 from .exactpoly import (
     PhasePoly,
+    _partials,
     compiled_evaluator,
     format_rational,
     poisson_bracket,
@@ -45,10 +50,6 @@ __all__ = [
     "VerificationReport",
     "run_verification",
 ]
-
-_STREAM_COMMUTATION = 1
-_STREAM_INDEPENDENCE = 2
-_STREAM_PROBE = 3
 
 ON_CONSTRAINT_RTOL = 1e-10
 RANK_THRESHOLD_REL = 1e-8
@@ -95,12 +96,7 @@ class PairResult:
     witness_terms: int
 
     def to_dict(self) -> dict:
-        return {
-            "left": self.left,
-            "right": self.right,
-            "status": self.status,
-            "witness_terms": self.witness_terms,
-        }
+        return asdict(self)
 
 
 def _classify_bracket(f, g, bracket, points) -> tuple:
@@ -120,7 +116,7 @@ def check_commutation(family: IntegralFamily, seed: int = 0) -> list:
     member with the Hamiltonian."""
     members = family.members() + [hamiltonian_pert(family.model)]
     labels = family.labels() + ["H"]
-    rng = sampling.generator(seed, _STREAM_COMMUTATION)
+    rng = sampling.generator(seed, sampling.STREAM_COMMUTATION)
     points = sampling.constrained_points(rng, family.model.n, 50)
 
     results = []
@@ -148,11 +144,24 @@ def potential_compatibility(k1: PhasePoly, u1: PhasePoly, k2: PhasePoly, u2: Pha
 
 @dataclass
 class RankStats:
-    samples: int
+    """The projected rank at each sample point; a point is full rank when
+    its rank reaches `expected_rank`."""
+
     expected_rank: int
     ranks: list
-    full_rank_count: int
-    failures: list = field(default_factory=list)
+
+    @property
+    def samples(self) -> int:
+        return len(self.ranks)
+
+    @property
+    def failures(self) -> list:
+        """(sample index, rank) of every point below full rank."""
+        return [(i, r) for i, r in enumerate(self.ranks) if r < self.expected_rank]
+
+    @property
+    def full_rank_count(self) -> int:
+        return self.samples - len(self.failures)
 
     @property
     def full_rank_fraction(self) -> float:
@@ -176,12 +185,11 @@ class RankStats:
 
 
 def _gradient_tensor(members, points: np.ndarray) -> np.ndarray:
-    """Ambient gradients of each member at each point: (R, k, 2d)."""
-    R = points.shape[0]
-    width = points.shape[1]
-    grads = np.empty((R, len(members), width))
+    """Ambient gradients of each member at each point: (R, k, 2d).  Only
+    the nonzero partials are evaluated; every other slot stays 0."""
+    grads = np.zeros((points.shape[0], len(members), points.shape[1]))
     for k, poly in enumerate(members):
-        for slot in range(width):
+        for slot in _partials(poly):
             grads[:, k, slot] = compiled_evaluator(poly._partial(slot))(points)
     return grads
 
@@ -207,28 +215,14 @@ def _rank_points(n: int, samples: int, seed: int, stream: int) -> np.ndarray:
     return sampling.constrained_points(sampling.generator(seed, stream), n, samples)
 
 
-def functional_independence(
-    members,
-    n: int,
-    samples: int = 100,
-    seed: int = 0,
-    stream: int = _STREAM_INDEPENDENCE,
-) -> RankStats:
+def functional_independence(members, n: int, samples: int = 100, seed: int = 0) -> RankStats:
     """Numeric rank of the member differentials restricted to the unit
     cotangent structure, at seeded random points; a point is full rank when
     the rank equals the number of members."""
     members = list(members)
-    expected_rank = len(members)
-    points = _rank_points(n, samples, seed, stream)
-    ranks = _projected_ranks(_gradient_tensor(members, points), points).tolist()
-    failures = [(r, rank) for r, rank in enumerate(ranks) if rank < expected_rank]
-    return RankStats(
-        samples=samples,
-        expected_rank=expected_rank,
-        ranks=ranks,
-        full_rank_count=samples - len(failures),
-        failures=failures,
-    )
+    points = _rank_points(n, samples, seed, sampling.STREAM_INDEPENDENCE)
+    ranks = _projected_ranks(_gradient_tensor(members, points), points)
+    return RankStats(len(members), ranks.tolist())
 
 
 # -- membership of the Hamiltonian ---------------------------------------------
@@ -355,16 +349,30 @@ class ProbeResult:
     is_additional_integral: bool
 
     def to_dict(self) -> dict:
-        return {
-            "block": list(self.block),
-            "kind": self.kind,
-            "label": self.label,
-            "cross_pair": self.cross_pair,
-            "commutes_with_hamiltonian": self.commutes_with_hamiltonian,
-            "commutes_with_indicator_quads": self.commutes_with_indicator_quads,
-            "full_rank_fraction": self.full_rank_fraction,
-            "is_additional_integral": self.is_additional_integral,
-        }
+        return asdict(self)
+
+
+def _probe_candidates(model: MagneticModel):
+    """(block, kind, label, polynomial, cross_pair) of every probe
+    candidate, block by block: the generators M_lm first, then the
+    pair_sum and pair_diff of each pair of planes.  Blocks with fewer
+    than two coordinate planes give none."""
+    n = model.n
+    for block in model.partition:
+        planes = [u for u in model.block_units(block) if len(u) == 2]
+        if len(planes) < 2:
+            continue
+        plane_of = {idx: unit for unit in planes for idx in unit}
+        for ai, l in enumerate(block):  # a block is an ascending tuple
+            for m in block[ai + 1:]:
+                cross = plane_of.get(l) != plane_of.get(m)
+                yield block, "generator", f"M({l},{m})", killing(l, m, n), cross
+        for pi, (a, b) in enumerate(planes):
+            for c, d in planes[pi + 1:]:
+                yield (block, "pair_sum", f"M({a},{c})+M({b},{d})",
+                       killing(a, c, n) + killing(b, d, n), True)
+                yield (block, "pair_diff", f"M({a},{d})-M({b},{c})",
+                       killing(a, d, n) - killing(b, c, n), True)
 
 
 def superintegrability_probe(family: IntegralFamily, samples: int = 100, seed: int = 0) -> list:
@@ -375,78 +383,39 @@ def superintegrability_probe(family: IntegralFamily, samples: int = 100, seed: i
     combinations M_ac + M_bd and M_ad - M_bc (planes (a,b) and (c,d)).
     A candidate qualifies when its bracket with H and with every
     indicator quadratic is identically zero and it raises the numeric
-    rank of the family to n+1 at the sampled points.
+    rank of the family to n+1 at the sampled points.  Every candidate is
+    rank-tested at the same seeded points next to the same member
+    gradients.
     """
-    model = family.model
-    n = model.n
-    h = hamiltonian_pert(model)
+    candidates = list(_probe_candidates(family.model))
+    if not candidates:
+        return []
+    n = family.model.n
+    h = hamiltonian_pert(family.model)
     indicator_quads = [
         q for q, prov in zip(family.quads, family.quad_provenance)
         if prov.get("kind") == "indicator"
     ]
-    # Every candidate is rank-tested at the same seeded points next to the
-    # same members, so both are computed once, on the first candidate.
-    points = member_grads = None
+    points = _rank_points(n, samples, seed, sampling.STREAM_PROBE)
+    member_grads = _gradient_tensor(family.members(), points)
     results = []
-    for block in model.partition:
-        planes = [u for u in model.block_units(block) if len(u) == 2]
-        if len(planes) < 2:
-            continue
-        plane_of = {}
-        for unit in planes:
-            for idx in unit:
-                plane_of[idx] = unit
-        candidates = []
-        block_sorted = sorted(block)
-        for ai in range(len(block_sorted)):
-            for aj in range(ai + 1, len(block_sorted)):
-                l, m_idx = block_sorted[ai], block_sorted[aj]
-                cross = plane_of.get(l) != plane_of.get(m_idx)
-                candidates.append(
-                    ("generator", f"M({l},{m_idx})", killing(l, m_idx, n), cross)
-                )
-        for pi in range(len(planes)):
-            for pj in range(pi + 1, len(planes)):
-                a, b = planes[pi]
-                c, d = planes[pj]
-                candidates.append((
-                    "pair_sum",
-                    f"M({a},{c})+M({b},{d})",
-                    killing(a, c, n) + killing(b, d, n),
-                    True,
-                ))
-                candidates.append((
-                    "pair_diff",
-                    f"M({a},{d})-M({b},{c})",
-                    killing(a, d, n) - killing(b, c, n),
-                    True,
-                ))
-        for kind, label, poly, cross in candidates:
-            commutes_h = poisson_bracket(poly, h).is_zero
-            commutes_ind = all(
-                poisson_bracket(poly, q).is_zero for q in indicator_quads
-            )
-            if member_grads is None:
-                points = _rank_points(n, samples, seed, _STREAM_PROBE)
-                member_grads = _gradient_tensor(family.members(), points)
-            grads = np.concatenate([member_grads, _gradient_tensor([poly], points)], axis=1)
-            ranks = _projected_ranks(grads, points)
-            full_rank_fraction = int(np.sum(ranks >= n + 1)) / samples if samples else 0.0
-            qualifies = (
-                commutes_h
-                and commutes_ind
-                and full_rank_fraction >= FULL_RANK_QUOTA
-            )
-            results.append(ProbeResult(
-                block=tuple(block),
-                kind=kind,
-                label=label,
-                cross_pair=cross,
-                commutes_with_hamiltonian=commutes_h,
-                commutes_with_indicator_quads=commutes_ind,
-                full_rank_fraction=full_rank_fraction,
-                is_additional_integral=qualifies,
-            ))
+    for block, kind, label, poly, cross in candidates:
+        commutes_h = poisson_bracket(poly, h).is_zero
+        commutes_ind = all(poisson_bracket(poly, q).is_zero for q in indicator_quads)
+        grads = np.concatenate([member_grads, _gradient_tensor([poly], points)], axis=1)
+        stats = RankStats(n + 1, _projected_ranks(grads, points).tolist())
+        results.append(ProbeResult(
+            block=block,
+            kind=kind,
+            label=label,
+            cross_pair=cross,
+            commutes_with_hamiltonian=commutes_h,
+            commutes_with_indicator_quads=commutes_ind,
+            full_rank_fraction=stats.full_rank_fraction,
+            is_additional_integral=(
+                commutes_h and commutes_ind and stats.full_rank_fraction >= FULL_RANK_QUOTA
+            ),
+        ))
     return results
 
 

@@ -60,7 +60,7 @@ def family_for(n, alphas):
 
 
 def seeded_state(n):
-    rng = sampling.generator(SEED, 4)
+    rng = sampling.generator(SEED, sampling.STREAM_SIMULATE)
     return sampling.constrained_point(rng, n)
 
 

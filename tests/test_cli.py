@@ -143,6 +143,12 @@ def test_verify_rejects_malformed_input(tmp_path, capsys):
     wrong.write_text(json.dumps({"artifact": "integral-family"}))
     code, _, _ = run(capsys, "verify", "--family", str(wrong), "--report", report)
     assert code == 2
+    # only the build artifact is read, not the bare family object inside it
+    artifact = json.loads(build_family(tmp_path, capsys, n=2, alpha="1").read_text())
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(artifact["family"]))
+    code, _, err = run(capsys, "verify", "--family", str(bare), "--report", report)
+    assert code == 2 and one_error_line(err)
 
 
 @pytest.mark.parametrize("bad", [1.5, "2", True, -1])
@@ -227,6 +233,13 @@ def test_normal_form_rejects_bad_matrices(tmp_path, capsys):
     no_key = tmp_path / "nokey.json"
     no_key.write_text(json.dumps({"data": [[0]]}))
     assert run(capsys, "normal-form", "--in", str(no_key), "--out", out)[0] == 2
+    # only {"omega": ...} is read: no "matrix" key, no bare list
+    for payload in ({"matrix": [[0, 1], [-1, 0]]}, [[0, 1], [-1, 0]]):
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "normal-form", "--in", str(other), "--out", out)
+        assert code == 2 and one_error_line(err)
+        assert not (tmp_path / "form.json").exists()
     ragged = tmp_path / "ragged.json"
     ragged.write_text(json.dumps({"omega": [[0, 1], [1]]}))
     assert run(capsys, "normal-form", "--in", str(ragged), "--out", out)[0] == 2

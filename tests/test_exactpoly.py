@@ -369,12 +369,13 @@ def test_compiled_evaluator_zero_and_constant():
 
 
 def test_compiled_evaluator_rejects_bad_shapes_and_takes_no_rows():
-    f = compiled_evaluator(x_var(1, N) * p_var(2, N))
-    assert f(np.empty((0, WIDTH))).shape == (0,)
-    with pytest.raises(InputError):
-        f(np.zeros((3, WIDTH + 1)))
-    with pytest.raises(InputError):
-        f(np.zeros(WIDTH))
+    for poly in (x_var(1, N) * p_var(2, N), PhasePoly(N)):
+        f = compiled_evaluator(poly)
+        assert f(np.empty((0, WIDTH))).shape == (0,)
+        with pytest.raises(InputError):
+            f(np.zeros((3, WIDTH + 1)))
+        with pytest.raises(InputError):
+            f(np.zeros(WIDTH))
 
 
 def test_compiled_evaluator_chunks_are_invariant(monkeypatch):

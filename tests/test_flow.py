@@ -31,7 +31,7 @@ def model_of(n, *alphas):
 
 
 def seeded_state(n, seed=42):
-    rng = sampling.generator(seed, 4)
+    rng = sampling.generator(seed, sampling.STREAM_SIMULATE)
     return sampling.constrained_point(rng, n)
 
 

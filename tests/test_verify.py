@@ -30,9 +30,10 @@ from magneflow import (
     x_var,
     p_var,
 )
+from magneflow import sampling
 from magneflow.verify import (
     RANK_THRESHOLD_REL,
-    _STREAM_PROBE,
+    RankStats,
     _gradient_tensor,
     _projected_ranks,
     _rank_points,
@@ -482,11 +483,11 @@ def test_probe_ranks_match_standalone_independence(n, alpha):
     fam = commuting_basis(model)
     results = superintegrability_probe(fam, samples=30, seed=5)
     assert results
+    points = _rank_points(n, 30, 5, sampling.STREAM_PROBE)
     for r in results:
-        stats = functional_independence(
-            fam.members() + [candidate_poly(r.label, n)], n, samples=30, seed=5,
-            stream=_STREAM_PROBE,
-        )
+        members = fam.members() + [candidate_poly(r.label, n)]
+        ranks = _projected_ranks(_gradient_tensor(members, points), points)
+        stats = RankStats(len(members), ranks.tolist())
         assert r.full_rank_fraction == stats.full_rank_fraction
 
 
