@@ -22,7 +22,7 @@ from magneflow import (
     step,
     write_csv,
 )
-from magneflow import sampling
+from magneflow import flow, sampling
 from magneflow.flow import CSV_CHUNK_ROWS, CSV_FORMAT, MIN_ABS_DT, TrajectoryRecord, _csv_bytes
 
 
@@ -121,13 +121,15 @@ def assert_close_in_ulps(got, want, ulps):
     assert np.max(np.abs(got - want)) <= ulps * np.finfo(float).eps * scale
 
 
-# Zero rates, odd and even d.  The test states have speeds from 1e-3 to
-# about 3, so |dt * p| <= 0.3 for the largest dt.  Towards |dt * p| = 1 the
-# constraint quadratic amplifies the one-rounding difference of the dot
-# products, to about 10 ulps at dt = 0.1 and speed 10.
+# Zero rates, odd and even d, and d = 62, whose dot products are sums of
+# 62 terms.  The test states have speeds from 1e-3 to about 3, so
+# |dt * p| <= 0.3 for the largest dt.  Towards |dt * p| = 1 the constraint
+# quadratic amplifies the one-rounding difference of the dot products, to
+# about 10 ulps at dt = 0.1 and speed 10.
 REFERENCE_MODELS = [
     (2, ("0",)), (2, ("1",)), (3, ("0", "2")), (3, ("1", "1")),
     (4, ("1", "2")), (4, ("0", "3/2")), (7, ("1", "0", "3", "1/2")), (7, ("0", "0", "0", "0")),
+    (61, tuple(("0", "1", "3/2", "0", "5")[k % 5] for k in range(31))),
 ]
 
 
@@ -164,6 +166,48 @@ def test_zero_step_returns_copies():
     x0, p0 = [1.0, 0.0, -0.0], [0.0, 1.0, 0.0]
     x, p = step(x0, p0, model, 0.0)
     assert (x, p) == (x0, p0) and x is not x0 and p is not p0
+
+
+@pytest.mark.parametrize("size", [4, 6])
+def test_step_rejects_state_of_wrong_length(size):
+    model = model_of(4, 1, 2)
+    x, p = seeded_state(4)
+    wrong = [0.0] * size
+    for args in ((wrong, p), (x, wrong), (wrong, wrong)):
+        with pytest.raises(InputError, match="model needs 5"):
+            step(*args, model, 1e-2)
+    with pytest.raises(InputError):
+        step(wrong, p, model, 0.0)
+
+
+def test_integrate_calls_step_once_per_step(monkeypatch):
+    """integrate goes through the module-level `step` on every step, which
+    is the name the benchmark wraps to count and time steps."""
+    calls = []
+
+    def counting_step(*args):
+        calls.append(args[3])
+        return step(*args)
+
+    monkeypatch.setattr(flow, "step", counting_step)
+    model = model_of(4, 1, 2)
+    x0, p0 = seeded_state(4)
+    integrate(model, x0, p0, dt=1e-2, steps=37, record_every=5)
+    assert calls == [1e-2] * 37
+
+
+def test_one_kernel_per_rates_and_dt():
+    model = model_of(4, 1, 2)
+    x0, p0 = seeded_state(4)
+    kernel = flow._step_kernel(model.alpha_floats, model.two_a_floats, 1e-2)
+    before = flow._step_kernel.cache_info()
+    integrate(model, x0, p0, dt=1e-2, steps=20)
+    integrate(model_of(4, 1, 2), x0, p0, dt=1e-2, steps=20)
+    after = flow._step_kernel.cache_info()
+    assert after.misses == before.misses
+    assert after.hits == before.hits + 40
+    assert flow._step_kernel(model.alpha_floats, model.two_a_floats, 1e-2) is kernel
+    assert flow._step_kernel(model.alpha_floats, model.two_a_floats, -1e-2) is not kernel
 
 
 # -- geometry of single flows ---------------------------------------------------
@@ -258,16 +302,17 @@ def test_halving_dt_quarters_energy_drift():
     assert 3.0 <= ratio <= 5.0
 
 
+@pytest.mark.slow
 def test_long_run_energy_error_stays_bounded():
     """A symmetric symplectic splitting keeps its energy error at O(dt^2)
     with no secular drift (Hairer, Lubich and Wanner, Geometric Numerical
-    Integration, ch. IX).  Over 1e5 steps the error stays below dt^2 (the
+    Integration, ch. IX).  Over 1e6 steps the error stays below dt^2 (the
     seeded orbits reach about 0.25 dt^2), and the worst error in the last
     fifth of the run is no larger than twice the worst in the first fifth."""
     model = model_of(4, 1, 2)
     x0, p0 = seeded_state(4)
     dt = 1e-2
-    rec = integrate(model, x0, p0, dt=dt, steps=100_000, record_every=10)
+    rec = integrate(model, x0, p0, dt=dt, steps=1_000_000, record_every=100)
     h_error = np.abs(rec.diagnostics["H"] - rec.diagnostics["H"][0])
     fifth = h_error.size // 5
     assert h_error.max() < dt * dt
@@ -404,6 +449,21 @@ def test_oversized_step_fails_loudly():
     with pytest.raises(StepError) as err:
         integrate(model, x0, p0, dt=2.0, steps=10)
     assert "step" in str(err.value)
+
+
+def test_step_error_names_dt_and_step():
+    """At speed 10 and dt = 1 the first step cannot reach the sphere."""
+    model = model_of(2, 1)
+    x0, p0 = [1.0, 0.0, 0.0], [0.0, 10.0, 0.0]
+    message = "constraint projection lost the sphere (dt=1)"
+    with pytest.raises(StepError) as err:
+        step(x0, p0, model, 1.0)
+    assert str(err.value) == message
+    with pytest.raises(StepError) as err:
+        integrate(model, x0, p0, dt=1.0, steps=3)
+    assert str(err.value) == "step 1: " + message
+    with pytest.raises(StepError, match=r"\(dt=nan\)"):
+        step(x0, [0.0, 1.0, 0.0], model, math.nan)
 
 
 def test_csv_output_round_trips(tmp_path):
