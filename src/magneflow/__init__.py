@@ -3,8 +3,9 @@ geodesic flow on the round sphere.
 
 The exact layer (`exactpoly`, `magnetic_model`, `integral_family`)
 constructs the first integrals as polynomials over Q and proves their
-commutation by computing brackets exactly.  The numeric layer (`verify`,
-`flow`) adds independence tests, Hamiltonian membership, and a
+commutation by computing brackets exactly.  `verify` adds an exact
+certificate of functional independence over a prime field, Hamiltonian
+membership and the superintegrability probe; `flow` is a
 constraint-preserving second-order integrator; `cli` wraps everything in
 a batch front-end.
 """
@@ -50,16 +51,14 @@ from .magnetic_model import (
     skew_normal_form,
 )
 from .verify import (
+    IndependenceCertificate,
     MembershipResult,
     PairResult,
     ProbeResult,
-    RankStats,
     VerificationReport,
     check_commutation,
-    fd_bracket_oracle,
     functional_independence,
     hamiltonian_membership,
-    potential_compatibility,
     run_verification,
     superintegrability_probe,
 )
@@ -91,14 +90,12 @@ __all__ = [
     "degenerate_integral",
     "limit_integral",
     "check_commutation",
-    "fd_bracket_oracle",
-    "potential_compatibility",
     "functional_independence",
     "hamiltonian_membership",
     "superintegrability_probe",
     "run_verification",
     "PairResult",
-    "RankStats",
+    "IndependenceCertificate",
     "MembershipResult",
     "ProbeResult",
     "VerificationReport",

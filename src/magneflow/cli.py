@@ -59,12 +59,12 @@ def _artifact(kind: str, config: dict, seed: int, payload: dict) -> dict:
 
 
 def _write_json(path: str, obj: dict):
-    encoder = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False)
     # A dry run rejects non-finite numbers before the file exists, so a
-    # failure leaves no partial artifact; the file is then streamed, which
-    # keeps the whole text out of memory.
-    for _ in encoder.iterencode(obj):
-        pass
+    # failure leaves no partial artifact.  It encodes without indent, which
+    # keeps it on the C encoder; the file is then streamed, which keeps the
+    # indented text out of memory.
+    json.JSONEncoder(sort_keys=True, allow_nan=False).encode(obj)
+    encoder = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w") as fh:
         for chunk in encoder.iterencode(obj):
             fh.write(chunk)

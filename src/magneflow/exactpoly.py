@@ -548,8 +548,8 @@ def compiled_evaluator(poly: PhasePoly):
     """Vectorized float evaluator: maps an (R, 2(n+1)) point array to (R,).
 
     The exact layer stays exact; this is the one float evaluator
-    (trajectory diagnostics, rank sampling, bracket classification and the
-    finite-difference oracle).  Each term's factor tuple (X1^2 gives
+    (trajectory diagnostics, bracket classification, and the tests' float
+    rank and finite-difference oracles).  Each term's factor tuple (X1^2 gives
     (0, 0)) is padded to a common length with a sentinel slot that reads
     a column of ones; a term's value is the product of its gathered
     factors.  Each coefficient is its numerator divided by the

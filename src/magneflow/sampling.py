@@ -7,18 +7,22 @@ of which other checks ran before it.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
-__all__ = ["STREAM_COMMUTATION", "STREAM_INDEPENDENCE", "STREAM_PROBE", "STREAM_SIMULATE",
-           "generator", "constrained_point", "constrained_points"]
+__all__ = ["STREAM_COMMUTATION", "STREAM_INDEPENDENCE", "STREAM_SIMULATE",
+           "generator", "constrained_point", "constrained_points", "rational_point"]
 
-# Substream ids: the bracket classification points of `verify`, its
-# independence rank test, its probe rank tests, and the initial state of
-# `simulate`.
+# Substream ids: the bracket classification points of `verify`, the
+# rational points of its independence certificate (shared by the probe),
+# and the initial state of `simulate`.
 STREAM_COMMUTATION = 1
 STREAM_INDEPENDENCE = 2
-STREAM_PROBE = 3
 STREAM_SIMULATE = 4
+
+# The denominator of the seeded coordinates in `rational_point`.
+RATIONAL_GRID = 1 << 16
 
 
 def generator(seed: int, *stream: int) -> np.random.Generator:
@@ -57,3 +61,20 @@ def constrained_points(rng: np.random.Generator, n: int, count: int) -> np.ndarr
         out[k, : n + 1] = x
         out[k, n + 1 :] = p
     return out
+
+
+def rational_point(rng: np.random.Generator, n: int) -> tuple:
+    """One rational point (X, P) of the constraint set, as Fraction lists.
+
+    X = (2u, |u|^2 - 1) / (|u|^2 + 1) is the inverse stereographic
+    projection of u in Q^n, and P = q - <q,X> X for q in Q^(n+1), so
+    |X|^2 = 1 and <X,P> = 0 hold exactly.  u and q lie on the grid of
+    multiples of 1/RATIONAL_GRID in [-1, 1].
+    """
+    grid = rng.integers(-RATIONAL_GRID, RATIONAL_GRID, size=2 * n + 1, endpoint=True)
+    u = [Fraction(int(a), RATIONAL_GRID) for a in grid[:n]]
+    q = [Fraction(int(a), RATIONAL_GRID) for a in grid[n:]]
+    norm2 = sum(v * v for v in u)
+    x = [2 * v / (norm2 + 1) for v in u] + [(norm2 - 1) / (norm2 + 1)]
+    qx = sum(a * b for a, b in zip(q, x))
+    return x, [a - qx * b for a, b in zip(q, x)]

@@ -6,11 +6,14 @@ merely vanishes numerically on the constraint set is classified as
 `zero_on_constraints`; that tier exists to make failures informative and
 is still a failure.
 
-Functional independence and the probe share one numeric rank path:
-seeded points on the constraint set, the ambient gradients of the members
-at those points (evaluated from each member's nonzero first partials
-only), their ranks after projection tangential to the constraint set, and
-a `RankStats` derived from those ranks.  All randomness comes from one
+Functional independence is certified exactly too.  At a seeded rational
+point of the constraint set, the member gradients and the two constraint
+normals are reduced modulo the prime PRIME = 2^61 - 1 into one echelon
+form; full rank there implies a nonzero minor over Q, which proves
+independence (Schwartz 1980 and Zippel 1979 bound the chance that a
+random point misses it; for modular rank see von zur Gathen and Gerhard,
+*Modern Computer Algebra*, ch. 5).  The probe reduces each candidate's
+gradient against the same echelon form.  All randomness comes from one
 seed through the named substreams of `sampling`, so reports are
 reproducible from the seed alone.
 """
@@ -37,11 +40,9 @@ from .integral_family import IntegralFamily, killing
 from .magnetic_model import MagneticModel, hamiltonian_pert
 
 __all__ = [
-    "fd_bracket_oracle",
     "PairResult",
     "check_commutation",
-    "potential_compatibility",
-    "RankStats",
+    "IndependenceCertificate",
     "functional_independence",
     "MembershipResult",
     "hamiltonian_membership",
@@ -52,37 +53,10 @@ __all__ = [
 ]
 
 ON_CONSTRAINT_RTOL = 1e-10
-RANK_THRESHOLD_REL = 1e-8
-FULL_RANK_QUOTA = 0.95
-FD_STEP = 1e-5
-
-
-# -- finite-difference oracle -------------------------------------------------
-
-
-def fd_bracket_oracle(f: PhasePoly, g: PhasePoly, point) -> float:
-    """Central-difference estimate of {f, g} at a float point, with step
-    FD_STEP.
-
-    Uses only the float evaluator, never the symbolic bracket, so it serves
-    as an independent cross-check of the exact engine.  The points shifted
-    by +FD_STEP and -FD_STEP in each slot are stacked into one array, so f
-    and g are evaluated once each.
-    """
-    width = f.width
-    z = np.asarray(point, dtype=float)
-    if z.shape != (width,):
-        raise InputError(f"point has shape {z.shape}, expected ({width},)")
-    shifts = FD_STEP * np.eye(width)
-    stencil = np.concatenate([z + shifts, z - shifts])
-
-    def central_differences(poly):
-        values = compiled_evaluator(poly)(stencil)
-        return (values[:width] - values[width:]) / (2.0 * FD_STEP)
-
-    df, dg = central_differences(f), central_differences(g)
-    d = f.n + 1
-    return float(df[:d] @ dg[d:] - df[d:] @ dg[:d])
+# Float points at which a nonzero bracket is classified.
+COMMUTATION_POINTS = 50
+# The modulus of the independence certificate, 2^61 - 1.
+PRIME = (1 << 61) - 1
 
 
 # -- pairwise commutation ------------------------------------------------------
@@ -99,130 +73,137 @@ class PairResult:
         return asdict(self)
 
 
-def _classify_bracket(f, g, bracket, points) -> tuple:
-    if bracket.is_zero:
-        return "zero_polynomial", 0
-
+def _classify_nonzero(f, g, bracket, points) -> str:
     def peak(poly):
         return float(np.max(np.abs(compiled_evaluator(poly)(points))))
 
     if peak(bracket) <= ON_CONSTRAINT_RTOL * max(1.0, peak(f), peak(g)):
-        return "zero_on_constraints", bracket.num_terms
-    return "nonzero", bracket.num_terms
+        return "zero_on_constraints"
+    return "nonzero"
 
 
 def check_commutation(family: IntegralFamily, seed: int = 0) -> list:
     """Exact brackets of all member pairs (self pairs included) and of each
-    member with the Hamiltonian."""
+    member with the Hamiltonian.  The float points that classify a nonzero
+    bracket are drawn on the first one, so a family whose brackets all
+    vanish draws none."""
     members = family.members() + [hamiltonian_pert(family.model)]
     labels = family.labels() + ["H"]
-    rng = sampling.generator(seed, sampling.STREAM_COMMUTATION)
-    points = sampling.constrained_points(rng, family.model.n, 50)
+    points = None
 
     results = []
     for i in range(len(members) - 1):  # no (H, H) self pair
         for j in range(i, len(members)):
             bracket = poisson_bracket(members[i], members[j])
-            status, witness = _classify_bracket(members[i], members[j], bracket, points)
-            results.append(PairResult(labels[i], labels[j], status, witness))
+            if bracket.is_zero:
+                results.append(PairResult(labels[i], labels[j], "zero_polynomial", 0))
+                continue
+            if points is None:
+                rng = sampling.generator(seed, sampling.STREAM_COMMUTATION)
+                points = sampling.constrained_points(rng, family.model.n, COMMUTATION_POINTS)
+            status = _classify_nonzero(members[i], members[j], bracket, points)
+            results.append(PairResult(labels[i], labels[j], status, bracket.num_terms))
     return results
-
-
-def potential_compatibility(k1: PhasePoly, u1: PhasePoly, k2: PhasePoly, u2: PhasePoly) -> bool:
-    """Exact check of the mixed commutation condition {K1,U2} + {U1,K2} = 0,
-    the momentum-degree-1 component of {K1+U1, K2+U2}."""
-    for poly, want, what in ((k1, 2, "K1"), (k2, 2, "K2"), (u1, 0, "U1"), (u2, 0, "U2")):
-        degrees = set(poly.p_degree_parts())
-        if degrees - {want}:
-            raise InputError(f"{what} must be homogeneous of momentum degree {want}")
-    mixed = poisson_bracket(k1, u2) + poisson_bracket(u1, k2)
-    return mixed.is_zero
 
 
 # -- functional independence ---------------------------------------------------
 
 
 @dataclass
-class RankStats:
-    """The projected rank at each sample point; a point is full rank when
-    its rank reaches `expected_rank`."""
+class IndependenceCertificate:
+    """The tangential rank mod PRIME of the member differentials at each
+    exact rational point tried, rank[(2X, 0); (P, X); dF_1..dF_k] - 2;
+    `x` and `p` are the last point tried.  Rank k at one point certifies
+    independence, a smaller rank proves nothing."""
 
     expected_rank: int
     ranks: list
+    x: list
+    p: list
 
     @property
-    def samples(self) -> int:
-        return len(self.ranks)
-
-    @property
-    def failures(self) -> list:
-        """(sample index, rank) of every point below full rank."""
-        return [(i, r) for i, r in enumerate(self.ranks) if r < self.expected_rank]
-
-    @property
-    def full_rank_count(self) -> int:
-        return self.samples - len(self.failures)
-
-    @property
-    def full_rank_fraction(self) -> float:
-        return self.full_rank_count / self.samples if self.samples else 0.0
-
-    def histogram(self) -> dict:
-        hist: dict = {}
-        for r in self.ranks:
-            hist[r] = hist.get(r, 0) + 1
-        return {str(k): v for k, v in sorted(hist.items())}
+    def certified(self) -> bool:
+        return self.ranks[-1] == self.expected_rank
 
     def to_dict(self) -> dict:
         return {
-            "samples": self.samples,
+            "point": {"x": [format_rational(v) for v in self.x],
+                      "p": [format_rational(v) for v in self.p]},
+            "prime": PRIME,
+            "rank": self.ranks[-1],
             "expected_rank": self.expected_rank,
-            "histogram": self.histogram(),
-            "full_rank_count": self.full_rank_count,
-            "threshold_rel": RANK_THRESHOLD_REL,
-            "failures": [{"sample": i, "rank": r} for i, r in self.failures],
+            "points_tried": len(self.ranks),
+            "certified": self.certified,
         }
 
 
-def _gradient_tensor(members, points: np.ndarray) -> np.ndarray:
-    """Ambient gradients of each member at each point: (R, k, 2d).  Only
-    the nonzero partials are evaluated; every other slot stays 0."""
-    grads = np.zeros((points.shape[0], len(members), points.shape[1]))
-    for k, poly in enumerate(members):
-        for slot in _partials(poly):
-            grads[:, k, slot] = compiled_evaluator(poly._partial(slot))(points)
-    return grads
+def _gradient_row(poly: PhasePoly, residues: list) -> list:
+    """den(poly) times the gradient of poly mod PRIME at the point whose
+    coordinates have these residues.  Scaling a row leaves ranks unchanged."""
+    row = [0] * poly.width
+    for slot, terms in _partials(poly).items():
+        total = 0
+        for mono, c in terms:
+            for factor in mono:
+                c *= residues[factor]
+            total += c
+        row[slot] = total % PRIME
+    return row
 
 
-def _projected_ranks(grads: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Rank of each point's member gradients, (R, k, 2d) -> (R,), projected
-    tangentially to the constraint set {|X|^2 = 1, <X,P> = 0}."""
-    d = points.shape[1] // 2
-    x, p = points[:, :d], points[:, d:]
-    e1 = np.concatenate([x, np.zeros_like(x)], axis=1)
-    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
-    v2 = np.concatenate([p, x], axis=1)
-    v2 -= np.einsum("rw,rw->r", e1, v2)[:, None] * e1
-    e2 = v2 / np.linalg.norm(v2, axis=1, keepdims=True)
-    proj = grads.copy()
-    for e in (e1, e2):
-        proj -= (grads @ e[:, :, None]) * e[:, None, :]
-    svals = np.linalg.svd(proj, compute_uv=False)
-    return np.sum(svals > RANK_THRESHOLD_REL * svals[:, :1], axis=1)
+def _reduce(row: list, echelon: list) -> list:
+    """row minus its combination of the echelon rows, mod PRIME: zero in
+    every pivot column, and zero everywhere iff row lies in their span."""
+    for col, pivot in echelon:
+        factor = row[col]
+        if factor:
+            row = [(a - factor * b) % PRIME for a, b in zip(row, pivot)]
+    return row
 
 
-def _rank_points(n: int, samples: int, seed: int, stream: int) -> np.ndarray:
-    return sampling.constrained_points(sampling.generator(seed, stream), n, samples)
+def _echelon(rows) -> list:
+    """Echelon form mod PRIME of the rows, as (pivot column, row with a 1
+    there and a 0 in every earlier pivot column) pairs; its length is the
+    rank mod PRIME."""
+    echelon = []
+    for row in rows:
+        row = _reduce(row, echelon)
+        col = next((i for i, v in enumerate(row) if v), None)
+        if col is not None:
+            inverse = pow(row[col], -1, PRIME)
+            echelon.append((col, [v * inverse % PRIME for v in row]))
+    return echelon
 
 
-def functional_independence(members, n: int, samples: int = 100, seed: int = 0) -> RankStats:
-    """Numeric rank of the member differentials restricted to the unit
-    cotangent structure, at seeded random points; a point is full rank when
-    the rank equals the number of members."""
-    members = list(members)
-    points = _rank_points(n, samples, seed, sampling.STREAM_INDEPENDENCE)
-    ranks = _projected_ranks(_gradient_tensor(members, points), points)
-    return RankStats(len(members), ranks.tolist())
+def _certify(members: list, n: int, samples: int, seed: int) -> tuple:
+    """(certificate, echelon form, residues) at the last point tried.
+
+    Points come from the STREAM_INDEPENDENCE substream of the seed; one
+    whose coordinates have a denominator divisible by PRIME is skipped and
+    does not count.  At most `samples` points are tried."""
+    if samples < 1:
+        raise InputError(f"samples must be at least 1, got {samples}")
+    rng = sampling.generator(seed, sampling.STREAM_INDEPENDENCE)
+    ranks = []
+    while len(ranks) < samples and (not ranks or ranks[-1] < len(members)):
+        x, p = sampling.rational_point(rng, n)
+        if any(v.denominator % PRIME == 0 for v in x + p):
+            continue
+        residues = [v.numerator * pow(v.denominator, -1, PRIME) % PRIME for v in x + p]
+        rx, rp = residues[: n + 1], residues[n + 1:]
+        normals = [[2 * v % PRIME for v in rx] + [0] * (n + 1), rp + rx]
+        echelon = _echelon(normals + [_gradient_row(poly, residues) for poly in members])
+        ranks.append(len(echelon) - 2)
+    return IndependenceCertificate(len(members), ranks, x, p), echelon, residues
+
+
+def functional_independence(
+    members, n: int, samples: int = 100, seed: int = 0
+) -> IndependenceCertificate:
+    """Exact certificate that the members are functionally independent on
+    the unit cotangent structure: their tangential rank mod PRIME reaches
+    the member count at one of at most `samples` seeded rational points."""
+    return _certify(list(members), n, samples, seed)[0]
 
 
 # -- membership of the Hamiltonian ---------------------------------------------
@@ -345,7 +326,7 @@ class ProbeResult:
     cross_pair: bool
     commutes_with_hamiltonian: bool
     commutes_with_indicator_quads: bool
-    full_rank_fraction: float
+    raises_rank: bool
     is_additional_integral: bool
 
     def to_dict(self) -> dict:
@@ -382,10 +363,12 @@ def superintegrability_probe(family: IntegralFamily, samples: int = 100, seed: i
     block, and for each pair of planes the two plane-symmetric
     combinations M_ac + M_bd and M_ad - M_bc (planes (a,b) and (c,d)).
     A candidate qualifies when its bracket with H and with every
-    indicator quadratic is identically zero and it raises the numeric
-    rank of the family to n+1 at the sampled points.  Every candidate is
-    rank-tested at the same seeded points next to the same member
-    gradients.
+    indicator quadratic is identically zero and it raises the rank of
+    the family to n+1.  The members are certified as in
+    `functional_independence`, with the same seed, and each candidate's
+    gradient at the certifying point is reduced against the members'
+    echelon form: a nonzero remainder proves that the candidate raises
+    the rank.  When the members are not certified, no candidate does.
     """
     candidates = list(_probe_candidates(family.model))
     if not candidates:
@@ -396,14 +379,12 @@ def superintegrability_probe(family: IntegralFamily, samples: int = 100, seed: i
         q for q, prov in zip(family.quads, family.quad_provenance)
         if prov.get("kind") == "indicator"
     ]
-    points = _rank_points(n, samples, seed, sampling.STREAM_PROBE)
-    member_grads = _gradient_tensor(family.members(), points)
+    certificate, echelon, residues = _certify(family.members(), n, samples, seed)
     results = []
     for block, kind, label, poly, cross in candidates:
         commutes_h = poisson_bracket(poly, h).is_zero
         commutes_ind = all(poisson_bracket(poly, q).is_zero for q in indicator_quads)
-        grads = np.concatenate([member_grads, _gradient_tensor([poly], points)], axis=1)
-        stats = RankStats(n + 1, _projected_ranks(grads, points).tolist())
+        raises = certificate.certified and any(_reduce(_gradient_row(poly, residues), echelon))
         results.append(ProbeResult(
             block=block,
             kind=kind,
@@ -411,10 +392,8 @@ def superintegrability_probe(family: IntegralFamily, samples: int = 100, seed: i
             cross_pair=cross,
             commutes_with_hamiltonian=commutes_h,
             commutes_with_indicator_quads=commutes_ind,
-            full_rank_fraction=stats.full_rank_fraction,
-            is_additional_integral=(
-                commutes_h and commutes_ind and stats.full_rank_fraction >= FULL_RANK_QUOTA
-            ),
+            raises_rank=raises,
+            is_additional_integral=commutes_h and commutes_ind and raises,
         ))
     return results
 
@@ -428,15 +407,14 @@ class VerificationReport:
     seed: int
     samples: int
     pair_results: list
-    rank_stats: RankStats
+    independence: IndependenceCertificate
     membership: MembershipResult
     probe_results: list
 
     @property
     def passed(self) -> bool:
         pairs_ok = all(p.status == "zero_polynomial" for p in self.pair_results)
-        rank_ok = self.rank_stats.full_rank_fraction >= FULL_RANK_QUOTA
-        return pairs_ok and rank_ok and self.membership.ok
+        return pairs_ok and self.independence.certified and self.membership.ok
 
     def to_dict(self) -> dict:
         return {
@@ -444,7 +422,7 @@ class VerificationReport:
             "seed": self.seed,
             "samples": self.samples,
             "pair_results": [p.to_dict() for p in self.pair_results],
-            "rank_stats": self.rank_stats.to_dict(),
+            "independence": self.independence.to_dict(),
             "membership": self.membership.to_dict(),
             "probe_results": [p.to_dict() for p in self.probe_results],
             "passed": self.passed,
@@ -454,15 +432,17 @@ class VerificationReport:
 def run_verification(
     family: IntegralFamily, samples: int = 100, seed: int = 0
 ) -> VerificationReport:
-    """Full verification pass over a family: exact commutation, numeric
-    independence, exact membership of H, and the extra-integral probe."""
+    """Full verification pass over a family: exact commutation, certified
+    independence at up to `samples` rational points, exact membership of
+    H, and the extra-integral probe."""
     model = family.model
     return VerificationReport(
         model=model,
         seed=seed,
         samples=samples,
         pair_results=check_commutation(family, seed=seed),
-        rank_stats=functional_independence(family.members(), model.n, samples=samples, seed=seed),
+        independence=functional_independence(
+            family.members(), model.n, samples=samples, seed=seed),
         membership=hamiltonian_membership(family),
         probe_results=superintegrability_probe(family, samples=samples, seed=seed),
     )

@@ -33,6 +33,7 @@ from magneflow import (
     x_var,
 )
 from magneflow import sampling
+from oracles import float_independence
 
 CI_MATRIX = (
     (2, ("1",)),
@@ -114,10 +115,20 @@ def test_04_functional_independence():
     bad = []
     for n, alphas in CI_MATRIX:
         fam = family_for(n, alphas)
-        stats = functional_independence(fam.members(), n, samples=100, seed=SEED)
+        stats = float_independence(fam.members(), n, samples=100, seed=SEED)
         if stats.full_rank_count < 95:
             bad.append((n, alphas, stats.histogram()))
     verdict(4, "rank n at 95 of 100 sample points", not bad, f"rank defects {bad}")
+
+
+def test_04_functional_independence_is_certified_exactly():
+    bad = []
+    for n, alphas in CI_MATRIX:
+        fam = family_for(n, alphas)
+        cert = functional_independence(fam.members(), n, samples=100, seed=SEED)
+        if not (cert.certified and cert.expected_rank == n):
+            bad.append((n, alphas, cert.ranks))
+    verdict(4, "rank n mod 2^61-1 at an exact rational point", not bad, f"rank defects {bad}")
 
 
 def test_05_nondegenerate_quadratic_family_oracle():

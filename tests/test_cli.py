@@ -129,6 +129,42 @@ def test_verify_flags_tampered_family(tmp_path, capsys):
     assert "nonzero" in statuses
 
 
+def test_verify_with_one_sample_passes(tmp_path, capsys):
+    family = build_family(tmp_path, capsys, n=4, alpha="1,1")
+    report_path = tmp_path / "report.json"
+    code, _, _ = run(capsys, "verify", "--family", str(family),
+                     "--samples", "1", "--report", str(report_path))
+    assert code == 0
+    body = json.loads(report_path.read_text())["report"]
+    assert body["passed"] is True
+    independence = body["independence"]
+    assert independence["certified"] is True
+    assert (independence["rank"], independence["expected_rank"]) == (4, 4)
+    assert independence["points_tried"] == 1
+    assert [p["raises_rank"] for p in body["probe_results"]].count(True) == 6
+
+
+def test_verify_fails_uncertified_family_with_duplicated_member(tmp_path, capsys):
+    family = build_family(tmp_path, capsys, n=3, alpha="1,2")
+    data = json.loads(family.read_text())
+    integrals = data["family"]["integrals"]
+    assert [entry["tag"] for entry in integrals[1:]] == ["linear", "linear"]
+    integrals[2]["poly"] = integrals[1]["poly"]
+    family.write_text(json.dumps(data))
+    report_path = tmp_path / "report.json"
+    code, out, _ = run(capsys, "verify", "--family", str(family),
+                       "--samples", "7", "--report", str(report_path))
+    assert code == 1
+    assert out.startswith("verification FAIL")
+    body = json.loads(report_path.read_text())["report"]
+    assert {entry["status"] for entry in body["pair_results"]} == {"zero_polynomial"}
+    independence = body["independence"]
+    assert independence["certified"] is False
+    assert (independence["rank"], independence["expected_rank"]) == (2, 3)
+    assert independence["points_tried"] == 7
+    assert body["passed"] is False
+
+
 def test_verify_rejects_malformed_input(tmp_path, capsys):
     garbage = tmp_path / "garbage.json"
     garbage.write_text("{not json")

@@ -15,7 +15,6 @@ from magneflow import (
     MagneticModel,
     PhasePoly,
     compiled_evaluator,
-    fd_bracket_oracle,
     format_rational,
     hamiltonian_pert,
     parse_rational,
@@ -24,6 +23,7 @@ from magneflow import (
     x_var,
 )
 from magneflow import exactpoly
+from oracles import fd_bracket_oracle
 
 N = 2
 WIDTH = 2 * (N + 1)

@@ -14,7 +14,6 @@ from magneflow import (
     PhasePoly,
     commuting_basis,
     degenerate_integral,
-    fd_bracket_oracle,
     hamiltonian_pert,
     killing,
     kinetic_energy,
@@ -26,6 +25,7 @@ from magneflow import (
     x_var,
 )
 from magneflow import sampling
+from oracles import fd_bracket_oracle
 
 
 def sphere_poly(n):
@@ -296,23 +296,23 @@ def test_family_matches_golden_digest(n, alpha, digest):
 
 
 # sha256 of json.dumps(report.to_dict(), sort_keys=True) for a verification
-# run with samples=100, seed=42 over the same models.  Apart from the rank
-# counts, which come from float SVDs at seeded points, a report is exact,
-# so a change to the rank path or to the probe that alters one rank, one
-# candidate or one key changes these digests.
+# run with samples=100, seed=42 over the same models.  A report is exact,
+# its independence certificate included (a rational point and ranks mod a
+# prime), so a change to the certificate or to the probe that alters one
+# rank, one candidate or one key changes these digests.
 REPORT_DIGESTS = (
-    (2, "1", "595915906a429427dff97b67c20b2314fda80fce4fae9c8a77962833d68f4569"),
-    (3, "1,2", "ff9120c0de9cf9c1f967aa2fe09c03829ff83be88bf48f72f598ccbfc7ad14f7"),
-    (3, "1,1", "81f1248ea62bd9fe8141b7e7b0adad1259d8da91715418ad11bc7aa613515737"),
-    (4, "1,2", "953c04c0a3ecfcf0f64bb64c9de084e8e36bb9dfbd7da4efa5ec61842ff80f88"),
-    (4, "1,1", "d3cef0392edbd6abd5abba606b6fd509e7b42302bf2f15b57590db359ce1e417"),
-    (5, "1,2,3", "5c760b506a8d086b2be69641ccdb7ac31237f8a0e1981f2af46dbd4f824f177c"),
-    (5, "1,1,2", "dfc39a93988b51eca7d553f50f6b9d287806ba420543ce581c917a9099c6d388"),
-    (5, "1,1,1", "af97b6f9f23c3949ba3a98366de7dfa1dba0d4124620a9fbd942ab658d7b7c12"),
-    (6, "1,1,1", "2430dc9bad9c885892f1309afff787d7565085838cec1c30b58b50fc5a94db83"),
-    (7, "1,2,3,4", "5c7c014f01717f18962bed2c47ba1801fa53dc9d2aeaf5f6c32503053322f44b"),
-    (7, "1,1,2,2", "07879fc19998117c5bcb30583cc2e4e55bb6ccb0427843cf8f35a3dc2044dcb2"),
-    (9, "1,1,1,1,1", "edf3bdbe95d6de0725d5bb8183fd511c5d0dae32448acc04cfcd9481414f9988"),
+    (2, "1", "e2dbcc25fab9dd4ed526c2469344a2012a84e170bcabf1be5927eac5df5e8638"),
+    (3, "1,2", "b7cbe3d0ec1f20dc9c2d76abd88c22f3fd164b1cfe987d75e27a7a6e59eb958f"),
+    (3, "1,1", "210d14a182bd47a8ecf50c1870a9f4c027e3b181f4e31aedeceb0d37567376cf"),
+    (4, "1,2", "f809e2df069265d933bc6b520545b5cebef2a65f4c7ca7f455874e052f80e1dc"),
+    (4, "1,1", "1161dae7dca03aee9ed4bb933dc368df13144160569cd26ec44cad07379e4ffd"),
+    (5, "1,2,3", "3c179ff75388789c02e988dc0bb0615512a5df0011fd75df1bf000f176687bba"),
+    (5, "1,1,2", "165e162c608340ad9927023be50c3e6ac2b626149c20c18924ce094b4284eb4d"),
+    (5, "1,1,1", "5096a0b05d5c7ea5fb87e7ed712805013f35b14326469d1731099b00a0d39867"),
+    (6, "1,1,1", "729d4215d8671e592083d178058cdc89db77e182e06f952554e22d099ad8df8f"),
+    (7, "1,2,3,4", "82e7fc47203f0b6bd227fd067537c1596393c9a0b39051dd8429935529e7ee6b"),
+    (7, "1,1,2,2", "6534178279b4b6a20f34351390e92d23cab1f4de01a52c496c89fe61a5763778"),
+    (9, "1,1,1,1,1", "a9e2575396a15dfc653f7a66f320f9c60e0d625a3af4e6094c5aca156227ea8b"),
 )
 
 

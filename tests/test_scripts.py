@@ -24,6 +24,22 @@ def test_script_runs_to_its_verdict(script, args, last_line):
     assert proc.stdout.splitlines()[-1] == last_line
 
 
+def test_ci_matrix_prints_certified_rank_per_model():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_ci_matrix.py"), "--samples", "3"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, *rows, _ = proc.stdout.splitlines()
+    assert header.split()[3] == "rank"
+    assert len(rows) == 11
+    for row in rows:
+        label, rank = row.split()[0], row.split()[3]
+        n = label[1:label.index(",")]
+        assert rank == f"{n}/{n}", row
+
+
 @pytest.mark.parametrize("args", [
     ["--alpha", "1/0"],
     ["--alpha", "1,,2"],

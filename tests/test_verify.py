@@ -1,11 +1,12 @@
 """Verification layer: commutation tiers, independence, membership, probe."""
 
+import dataclasses
 import re
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from magneflow import (
@@ -15,7 +16,6 @@ from magneflow import (
     PhasePoly,
     check_commutation,
     commuting_basis,
-    fd_bracket_oracle,
     functional_independence,
     hamiltonian_membership,
     hamiltonian_pert,
@@ -23,7 +23,6 @@ from magneflow import (
     kinetic_energy,
     poisson_bracket,
     potential,
-    potential_compatibility,
     run_verification,
     superintegrability_probe,
     uhlenbeck_integral,
@@ -31,13 +30,17 @@ from magneflow import (
     p_var,
 )
 from magneflow import sampling
-from magneflow.verify import (
+from magneflow.verify import PRIME, _echelon, _probe_candidates, _solve_exact
+from oracles import (
     RANK_THRESHOLD_REL,
-    RankStats,
-    _gradient_tensor,
-    _projected_ranks,
-    _rank_points,
-    _solve_exact,
+    fd_bracket_oracle,
+    float_independence,
+    float_probe_verdicts,
+    fraction_rank,
+    gradient_tensor,
+    potential_compatibility,
+    projected_ranks,
+    rank_points,
 )
 
 
@@ -183,7 +186,16 @@ def test_compatibility_validates_degrees():
 
 def test_healthy_family_has_full_rank():
     fam = commuting_basis(model_of(2, 1))
-    stats = functional_independence(fam.members(), 2, samples=50, seed=42)
+    cert = functional_independence(fam.members(), 2, samples=50, seed=42)
+    assert cert.expected_rank == 2
+    assert cert.ranks == [2]
+    assert cert.certified
+    data = cert.to_dict()
+    assert data["prime"] == PRIME == 2**61 - 1
+    assert (data["rank"], data["expected_rank"], data["points_tried"]) == (2, 2, 1)
+    assert [F(v) for v in data["point"]["x"]] == cert.x
+    assert [F(v) for v in data["point"]["p"]] == cert.p
+    stats = float_independence(fam.members(), 2, samples=50, seed=42)
     assert stats.expected_rank == 2
     assert stats.full_rank_count == 50
     assert stats.histogram() == {"2": 50}
@@ -193,7 +205,11 @@ def test_healthy_family_has_full_rank():
 def test_repeated_member_drops_rank_everywhere():
     fam = commuting_basis(model_of(2, 1))
     members = [fam.quads[0], fam.quads[0]]
-    stats = functional_independence(members, 2, samples=25, seed=42)
+    cert = functional_independence(members, 2, samples=25, seed=42)
+    assert cert.ranks == [1] * 25
+    assert not cert.certified
+    assert cert.to_dict()["points_tried"] == 25
+    stats = float_independence(members, 2, samples=25, seed=42)
     assert all(rank <= 1 for rank in stats.ranks)
     assert stats.full_rank_count == 0
     assert len(stats.failures) == 25
@@ -202,9 +218,52 @@ def test_repeated_member_drops_rank_everywhere():
 def test_rank_can_exceed_family_size_with_extra_function():
     fam = commuting_basis(model_of(4, 1, 1))
     extra = killing(1, 3, 4) + killing(2, 4, 4)
-    stats = functional_independence(fam.members() + [extra], 4, samples=40, seed=7)
+    cert = functional_independence(fam.members() + [extra], 4, samples=40, seed=7)
+    assert cert.expected_rank == 5
+    assert cert.certified
+    stats = float_independence(fam.members() + [extra], 4, samples=40, seed=7)
     assert stats.expected_rank == 5
     assert stats.full_rank_count >= 38
+
+
+def test_independence_rejects_no_samples():
+    fam = commuting_basis(model_of(2, 1))
+    with pytest.raises(InputError, match="samples"):
+        functional_independence(fam.members(), 2, samples=0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 21])
+def test_rational_point_lies_exactly_on_the_constraint_set(n):
+    rng = sampling.generator(3, sampling.STREAM_INDEPENDENCE)
+    for _ in range(5):
+        x, p = sampling.rational_point(rng, n)
+        assert len(x) == len(p) == n + 1
+        assert all(type(v) is F for v in x + p)
+        assert sum(v * v for v in x) == 1
+        assert sum(a * b for a, b in zip(x, p)) == 0
+        assert any(p)
+
+
+_SMALL = st.integers(1, 5).flatmap(lambda cols: st.lists(
+    st.lists(st.integers(-4, 4), min_size=cols, max_size=cols), min_size=1, max_size=6))
+
+
+@given(_SMALL)
+@settings(max_examples=200, deadline=None)
+@example([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
+@example([[0, 0], [0, 0]])
+@example([[3, -1, 2], [-6, 2, -4], [0, 5, 5], [3, 4, 7]])
+def test_modular_rank_matches_fraction_rank(matrix):
+    residues = [[v % PRIME for v in row] for row in matrix]
+    assert len(_echelon(residues)) == fraction_rank(matrix)
+
+
+def test_independence_is_seed_deterministic():
+    fam = commuting_basis(model_of(3, 1, 2))
+    s1 = functional_independence(fam.members(), 3, samples=30, seed=11)
+    s2 = functional_independence(fam.members(), 3, samples=30, seed=11)
+    assert s1 == s2
+    assert functional_independence(fam.members(), 3, samples=30, seed=12).x != s1.x
 
 
 def projected_rank_oracle(grad, x, p):
@@ -237,39 +296,59 @@ CI_MATRIX = [
 @pytest.mark.parametrize("n, alpha", CI_MATRIX)
 def test_batched_ranks_match_scalar_oracle(n, alpha):
     fam = commuting_basis(model_of(n, *alpha.split(",")))
-    points = _rank_points(n, 40, 3, 2)
-    grads = _gradient_tensor(fam.members(), points)
-    ranks = _projected_ranks(grads, points)
+    points = rank_points(n, 40, 3, 2)
+    grads = gradient_tensor(fam.members(), points)
+    ranks = projected_ranks(grads, points)
     assert ranks.tolist() == oracle_ranks(grads, points)
     assert ranks.tolist() == [n] * 40
     # a duplicated member and a vanishing gradient lower the rank alike
     dup = np.concatenate([grads, grads[:, :1]], axis=1)
-    assert _projected_ranks(dup, points).tolist() == oracle_ranks(dup, points) == [n] * 40
+    assert projected_ranks(dup, points).tolist() == oracle_ranks(dup, points) == [n] * 40
     flat = np.concatenate([grads, np.zeros_like(grads[:, :1])], axis=1)
-    assert _projected_ranks(flat, points).tolist() == oracle_ranks(flat, points) == [n] * 40
+    assert projected_ranks(flat, points).tolist() == oracle_ranks(flat, points) == [n] * 40
 
 
 def test_batched_ranks_of_zero_gradients_are_zero():
-    points = _rank_points(3, 10, 0, 2)
+    points = rank_points(3, 10, 0, 2)
     zeros = np.zeros((10, 3, 8))
-    assert _projected_ranks(zeros, points).tolist() == oracle_ranks(zeros, points) == [0] * 10
+    assert projected_ranks(zeros, points).tolist() == oracle_ranks(zeros, points) == [0] * 10
     mixed = np.random.default_rng(4).standard_normal((10, 3, 8))
     mixed[::2] = 0.0
-    assert _projected_ranks(mixed, points).tolist() == oracle_ranks(mixed, points)
-    assert _projected_ranks(mixed, points)[::2].tolist() == [0] * 5
+    assert projected_ranks(mixed, points).tolist() == oracle_ranks(mixed, points)
+    assert projected_ranks(mixed, points)[::2].tolist() == [0] * 5
     # the differentials of |X|^2 and <X,P> are projected away, down to
     # round-off far below the threshold next to one generic gradient
     x, p = points[:, :4], points[:, 4:]
     generic = np.random.default_rng(5).standard_normal((10, 8))
     normals = np.stack([np.hstack([x, 0 * x]), np.hstack([p, x]), generic], axis=1)
-    assert _projected_ranks(normals, points).tolist() == oracle_ranks(normals, points) == [1] * 10
+    assert projected_ranks(normals, points).tolist() == oracle_ranks(normals, points) == [1] * 10
 
 
-def test_independence_is_seed_deterministic():
-    fam = commuting_basis(model_of(3, 1, 2))
-    s1 = functional_independence(fam.members(), 3, samples=30, seed=11)
-    s2 = functional_independence(fam.members(), 3, samples=30, seed=11)
-    assert s1.ranks == s2.ranks
+def check_certificate_against_float_oracle(n, alpha):
+    fam = commuting_basis(model_of(n, *alpha.split(",")))
+    cert = functional_independence(fam.members(), n, samples=100, seed=42)
+    assert cert.certified == float_independence(fam.members(), n, samples=100, seed=42).full_rank
+    assert cert.certified
+    probe = superintegrability_probe(fam, samples=100, seed=42)
+    polys = [poly for _, _, _, poly, _ in _probe_candidates(fam.model)]
+    verdicts = float_probe_verdicts(fam, polys, samples=100, seed=42)
+    assert [r.raises_rank for r in probe] == verdicts
+    return probe
+
+
+FLOAT_ORACLE_MODELS = CI_MATRIX + [(9, "1,1,1,1,1"), (11, "1,2,3,4,5,6"), (15, "1,2,3,4,5,6,7,8")]
+
+
+@pytest.mark.parametrize("n, alpha", FLOAT_ORACLE_MODELS)
+def test_certificate_agrees_with_float_oracle(n, alpha):
+    check_certificate_against_float_oracle(n, alpha)
+
+
+@pytest.mark.slow
+def test_certificate_agrees_with_float_oracle_at_n21():
+    probe = check_certificate_against_float_oracle(21, ",".join(["1"] * 11))
+    assert len(probe) == 341
+    assert sum(r.is_additional_integral for r in probe) == 110
 
 
 # -- membership of the Hamiltonian ---------------------------------------------------
@@ -452,7 +531,7 @@ def test_probe_pair_combinations_are_additional_integrals():
     for r in combos:
         assert r.commutes_with_hamiltonian
         assert r.commutes_with_indicator_quads
-        assert r.full_rank_fraction >= 0.95
+        assert r.raises_rank
         assert r.is_additional_integral
 
 
@@ -464,7 +543,7 @@ def test_probe_in_plane_generators_commute_but_add_no_rank():
     assert len(in_plane) == 2
     for r in in_plane:
         assert r.commutes_with_hamiltonian  # they are family members
-        assert r.full_rank_fraction == 0.0  # duplicates cannot raise rank
+        assert not r.raises_rank  # duplicates cannot raise rank
         assert not r.is_additional_integral
 
 
@@ -483,12 +562,28 @@ def test_probe_ranks_match_standalone_independence(n, alpha):
     fam = commuting_basis(model)
     results = superintegrability_probe(fam, samples=30, seed=5)
     assert results
-    points = _rank_points(n, 30, 5, sampling.STREAM_PROBE)
+    # the standalone certificate of members plus candidate tries the same
+    # points; up to the members' last one it certifies exactly there
+    tried = len(functional_independence(fam.members(), n, samples=30, seed=5).ranks)
     for r in results:
         members = fam.members() + [candidate_poly(r.label, n)]
-        ranks = _projected_ranks(_gradient_tensor(members, points), points)
-        stats = RankStats(len(members), ranks.tolist())
-        assert r.full_rank_fraction == stats.full_rank_fraction
+        cert = functional_independence(members, n, samples=tried, seed=5)
+        assert r.raises_rank == cert.certified
+
+
+def test_probe_raises_no_rank_without_certified_members():
+    fam = commuting_basis(model_of(4, 1, 1))
+    dup = IntegralFamily(
+        model=fam.model,
+        quads=(fam.quads[0], fam.quads[0]),
+        quad_provenance=fam.quad_provenance,
+        linears=fam.linears,
+        linear_provenance=fam.linear_provenance,
+    )
+    assert not functional_independence(dup.members(), 4, samples=10, seed=0).certified
+    results = superintegrability_probe(dup, samples=10, seed=0)
+    assert len(results) == 8
+    assert not any(r.raises_rank or r.is_additional_integral for r in results)
 
 
 # -- full report --------------------------------------------------------------------
@@ -515,3 +610,14 @@ def test_full_verification_fails_for_tampered_family():
     )
     report = run_verification(bad, samples=50, seed=42)
     assert not report.passed
+
+
+def test_passed_requires_certified_independence():
+    fam = commuting_basis(model_of(3, 1, 2))
+    report = run_verification(fam, samples=5, seed=42)
+    assert report.passed
+    uncertified = functional_independence([fam.quads[0]] * 3, 3, samples=5, seed=42)
+    assert not uncertified.certified
+    data = dataclasses.replace(report, independence=uncertified).to_dict()
+    assert data["independence"]["certified"] is False
+    assert data["passed"] is False
