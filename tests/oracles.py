@@ -186,3 +186,41 @@ def fraction_rank(rows) -> int:
             rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
         rank += 1
     return rank
+
+
+def float_report_dict(report, family) -> dict:
+    """`report.to_dict()` as the float rank path wrote it: the independence
+    certificate replaced by the float RankStats of the members, each probe
+    candidate's `raises_rank` by its float full-rank fraction at the probe
+    points, and the verdicts `is_additional_integral` and `passed` taken
+    with the float quota in place of the certificate."""
+    from magneflow.verify import _probe_candidates
+
+    n = family.model.n
+    data = report.to_dict()
+    stats = float_independence(family.members(), n, samples=report.samples, seed=report.seed)
+    del data["independence"]
+    data["rank_stats"] = {
+        "samples": stats.samples,
+        "expected_rank": stats.expected_rank,
+        "histogram": stats.histogram(),
+        "full_rank_count": stats.full_rank_count,
+        "threshold_rel": RANK_THRESHOLD_REL,
+        "failures": [{"sample": i, "rank": r} for i, r in stats.failures],
+    }
+    points = rank_points(n, report.samples, report.seed, STREAM_FLOAT_PROBE)
+    member_grads = gradient_tensor(family.members(), points)
+    candidates = [c[3] for c in _probe_candidates(family.model)]
+    for probe, poly in zip(data["probe_results"], candidates, strict=True):
+        grads = np.concatenate([member_grads, gradient_tensor([poly], points)], axis=1)
+        probe_stats = RankStats(n + 1, projected_ranks(grads, points).tolist())
+        del probe["raises_rank"]
+        probe["full_rank_fraction"] = probe_stats.full_rank_fraction
+        probe["is_additional_integral"] = (
+            probe["commutes_with_hamiltonian"]
+            and probe["commutes_with_indicator_quads"]
+            and probe_stats.full_rank
+        )
+    pairs_ok = all(p["status"] == "zero_polynomial" for p in data["pair_results"])
+    data["passed"] = pairs_ok and stats.full_rank and data["membership"]["ok"]
+    return data

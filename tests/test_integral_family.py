@@ -25,7 +25,7 @@ from magneflow import (
     x_var,
 )
 from magneflow import sampling
-from oracles import fd_bracket_oracle
+from oracles import fd_bracket_oracle, float_report_dict
 
 
 def sphere_poly(n):
@@ -300,7 +300,7 @@ def test_family_matches_golden_digest(n, alpha, digest):
 # its independence certificate included (a rational point and ranks mod a
 # prime), so a change to the certificate or to the probe that alters one
 # rank, one candidate or one key changes these digests.
-REPORT_DIGESTS = (
+CERTIFIED_REPORT_DIGESTS = (
     (2, "1", "e2dbcc25fab9dd4ed526c2469344a2012a84e170bcabf1be5927eac5df5e8638"),
     (3, "1,2", "b7cbe3d0ec1f20dc9c2d76abd88c22f3fd164b1cfe987d75e27a7a6e59eb958f"),
     (3, "1,1", "210d14a182bd47a8ecf50c1870a9f4c027e3b181f4e31aedeceb0d37567376cf"),
@@ -316,10 +316,40 @@ REPORT_DIGESTS = (
 )
 
 
-@pytest.mark.parametrize("n, alpha, digest", REPORT_DIGESTS)
-def test_verify_report_matches_golden_digest(n, alpha, digest):
+@pytest.mark.parametrize("n, alpha, digest", CERTIFIED_REPORT_DIGESTS)
+def test_verify_report_matches_certified_digest(n, alpha, digest):
     report = run_verification(commuting_basis(model_of(n, *alpha.split(","))), samples=100, seed=42)
     text = json.dumps(report.to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# sha256 of the same reports as the float rank path wrote them, taken
+# before the independence certificate replaced it.  `float_report_dict`
+# swaps the certificate and the probe's raises_rank for the float rank
+# statistics of tests/oracles.py, so these digests pin every exact part of
+# the report (brackets, membership, probe candidates and their brackets)
+# to what it was, and the float reference to the ranks it gave.
+REPORT_DIGESTS = (
+    (2, "1", "595915906a429427dff97b67c20b2314fda80fce4fae9c8a77962833d68f4569"),
+    (3, "1,2", "ff9120c0de9cf9c1f967aa2fe09c03829ff83be88bf48f72f598ccbfc7ad14f7"),
+    (3, "1,1", "81f1248ea62bd9fe8141b7e7b0adad1259d8da91715418ad11bc7aa613515737"),
+    (4, "1,2", "953c04c0a3ecfcf0f64bb64c9de084e8e36bb9dfbd7da4efa5ec61842ff80f88"),
+    (4, "1,1", "d3cef0392edbd6abd5abba606b6fd509e7b42302bf2f15b57590db359ce1e417"),
+    (5, "1,2,3", "5c760b506a8d086b2be69641ccdb7ac31237f8a0e1981f2af46dbd4f824f177c"),
+    (5, "1,1,2", "dfc39a93988b51eca7d553f50f6b9d287806ba420543ce581c917a9099c6d388"),
+    (5, "1,1,1", "af97b6f9f23c3949ba3a98366de7dfa1dba0d4124620a9fbd942ab658d7b7c12"),
+    (6, "1,1,1", "2430dc9bad9c885892f1309afff787d7565085838cec1c30b58b50fc5a94db83"),
+    (7, "1,2,3,4", "5c7c014f01717f18962bed2c47ba1801fa53dc9d2aeaf5f6c32503053322f44b"),
+    (7, "1,1,2,2", "07879fc19998117c5bcb30583cc2e4e55bb6ccb0427843cf8f35a3dc2044dcb2"),
+    (9, "1,1,1,1,1", "edf3bdbe95d6de0725d5bb8183fd511c5d0dae32448acc04cfcd9481414f9988"),
+)
+
+
+@pytest.mark.parametrize("n, alpha, digest", REPORT_DIGESTS)
+def test_verify_report_matches_golden_digest(n, alpha, digest):
+    family = commuting_basis(model_of(n, *alpha.split(",")))
+    report = run_verification(family, samples=100, seed=42)
+    text = json.dumps(float_report_dict(report, family), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
