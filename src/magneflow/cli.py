@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -58,17 +59,56 @@ def _artifact(kind: str, config: dict, seed: int, payload: dict) -> dict:
     return out
 
 
+def _json_key(key) -> str:
+    """A dict key as json converts it: a str as it is, a number, bool or
+    None as its JSON text."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, (int, float)) or key is None:
+        return _json_text(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _json_text(obj, newline: str = "\n") -> str:
+    """The text of `json.dumps(obj, sort_keys=True, indent=2,
+    allow_nan=False)`, built in one recursive pass with json's type
+    dispatch.  With `indent`, json itself falls back to its pure-Python
+    encoder, which yields one chunk per token."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return float.__repr__(obj)
+        raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_json_text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [encode_basestring_ascii(_json_key(k)) + ": " + _json_text(v, inner)
+                 for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _write_json(path: str, obj: dict):
-    # A dry run rejects non-finite numbers before the file exists, so a
-    # failure leaves no partial artifact.  It encodes without indent, which
-    # keeps it on the C encoder; the file is then streamed, which keeps the
-    # indented text out of memory.
-    json.JSONEncoder(sort_keys=True, allow_nan=False).encode(obj)
-    encoder = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False)
+    # The text is complete before the file is opened, so a non-finite
+    # number leaves no partial artifact.
+    text = _json_text(obj) + "\n"
     with open(path, "w") as fh:
-        for chunk in encoder.iterencode(obj):
-            fh.write(chunk)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _load_json(path: str) -> dict:

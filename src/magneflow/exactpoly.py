@@ -6,24 +6,31 @@ i-1 and Pi is slot n+i.  Coefficients are exact rationals, so every
 identity established with these polynomials is an identity over Q, not a
 numerical statement.
 
-A monomial is the sorted tuple of its factor slots: X1^2*P2 is
-(0, 0, n+2) and the constant monomial is ().  The members of the
-commuting family have degree at most 4, so these tuples are short
-whatever n is.  A polynomial holds Python int numerators over one
-positive common denominator, kept in lowest terms (the gcd of the
-denominator and all numerators is 1), so equal polynomials have equal
-representations.  Python ints never overflow, so this is the same
-arithmetic over Q as with `Fraction` coefficients, without a gcd on
-every operation: a product merges two factor tuples and multiplies ints,
-a partial derivative drops one occurrence of a slot and multiplies by its
-count, and a sum, product or bracket reduces by one gcd at the end (see
-Monagan and Pearce, "Sparse polynomial multiplication and division in
-Maple 14", 2009, for packed monomials with machine coefficients).
+A monomial is packed into one Python int with an 8-bit exponent field
+per slot, slot 0 (X1) in the most significant byte: over w = 2(n+1)
+slots the exponent of slot s sits at bit 8(w-1-s), so X1^2*P2 is
+2*256^(w-1) + 256^(w-n-2) and the constant monomial is 0.  A product of
+monomials is the sum of their keys, a first partial in slot s subtracts
+that slot's unit 256^(w-1-s) and multiplies by the field's value, and
+`key.to_bytes(w, "big")` reads the exponent tuple back.  A field holds
+exponents up to MAX_EXPONENT = 255, so a product whose total degree
+could pass it raises InputError instead of carrying into the next field;
+each polynomial computes its degree once, so this check costs nothing
+per term.  A polynomial holds Python int numerators over one positive
+common denominator, kept in lowest terms (the gcd of the denominator and
+all numerators is 1), so equal polynomials have equal representations.
+Python ints never overflow, so this is the same arithmetic over Q as
+with `Fraction` coefficients, without a gcd on every operation: a
+product adds keys and multiplies ints, and a sum, product or bracket
+reduces by one gcd at the end (see Monagan and Pearce, "Sparse
+polynomial multiplication and division in Maple 14", 2009, for packed
+monomials with machine coefficients).
 
 The constructor and the serialized form use exponent tuples of length
 2(n+1), X block first.  The canonical term order is graded
-lexicographic on (total degree, exponent tuple); the zero polynomial has
-no terms.  The Poisson bracket uses the convention
+lexicographic on (total degree, exponent tuple), which is (total degree,
+key) on packed keys; the zero polynomial has no terms.  The Poisson
+bracket uses the convention
 
     {f, g} = sum_i  df/dXi * dg/dPi  -  df/dPi * dg/dXi
 
@@ -34,10 +41,8 @@ from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_left
 from fractions import Fraction
-from itertools import groupby
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import InputError
 
@@ -55,9 +60,12 @@ __all__ = [
 # compiled_evaluator holds at a time.
 EVAL_CHUNK_BYTES = 4 << 20
 
-# Largest total degree of one term that the constructor accepts.  A term
-# holds one factor slot per unit of degree, so an unchecked exponent in a
-# family file would become a tuple of that many entries.
+# Largest exponent that one 8-bit field of a packed monomial holds, and
+# so the largest total degree of a product.
+MAX_EXPONENT = 255
+
+# Largest total degree of one term that the constructor accepts, which
+# keeps the terms of a family file far below MAX_EXPONENT.
 MAX_TERM_DEGREE = 64
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
@@ -95,36 +103,43 @@ def _coerce_coeff(c) -> Fraction:
     )
 
 
-def _factors(expo: tuple) -> tuple:
-    """Factor tuple of an exponent tuple: (2, 0, 1, 0) -> (0, 0, 2)."""
-    return tuple(slot for slot, e in enumerate(expo) for _ in range(e))
+def _unit(width: int, slot: int) -> int:
+    """Packed monomial of the single variable in `slot`."""
+    return 1 << 8 * (width - 1 - slot)
 
 
-def _exponents(factors: tuple, width: int) -> tuple:
-    """Exponent tuple of a factor tuple, inverse of _factors."""
-    expo = [0] * width
-    for slot in factors:
-        expo[slot] += 1
-    return tuple(expo)
+def _fields(mono: int, width: int):
+    """(slot, exponent) of every nonzero exponent field of a packed
+    monomial, in slot order: the top nonzero byte comes first."""
+    while mono:
+        shift = (mono.bit_length() - 1) & -8
+        exponent = mono >> shift
+        mono -= exponent << shift
+        yield width - 1 - (shift >> 3), exponent
 
 
-def _mono_key(expo: tuple) -> tuple:
-    return (sum(expo), expo)
+def _check_product_degree(degree: int):
+    if degree > MAX_EXPONENT:
+        raise InputError(
+            f"a product of total degree {degree} could overflow an exponent "
+            f"field; the limit is {MAX_EXPONENT}"
+        )
 
 
 class PhasePoly:
     """Sparse polynomial in X1..X{n+1}, P1..P{n+1} over the rationals.
 
-    `terms` maps factor tuples to nonzero int numerators and `den` is
+    `terms` maps packed monomials to nonzero int numerators and `den` is
     their positive common denominator, in lowest terms.  The constructor
     takes exponent tuples (X block first, then P block) with exact
     coefficients.  Instances are treated as immutable; every operation
-    returns a new polynomial in canonical form.  The first partial
-    derivatives are computed on first use and kept in `_derivs`, since
-    one member is bracketed with every other.
+    returns a new polynomial in canonical form.  The total degree and the
+    first partial derivatives are computed on first use and kept in
+    `_degree` and `_derivs`, since one member is bracketed with every
+    other.
     """
 
-    __slots__ = ("n", "terms", "den", "_derivs")
+    __slots__ = ("n", "terms", "den", "_degree", "_derivs")
 
     def __init__(self, n: int, terms: Mapping | Iterable | None = None):
         if not isinstance(n, int) or n < 1:
@@ -132,18 +147,18 @@ class PhasePoly:
         width = 2 * (n + 1)
         checked = []
         for expo, coeff in terms.items() if isinstance(terms, Mapping) else (terms or ()):
-            expo = tuple(int(e) for e in expo)
+            expo = tuple(map(int, expo))
             if len(expo) != width:
                 raise InputError(
                     f"exponent tuple has length {len(expo)}, expected {width} for n={n}"
                 )
-            if any(e < 0 for e in expo):
+            if min(expo) < 0:
                 raise InputError(f"negative exponent in {expo}")
             if sum(expo) > MAX_TERM_DEGREE:
                 raise InputError(f"term {expo} has degree above {MAX_TERM_DEGREE}")
             c = _coerce_coeff(coeff)
             if c:
-                checked.append((_factors(expo), c))
+                checked.append((int.from_bytes(bytes(expo), "big"), c))
         _assign(self, n, *_lowest_terms(*_sum_items(checked)))
 
     def __setattr__(self, name, value):
@@ -172,31 +187,19 @@ class PhasePoly:
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max(map(len, self.terms), default=-1)
-
-    def bidegree_profile(self) -> set:
-        """Set of (X-degree, P-degree) pairs occurring among the terms."""
-        half = self.n + 1
-        profile = set()
-        for mono in self.terms:
-            x_degree = bisect_left(mono, half)
-            profile.add((x_degree, len(mono) - x_degree))
-        return profile
-
-    def p_degree_parts(self) -> dict:
-        """Split into homogeneous components by momentum degree."""
-        half = self.n + 1
-        parts: dict = {}
-        for mono, c in self.terms.items():
-            parts.setdefault(len(mono) - bisect_left(mono, half), {})[mono] = c
-        return {d: _raw(self.n, t, self.den) for d, t in sorted(parts.items())}
+        degree = getattr(self, "_degree", None)
+        if degree is None:
+            width = self.width
+            degree = max((sum(m.to_bytes(width, "big")) for m in self.terms), default=-1)
+            object.__setattr__(self, "_degree", degree)
+        return degree
 
     def sorted_terms(self) -> list:
         """(exponent tuple, Fraction) pairs in the canonical graded
         lexicographic order."""
-        width = self.width
-        items = [(_exponents(m, width), Fraction(c, self.den)) for m, c in self.terms.items()]
-        return sorted(items, key=lambda kv: _mono_key(kv[0]))
+        width, den = self.width, self.den
+        order = sorted(self.terms, key=lambda m: (sum(m.to_bytes(width, "big")), m))
+        return [(tuple(m.to_bytes(width, "big")), Fraction(self.terms[m], den)) for m in order]
 
     # -- arithmetic --------------------------------------------------------
 
@@ -210,8 +213,7 @@ class PhasePoly:
         den = math.lcm(self.den, other.den)
         a, b = den // self.den, sign * (den // other.den)
         acc = {m: c * a for m, c in self.terms.items()}
-        _accumulate(acc, ((m, c * b) for m, c in other.terms.items()))
-        return _raw(self.n, acc, den)
+        return _raw(self.n, _mul_into(acc, other.terms.items(), ((0, b),)), den)
 
     def __add__(self, other):
         if not isinstance(other, PhasePoly):
@@ -229,9 +231,13 @@ class PhasePoly:
     def __mul__(self, other):
         if isinstance(other, PhasePoly):
             self._require_same_space(other)
-            acc: dict = {}
-            _mul_into(acc, self.terms.items(), other.terms.items())
-            return _raw(self.n, acc, self.den * other.den)
+            degree = self.degree() + other.degree()
+            _check_product_degree(degree)
+            acc = _mul_into({}, self.terms.items(), other.terms.items())
+            product = _raw(self.n, acc, self.den * other.den)
+            if acc:  # Q[X, P] has no zero divisors, so no leading form cancels
+                object.__setattr__(product, "_degree", degree)
+            return product
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
             if not q:
@@ -263,102 +269,6 @@ class PhasePoly:
         return self.n == other.n and self.den == other.den and self.terms == other.terms
 
     __hash__ = None
-
-    # -- calculus ----------------------------------------------------------
-
-    def _partial(self, slot: int) -> "PhasePoly":
-        return _raw(self.n, dict(_partials(self).get(slot, ())), self.den)
-
-    def partial_x(self, i: int) -> "PhasePoly":
-        """d/dXi, 1-based index."""
-        self._check_index(i)
-        return self._partial(i - 1)
-
-    def partial_p(self, i: int) -> "PhasePoly":
-        """d/dPi, 1-based index."""
-        self._check_index(i)
-        return self._partial(self.n + i)
-
-    def _check_index(self, i: int):
-        if not 1 <= i <= self.n + 1:
-            raise InputError(f"variable index {i} out of range 1..{self.n + 1}")
-
-    # -- evaluation --------------------------------------------------------
-
-    def evaluate_exact(self, point: Sequence) -> Fraction:
-        """Evaluate at a rational phase point (X1..X{n+1}, P1..P{n+1}),
-        exactly.  Float points go through `compiled_evaluator`."""
-        if len(point) != self.width:
-            raise InputError(f"point has length {len(point)}, expected {self.width}")
-        pt = [Fraction(z) for z in point]
-        total = Fraction(0)
-        for mono, c in self.terms.items():
-            v = Fraction(c)
-            for slot in mono:
-                v *= pt[slot]
-            total += v
-        return total / self.den
-
-    # -- substitution ------------------------------------------------------
-
-    def substitute(self, images: Sequence["PhasePoly"]) -> "PhasePoly":
-        """Replace each variable by the given polynomial, slot by slot.
-
-        `images` lists the replacement for X1..X{n+1} then P1..P{n+1}.
-        """
-        if len(images) != self.width:
-            raise InputError(f"expected {self.width} images, got {len(images)}")
-        for img in images:
-            if img.n != self.n:
-                raise InputError("substitution images live on a different phase space")
-        cache: dict = {}
-
-        def power(slot: int, k: int) -> PhasePoly:
-            key = (slot, k)
-            got = cache.get(key)
-            if got is None:
-                got = images[slot] ** k
-                cache[key] = got
-            return got
-
-        acc = PhasePoly(self.n)
-        for mono, c in self.terms.items():
-            term = PhasePoly.constant(self.n, Fraction(c, self.den))
-            for slot, run in groupby(mono):
-                term = term * power(slot, len(list(run)))
-            acc = acc + term
-        return acc
-
-    def substitute_linear(self, q, p_shift: Sequence["PhasePoly"] | None = None) -> "PhasePoly":
-        """Affine substitution X -> QX, P -> QP + s(X).
-
-        `q` is an (n+1)x(n+1) matrix of exact rationals applied to both the
-        X block and the P block; `p_shift`, when given, lists n+1
-        polynomials added to the momentum images (the gauge-shift use
-        case is Q = identity, s = the magnetic covector field).
-        """
-        d = self.n + 1
-        rows = [list(row) for row in q]
-        if len(rows) != d or any(len(r) != d for r in rows):
-            raise InputError(f"substitution matrix must be {d}x{d}")
-        images: list = []
-        for i in range(d):
-            img = PhasePoly(self.n)
-            for j in range(d):
-                c = _coerce_coeff(rows[i][j])
-                if c:
-                    img = img + c * x_var(j + 1, self.n)
-            images.append(img)
-        for i in range(d):
-            img = PhasePoly(self.n)
-            for j in range(d):
-                c = _coerce_coeff(rows[i][j])
-                if c:
-                    img = img + c * p_var(j + 1, self.n)
-            if p_shift is not None:
-                img = img + p_shift[i]
-            images.append(img)
-        return self.substitute(images)
 
     # -- serialization -----------------------------------------------------
 
@@ -447,62 +357,56 @@ def _raw(n: int, terms: dict, den: int) -> PhasePoly:
 
 
 def _sum_items(items: list) -> tuple:
-    """(int term dict, common denominator) of the sum of (factor tuple,
+    """(int term dict, common denominator) of the sum of (packed monomial,
     nonzero int or Fraction) pairs, added in order."""
     den = math.lcm(*(c.denominator for _, c in items))
-    return _accumulate({}, ((m, c.numerator * (den // c.denominator)) for m, c in items)), den
+    terms = [(m, c.numerator * (den // c.denominator)) for m, c in items]
+    return _mul_into({}, terms, ((0, 1),)), den
 
 
-def _from_factors(n: int, items) -> PhasePoly:
-    """Polynomial of the sum of (factor tuple, nonzero exact coefficient)
-    pairs; the factor tuples must be sorted and lie in 0..2n+1."""
+def _from_monomials(n: int, items) -> PhasePoly:
+    """Polynomial of the sum of (packed monomial, nonzero exact
+    coefficient) pairs; every exponent must fit its field."""
     return _raw(n, *_sum_items(list(items)))
 
 
-def _accumulate(acc: dict, items) -> dict:
-    """acc += items at the raw term-dict level, dropping terms that cancel.
+def _mul_into(acc: dict, left, right) -> dict:
+    """acc += left * right at the raw term-dict level, for collections of
+    (packed monomial, nonzero int) pairs whose degrees add up to at most
+    MAX_EXPONENT, dropping terms that cancel.
 
-    `items` yields (monomial, nonzero coefficient) pairs; this is the one
-    loop that keeps a term dict free of zero coefficients.
+    This is the one loop that keeps a term dict free of zero
+    coefficients: a sum is the product with the single term ((0, scale),).
     """
     get = acc.get
-    for mono, c in items:
-        c0 = get(mono)
-        if c0 is None:
-            acc[mono] = c
-        else:
-            c = c0 + c
-            if c:
-                acc[mono] = c
+    for ml, cl in left:
+        for mr, cr in right:
+            mono = ml + mr
+            c0 = get(mono)
+            if c0 is None:
+                acc[mono] = cl * cr
             else:
-                del acc[mono]
+                c = c0 + cl * cr
+                if c:
+                    acc[mono] = c
+                else:
+                    del acc[mono]
     return acc
-
-
-def _mul_into(acc: dict, left, right):
-    """acc += left * right, for collections of (factor tuple, int) pairs."""
-    _accumulate(acc, (
-        (tuple(sorted(ml + mr)), cl * cr)
-        for ml, cl in left
-        for mr, cr in right
-    ))
 
 
 def _partials(poly: PhasePoly) -> dict:
     """Every first partial derivative of poly over its denominator, in one
-    pass over the terms and once per polynomial: slot -> list of (factor
-    tuple, int) pairs, each list in term order.  A term with k factors of
-    a slot gives k times the term with one factor of it dropped.  The
-    lists are shared; callers must not change them."""
+    pass over the terms and once per polynomial: slot -> list of (packed
+    monomial, int) pairs, each list in term order.  A term with exponent
+    k in a slot gives k times the term with that exponent lowered by one.
+    The lists are shared; callers must not change them."""
     out = getattr(poly, "_derivs", None)
     if out is None:
         out = {}
+        width = poly.width
         for mono, c in poly.terms.items():
-            prev = None
-            for i, slot in enumerate(mono):
-                if slot != prev:
-                    prev = slot
-                    out.setdefault(slot, []).append((mono[:i] + mono[i + 1:], c * mono.count(slot)))
+            for slot, k in _fields(mono, width):
+                out.setdefault(slot, []).append((mono - _unit(width, slot), c * k))
         object.__setattr__(poly, "_derivs", out)
     return out
 
@@ -511,14 +415,14 @@ def x_var(i: int, n: int) -> PhasePoly:
     """The coordinate polynomial Xi (1-based)."""
     if not 1 <= i <= n + 1:
         raise InputError(f"variable index {i} out of range 1..{n + 1}")
-    return _raw(n, {(i - 1,): 1}, 1)
+    return _raw(n, {_unit(2 * (n + 1), i - 1): 1}, 1)
 
 
 def p_var(i: int, n: int) -> PhasePoly:
     """The momentum polynomial Pi (1-based)."""
     if not 1 <= i <= n + 1:
         raise InputError(f"variable index {i} out of range 1..{n + 1}")
-    return _raw(n, {(n + i,): 1}, 1)
+    return _raw(n, {_unit(2 * (n + 1), n + i): 1}, 1)
 
 
 def poisson_bracket(f: PhasePoly, g: PhasePoly) -> PhasePoly:
@@ -532,6 +436,7 @@ def poisson_bracket(f: PhasePoly, g: PhasePoly) -> PhasePoly:
     if f.n != g.n:
         raise InputError(f"mixed phase spaces: n={f.n} vs n={g.n}")
     n = f.n
+    _check_product_degree(f.degree() + g.degree() - 2)
     df, dg = _partials(f), _partials(g)
     acc: dict = {}
     for i in range(n + 1):
@@ -549,21 +454,21 @@ def compiled_evaluator(poly: PhasePoly):
 
     The exact layer stays exact; this is the one float evaluator
     (trajectory diagnostics, bracket classification, and the tests' float
-    rank and finite-difference oracles).  Each term's factor tuple (X1^2 gives
-    (0, 0)) is padded to a common length with a sentinel slot that reads
-    a column of ones; a term's value is the product of its gathered
-    factors.  Each coefficient is its numerator divided by the
-    denominator, an int division that rounds correctly.  Rows are
-    evaluated in chunks of at most EVAL_CHUNK_BYTES of gathered factors,
-    so the working memory does not grow with R.
+    rank and finite-difference oracles).  Each term's factor slots in
+    ascending order (X1^2 gives [0, 0]) are padded to a common length with
+    a sentinel slot that reads a column of ones; a term's value is the
+    product of its gathered factors.  Each coefficient is its numerator
+    divided by the denominator, an int division that rounds correctly.
+    Rows are evaluated in chunks of at most EVAL_CHUNK_BYTES of gathered
+    factors, so the working memory does not grow with R.
     """
     import numpy as np
 
     width = poly.width
     coeffs = np.array([c / poly.den for c in poly.terms.values()])
-    factors = list(poly.terms)
+    factors = [[slot for slot, k in _fields(m, width) for _ in range(k)] for m in poly.terms]
     depth = max(poly.degree(), 0)
-    padded_factors = [m + (width,) * (depth - len(m)) for m in factors]
+    padded_factors = [f + [width] * (depth - len(f)) for f in factors]
     slots = np.array(padded_factors, dtype=np.intp).reshape(len(factors), depth)
     chunk = max(1, EVAL_CHUNK_BYTES // max(1, 8 * len(factors) * max(depth, 1)))
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import InputError
-from .exactpoly import PhasePoly, _from_factors, format_rational, parse_rational, p_var, x_var
+from .exactpoly import PhasePoly, _from_monomials, format_rational, parse_rational, p_var, x_var
 from .magnetic_model import MagneticModel, _killing_square_terms, ambient_units, level_blocks
 
 __all__ = [
@@ -62,7 +62,7 @@ def _neumann_quadratic(n: int, lam: Mapping, mu: Mapping) -> PhasePoly:
             coeff = (mu[l] - mu[m]) / (lam[l] - lam[m]) / 2
             if coeff:
                 terms.extend(_killing_square_terms(l, m, n, coeff))
-    return _from_factors(n, terms)
+    return _from_monomials(n, terms)
 
 
 def uhlenbeck_integral(a: Sequence, b: Sequence) -> PhasePoly:

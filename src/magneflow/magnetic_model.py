@@ -28,7 +28,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
-from .exactpoly import PhasePoly, _from_factors, format_rational, parse_rational, p_var, x_var
+from .exactpoly import (
+    PhasePoly,
+    _from_monomials,
+    _unit,
+    format_rational,
+    parse_rational,
+    p_var,
+    x_var,
+)
 
 __all__ = [
     "MagneticModel",
@@ -145,14 +153,15 @@ class MagneticModel:
 
 
 def _killing_square_terms(i: int, j: int, n: int, coeff: Fraction) -> tuple:
-    """The (factor tuple, coefficient) terms of coeff * (Xi Pj - Xj Pi)^2,
+    """The (packed monomial, coefficient) terms of coeff * (Xi Pj - Xj Pi)^2,
     1-based i < j."""
-    xi, xj = i - 1, j - 1
-    pi, pj = n + i, n + j
+    width = 2 * (n + 1)
+    xi, xj = _unit(width, i - 1), _unit(width, j - 1)
+    pi, pj = _unit(width, n + i), _unit(width, n + j)
     return (
-        ((xi, xi, pj, pj), coeff),
-        ((xi, xj, pi, pj), -2 * coeff),
-        ((xj, xj, pi, pi), coeff),
+        (2 * xi + 2 * pj, coeff),
+        (xi + xj + pi + pj, -2 * coeff),
+        (2 * xj + 2 * pi, coeff),
     )
 
 
@@ -163,7 +172,7 @@ def kinetic_energy(n: int) -> PhasePoly:
     (1/2)|P|^2, the round-sphere kinetic energy.
     """
     half = Fraction(1, 2)
-    return _from_factors(n, (
+    return _from_monomials(n, (
         term
         for i in range(1, n + 2)
         for j in range(i + 1, n + 2)

@@ -21,7 +21,7 @@ reproducible from the seed alone.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +30,7 @@ from . import sampling
 from .errors import InputError
 from .exactpoly import (
     PhasePoly,
+    _fields,
     _partials,
     compiled_evaluator,
     format_rational,
@@ -113,13 +114,18 @@ def check_commutation(family: IntegralFamily, seed: int = 0) -> list:
 class IndependenceCertificate:
     """The tangential rank mod PRIME of the member differentials at each
     exact rational point tried, rank[(2X, 0); (P, X); dF_1..dF_k] - 2;
-    `x` and `p` are the last point tried.  Rank k at one point certifies
-    independence, a smaller rank proves nothing."""
+    `x` and `p` are the last point tried, `residues` its coordinates mod
+    PRIME, and `echelon` the echelon form of the normals and member
+    gradients there, against which the probe reduces candidate gradients.
+    Rank k at one point certifies independence, a smaller rank proves
+    nothing."""
 
     expected_rank: int
     ranks: list
     x: list
     p: list
+    echelon: list = field(repr=False)
+    residues: list = field(repr=False)
 
     @property
     def certified(self) -> bool:
@@ -140,12 +146,13 @@ class IndependenceCertificate:
 def _gradient_row(poly: PhasePoly, residues: list) -> list:
     """den(poly) times the gradient of poly mod PRIME at the point whose
     coordinates have these residues.  Scaling a row leaves ranks unchanged."""
-    row = [0] * poly.width
+    width = poly.width
+    row = [0] * width
     for slot, terms in _partials(poly).items():
         total = 0
         for mono, c in terms:
-            for factor in mono:
-                c *= residues[factor]
+            for factor, k in _fields(mono, width):
+                c *= residues[factor] ** k
             total += c
         row[slot] = total % PRIME
     return row
@@ -175,14 +182,19 @@ def _echelon(rows) -> list:
     return echelon
 
 
-def _certify(members: list, n: int, samples: int, seed: int) -> tuple:
-    """(certificate, echelon form, residues) at the last point tried.
+def functional_independence(
+    members, n: int, samples: int = 100, seed: int = 0
+) -> IndependenceCertificate:
+    """Exact certificate that the members are functionally independent on
+    the unit cotangent structure: their tangential rank mod PRIME reaches
+    the member count at one of at most `samples` seeded rational points.
 
     Points come from the STREAM_INDEPENDENCE substream of the seed; one
     whose coordinates have a denominator divisible by PRIME is skipped and
-    does not count.  At most `samples` points are tried."""
+    does not count."""
     if samples < 1:
         raise InputError(f"samples must be at least 1, got {samples}")
+    members = list(members)
     rng = sampling.generator(seed, sampling.STREAM_INDEPENDENCE)
     ranks = []
     while len(ranks) < samples and (not ranks or ranks[-1] < len(members)):
@@ -194,16 +206,7 @@ def _certify(members: list, n: int, samples: int, seed: int) -> tuple:
         normals = [[2 * v % PRIME for v in rx] + [0] * (n + 1), rp + rx]
         echelon = _echelon(normals + [_gradient_row(poly, residues) for poly in members])
         ranks.append(len(echelon) - 2)
-    return IndependenceCertificate(len(members), ranks, x, p), echelon, residues
-
-
-def functional_independence(
-    members, n: int, samples: int = 100, seed: int = 0
-) -> IndependenceCertificate:
-    """Exact certificate that the members are functionally independent on
-    the unit cotangent structure: their tangential rank mod PRIME reaches
-    the member count at one of at most `samples` seeded rational points."""
-    return _certify(list(members), n, samples, seed)[0]
+    return IndependenceCertificate(len(members), ranks, x, p, echelon, residues)
 
 
 # -- membership of the Hamiltonian ---------------------------------------------
@@ -356,7 +359,10 @@ def _probe_candidates(model: MagneticModel):
                        killing(a, d, n) - killing(b, c, n), True)
 
 
-def superintegrability_probe(family: IntegralFamily, samples: int = 100, seed: int = 0) -> list:
+def superintegrability_probe(
+    family: IntegralFamily, samples: int = 100, seed: int = 0,
+    certificate: IndependenceCertificate | None = None,
+) -> list:
     """Search blocks with at least two coordinate planes for extra integrals.
 
     Candidates are the single rotation momenta M_lm with l, m in the
@@ -364,11 +370,12 @@ def superintegrability_probe(family: IntegralFamily, samples: int = 100, seed: i
     combinations M_ac + M_bd and M_ad - M_bc (planes (a,b) and (c,d)).
     A candidate qualifies when its bracket with H and with every
     indicator quadratic is identically zero and it raises the rank of
-    the family to n+1.  The members are certified as in
-    `functional_independence`, with the same seed, and each candidate's
-    gradient at the certifying point is reduced against the members'
-    echelon form: a nonzero remainder proves that the candidate raises
-    the rank.  When the members are not certified, no candidate does.
+    the family to n+1.  The members are certified by
+    `functional_independence` with the same samples and seed, unless that
+    `certificate` is passed in, and each candidate's gradient at the
+    certifying point is reduced against the members' echelon form: a
+    nonzero remainder proves that the candidate raises the rank.  When
+    the members are not certified, no candidate does.
     """
     candidates = list(_probe_candidates(family.model))
     if not candidates:
@@ -379,12 +386,14 @@ def superintegrability_probe(family: IntegralFamily, samples: int = 100, seed: i
         q for q, prov in zip(family.quads, family.quad_provenance)
         if prov.get("kind") == "indicator"
     ]
-    certificate, echelon, residues = _certify(family.members(), n, samples, seed)
+    if certificate is None:
+        certificate = functional_independence(family.members(), n, samples, seed)
     results = []
     for block, kind, label, poly, cross in candidates:
         commutes_h = poisson_bracket(poly, h).is_zero
         commutes_ind = all(poisson_bracket(poly, q).is_zero for q in indicator_quads)
-        raises = certificate.certified and any(_reduce(_gradient_row(poly, residues), echelon))
+        raises = certificate.certified and any(
+            _reduce(_gradient_row(poly, certificate.residues), certificate.echelon))
         results.append(ProbeResult(
             block=block,
             kind=kind,
@@ -434,15 +443,17 @@ def run_verification(
 ) -> VerificationReport:
     """Full verification pass over a family: exact commutation, certified
     independence at up to `samples` rational points, exact membership of
-    H, and the extra-integral probe."""
+    H, and the extra-integral probe, which reuses the certificate."""
     model = family.model
+    pair_results = check_commutation(family, seed=seed)
+    independence = functional_independence(family.members(), model.n, samples=samples, seed=seed)
     return VerificationReport(
         model=model,
         seed=seed,
         samples=samples,
-        pair_results=check_commutation(family, seed=seed),
-        independence=functional_independence(
-            family.members(), model.n, samples=samples, seed=seed),
+        pair_results=pair_results,
+        independence=independence,
         membership=hamiltonian_membership(family),
-        probe_results=superintegrability_probe(family, samples=samples, seed=seed),
+        probe_results=superintegrability_probe(
+            family, samples=samples, seed=seed, certificate=independence),
     )

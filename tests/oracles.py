@@ -1,5 +1,10 @@
-"""Float oracles of the verification layer, used only by the tests.
+"""Oracles of the exact and float layers, used only by the tests.
 
+- The `PhasePoly` operations that no command needs: exact evaluation at
+  a rational point, partial derivatives, the split by momentum degree,
+  the bidegree profile and (linear) substitution.  They are written on
+  `sorted_terms()` and the public constructor, so they do not depend on
+  how `PhasePoly` keys its monomials.
 - `fd_bracket_oracle`: a central-difference estimate of a Poisson
   bracket, the independent cross-check of the exact bracket engine.
 - `potential_compatibility`: the exact mixed-degree commutation test
@@ -20,8 +25,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from magneflow import InputError, PhasePoly, compiled_evaluator, poisson_bracket, sampling
-from magneflow.exactpoly import _partials
+from magneflow import (
+    InputError,
+    PhasePoly,
+    compiled_evaluator,
+    p_var,
+    poisson_bracket,
+    sampling,
+    x_var,
+)
 
 RANK_THRESHOLD_REL = 1e-8
 FULL_RANK_QUOTA = 0.95
@@ -29,6 +41,95 @@ FD_STEP = 1e-5
 
 # The substream the float probe drew its points from.
 STREAM_FLOAT_PROBE = 3
+
+
+# -- exact PhasePoly operations ------------------------------------------------
+
+
+def evaluate_exact(poly: PhasePoly, point) -> Fraction:
+    """Value of poly at a rational phase point (X1..X{n+1}, P1..P{n+1})."""
+    if len(point) != poly.width:
+        raise InputError(f"point has length {len(point)}, expected {poly.width}")
+    pt = [Fraction(z) for z in point]
+    total = Fraction(0)
+    for expo, c in poly.sorted_terms():
+        for z, k in zip(pt, expo):
+            c *= z ** k
+        total += c
+    return total
+
+
+def partial(poly: PhasePoly, slot: int) -> PhasePoly:
+    """d/d(slot) of poly; slot i-1 is Xi and slot n+i is Pi."""
+    terms = []
+    for expo, c in poly.sorted_terms():
+        k = expo[slot]
+        if k:
+            terms.append((expo[:slot] + (k - 1,) + expo[slot + 1:], c * k))
+    return PhasePoly(poly.n, terms)
+
+
+def partial_x(poly: PhasePoly, i: int) -> PhasePoly:
+    """d/dXi, 1-based index."""
+    return partial(poly, i - 1)
+
+
+def partial_p(poly: PhasePoly, i: int) -> PhasePoly:
+    """d/dPi, 1-based index."""
+    return partial(poly, poly.n + i)
+
+
+def p_degree_parts(poly: PhasePoly) -> dict:
+    """Momentum degree -> the homogeneous component of poly of that degree."""
+    half = poly.n + 1
+    parts: dict = {}
+    for expo, c in poly.sorted_terms():
+        parts.setdefault(sum(expo[half:]), []).append((expo, c))
+    return {d: PhasePoly(poly.n, terms) for d, terms in sorted(parts.items())}
+
+
+def bidegree_profile(poly: PhasePoly) -> set:
+    """Set of (X-degree, P-degree) pairs occurring among the terms."""
+    half = poly.n + 1
+    return {(sum(expo[:half]), sum(expo[half:])) for expo, _ in poly.sorted_terms()}
+
+
+def substitute(poly: PhasePoly, images) -> PhasePoly:
+    """Replace each variable by a polynomial: `images` lists the
+    replacements of X1..X{n+1} then P1..P{n+1}."""
+    if len(images) != poly.width:
+        raise InputError(f"expected {poly.width} images, got {len(images)}")
+    total = PhasePoly(poly.n)
+    for expo, c in poly.sorted_terms():
+        term = PhasePoly.constant(poly.n, c)
+        for image, k in zip(images, expo):
+            if k:
+                term = term * image ** k
+        total = total + term
+    return total
+
+
+def substitute_linear(poly: PhasePoly, q, p_shift=None) -> PhasePoly:
+    """Affine substitution X -> QX, P -> QP + s(X): the (n+1)x(n+1)
+    rational matrix q acts on both blocks, and `p_shift`, when given,
+    lists the n+1 polynomials added to the momentum images (the gauge
+    shift is Q = identity, s = the magnetic covector field)."""
+    n = poly.n
+    if len(q) != n + 1 or any(len(row) != n + 1 for row in q):
+        raise InputError(f"substitution matrix must be {n + 1}x{n + 1}")
+
+    def image(row, var):
+        total = PhasePoly(n)
+        for j, c in enumerate(row):
+            if c:
+                total = total + Fraction(c) * var(j + 1, n)
+        return total
+
+    xs = [image(row, x_var) for row in q]
+    ps = [image(row, p_var) for row in q]
+    if p_shift is not None:
+        ps = [img + shift for img, shift in zip(ps, p_shift)]
+    return substitute(poly, xs + ps)
 
 
 # -- finite-difference oracle -------------------------------------------------
@@ -66,7 +167,7 @@ def potential_compatibility(k1: PhasePoly, u1: PhasePoly, k2: PhasePoly, u2: Pha
     """Exact check of the mixed commutation condition {K1,U2} + {U1,K2} = 0,
     the momentum-degree-1 component of {K1+U1, K2+U2}."""
     for poly, want, what in ((k1, 2, "K1"), (k2, 2, "K2"), (u1, 0, "U1"), (u2, 0, "U2")):
-        degrees = set(poly.p_degree_parts())
+        degrees = set(p_degree_parts(poly))
         if degrees - {want}:
             raise InputError(f"{what} must be homogeneous of momentum degree {want}")
     mixed = poisson_bracket(k1, u2) + poisson_bracket(u1, k2)
@@ -118,8 +219,10 @@ def gradient_tensor(members, points: np.ndarray) -> np.ndarray:
     the nonzero partials are evaluated; every other slot stays 0."""
     grads = np.zeros((points.shape[0], len(members), points.shape[1]))
     for k, poly in enumerate(members):
-        for slot in _partials(poly):
-            grads[:, k, slot] = compiled_evaluator(poly._partial(slot))(points)
+        for slot in range(points.shape[1]):
+            derivative = partial(poly, slot)
+            if not derivative.is_zero:
+                grads[:, k, slot] = compiled_evaluator(derivative)(points)
     return grads
 
 

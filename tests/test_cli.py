@@ -200,6 +200,24 @@ def test_verify_rejects_non_integer_exponents(tmp_path, capsys, bad):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("value, message", [
+    (True, "malformed polynomial term: exponents must be a list of integers, got [True, "),
+    (-1, "negative exponent in (-1, "),
+    (65, "has degree above 64"),
+    (256, "has degree above 64"),
+])
+def test_verify_rejects_out_of_range_exponents(tmp_path, capsys, value, message):
+    family = build_family(tmp_path, capsys, n=2, alpha="1")
+    data = json.loads(family.read_text())
+    data["family"]["integrals"][0]["poly"]["terms"][0]["e"][0] = value
+    family.write_text(json.dumps(data))
+    report = tmp_path / "report.json"
+    code, _, err = run(capsys, "verify", "--family", str(family), "--report", str(report))
+    assert code == 2
+    assert one_error_line(err) and message in err
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("samples", ["-1", "0"])
 def test_verify_rejects_bad_sample_counts(tmp_path, capsys, samples):
     family = build_family(tmp_path, capsys)
@@ -338,6 +356,36 @@ def test_normal_form_matrix_boundary_property(case):
         assert code == 0 and err.getvalue() == "" and written
     else:
         assert code == 2 and one_error_line(err.getvalue()) and not written
+
+
+def json_values():
+    """Nested JSON-able values, with the types json dispatches on: str
+    (escape-heavy and non-ASCII too), None, bools, ints, floats (-0.0,
+    1e308, np.float64), lists, tuples and dicts with str, int or float
+    keys, empty containers included."""
+    text = st.text() | st.text(alphabet='"\\/\n\r\t\b\f\x00\x1f\x7f\u2028\ud800é€😀')
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    scalars = st.one_of(
+        st.none(), st.booleans(), st.integers(-10**30, 10**30), text,
+        finite, finite.map(np.float64), st.sampled_from([-0.0, 1e308, -1e308, 5e-324]),
+    )
+    return st.recursive(scalars, lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(text, children, max_size=4),
+        st.dictionaries(st.integers(-5, 5) | st.booleans(), children, max_size=3),
+        st.dictionaries(finite, children, max_size=3),
+    ), max_leaves=20)
+
+
+@given(json_values())
+@settings(max_examples=200, deadline=None)
+def test_json_writer_matches_json_dumps(obj):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.json"
+        _write_json(str(path), obj)
+        want = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        assert path.read_bytes() == want.encode()
 
 
 def test_artifacts_are_strict_json(tmp_path):

@@ -23,7 +23,14 @@ from magneflow import (
     x_var,
 )
 from magneflow import exactpoly
-from oracles import fd_bracket_oracle
+from oracles import (
+    evaluate_exact,
+    fd_bracket_oracle,
+    partial,
+    partial_p,
+    partial_x,
+    substitute_linear,
+)
 
 N = 2
 WIDTH = 2 * (N + 1)
@@ -126,16 +133,16 @@ def test_power_matches_repeated_product():
 
 def test_partial_x_basic():
     f = x_var(1, N) ** 2 * p_var(2, N)
-    assert f.partial_x(1) == 2 * (x_var(1, N) * p_var(2, N))
+    assert partial_x(f, 1) == 2 * (x_var(1, N) * p_var(2, N))
 
 
 def test_partial_p_of_pure_position_is_zero():
-    assert (x_var(1, N) ** 2).partial_p(1).is_zero
+    assert partial_p(x_var(1, N) ** 2, 1).is_zero
 
 
 def test_partial_p_of_rotation_momentum():
     m12 = x_var(1, N) * p_var(2, N) - x_var(2, N) * p_var(1, N)
-    assert m12.partial_p(2) == x_var(1, N)
+    assert partial_p(m12, 2) == x_var(1, N)
 
 
 # -- bracket --------------------------------------------------------------
@@ -184,7 +191,7 @@ def test_bracket_jacobi(f, g, h):
 @given(polys(), polys(), points())
 @settings(max_examples=60, deadline=None)
 def test_bracket_matches_finite_differences(f, g, point):
-    symbolic = float(poisson_bracket(f, g).evaluate_exact(point))
+    symbolic = float(evaluate_exact(poisson_bracket(f, g), point))
     numeric = fd_bracket_oracle(f, g, point)
     assert abs(symbolic - numeric) <= 1e-6 * max(1.0, abs(symbolic))
 
@@ -228,11 +235,11 @@ def reference_bracket(f, g):
 
 
 def assert_canonical(poly):
-    """Sorted in-range factor tuples, nonzero int numerators, a positive
-    denominator, and no common factor left."""
+    """Packed monomials that fit the width, nonzero int numerators, a
+    positive denominator, and no common factor left."""
     assert isinstance(poly.den, int) and poly.den > 0
     for mono, c in poly.terms.items():
-        assert list(mono) == sorted(mono) and all(0 <= s < poly.width for s in mono)
+        assert type(mono) is int and 0 <= mono < 1 << 8 * poly.width
         assert isinstance(c, int) and c != 0
     assert math.gcd(poly.den, *poly.terms.values()) == 1
     assert poly.terms or poly.den == 1
@@ -281,8 +288,80 @@ def test_arithmetic_matches_fraction_reference(pair):
     reference_mul_into(product, fd, gd, 1)
     assert dict((f * g).sorted_terms()) == product
     for slot in range(f.width):
-        assert dict(f._partial(slot).sorted_terms()) == reference_partial(fd, slot)
+        assert dict(partial(f, slot).sorted_terms()) == reference_partial(fd, slot)
     assert PhasePoly(f.n, fd) == f
+
+
+def monomial_power(n, slot, k):
+    """The variable in `slot` to the power k, through `**`."""
+    var = x_var(slot + 1, n) if slot <= n else p_var(slot - n, n)
+    return var ** k
+
+
+def reference_power_term(width, slot, k):
+    return {tuple(k if s == slot else 0 for s in range(width)): F(1)}
+
+
+@st.composite
+def high_degree_pair(draw):
+    """(n, f, g, their reference dicts): f and g are small wide polynomials
+    times one variable to a high power, so one exponent field nears the
+    limit (up to 249 in a slot) while every product and bracket of f and
+    g stays within it.  n runs up to 21, a 44-byte key."""
+    n = draw(st.sampled_from([1, 2, 5, 21]) | st.integers(1, 21))
+    width = 2 * (n + 1)
+    a = draw(st.just(249) | st.integers(0, 249))
+    b = draw(st.just(249 - a) | st.integers(0, 249 - a))
+    out = [n]
+    refs = []
+    for k in (a, b):
+        base = draw(wide_polys(n, max_degree=3, max_terms=4))
+        slot = draw(st.integers(0, width - 1))
+        ref = {}
+        reference_mul_into(ref, dict(base.sorted_terms()), reference_power_term(width, slot, k), 1)
+        out.append(base * monomial_power(n, slot, k))
+        refs.append(ref)
+    return (*out, *refs)
+
+
+@given(high_degree_pair())
+@settings(max_examples=60, deadline=None)
+def test_packed_keys_match_fraction_reference_at_the_field_limit(case):
+    n, f, g, fd, gd = case
+    width = 2 * (n + 1)
+    assert dict(f.sorted_terms()) == fd and dict(g.sorted_terms()) == gd
+    assert f.degree() == max((sum(e) for e in fd), default=-1)
+    for poly in (f, g, f * g, poisson_bracket(f, g)):
+        assert_canonical(poly)
+    product = {}
+    reference_mul_into(product, fd, gd, 1)
+    assert dict((f * g).sorted_terms()) == product
+    assert dict(poisson_bracket(f, g).sorted_terms()) == reference_bracket(f, g)
+    # {f, Pi} = df/dXi and {Xi, f} = df/dPi
+    for i in range(1, n + 2):
+        assert dict(poisson_bracket(f, p_var(i, n)).sorted_terms()) == reference_partial(fd, i - 1)
+        assert dict(poisson_bracket(x_var(i, n), f).sorted_terms()) == reference_partial(fd, n + i)
+    cube = {tuple([0] * width): F(1)}
+    for _ in range(3):
+        step = {}
+        reference_mul_into(step, cube, gd, 1)
+        cube = step
+    if 3 * max(g.degree(), 0) <= exactpoly.MAX_EXPONENT:
+        assert dict((g ** 3).sorted_terms()) == cube
+
+
+def test_product_past_the_field_limit_raises():
+    x1, x2, p1 = x_var(1, N), x_var(2, N), p_var(1, N)
+    top = x1 ** 255
+    assert top.degree() == 255
+    assert top.sorted_terms() == [((255,) + (0,) * (WIDTH - 1), F(1))]
+    # without the check, X2^256 would carry into the field of X1
+    for product in (lambda: x1 ** 256, lambda: top * x2, lambda: x2 ** 200 * x2 ** 56):
+        with pytest.raises(InputError, match="exponent field"):
+            product()
+    with pytest.raises(InputError, match="exponent field"):
+        poisson_bracket(x1 ** 130 * p1, x2 ** 128 * p1)
+    assert poisson_bracket(x1 ** 129 * p1, x2 ** 126 * p1).degree() == 255
 
 
 def test_float_coefficients_are_correctly_rounded():
@@ -303,16 +382,16 @@ def test_float_coefficients_are_correctly_rounded():
 
 def test_evaluate_rotation_momentum():
     m12 = x_var(1, N) * p_var(2, N) - x_var(2, N) * p_var(1, N)
-    assert m12.evaluate_exact([1, 0, 0, 0, 1, 0]) == 1
+    assert evaluate_exact(m12, [1, 0, 0, 0, 1, 0]) == 1
 
 
 def test_evaluate_zero_polynomial():
-    assert PhasePoly(N).evaluate_exact([F(3, 10)] * WIDTH) == 0
+    assert evaluate_exact(PhasePoly(N), [F(3, 10)] * WIDTH) == 0
 
 
 def test_evaluate_exact_is_exact():
     f = x_var(1, N) ** 2
-    value = f.evaluate_exact([F(3, 5), F(4, 5), 0, 0, 0, 0])
+    value = evaluate_exact(f, [F(3, 5), F(4, 5), 0, 0, 0, 0])
     assert value == F(9, 25)
 
 
@@ -343,8 +422,8 @@ def assert_matches_exact(poly, rational_points):
     values = compiled_evaluator(poly)(np.array(rational_points, dtype=float))
     assert values.shape == (len(rational_points),)
     for got, z in zip(values, rational_points):
-        exact = poly.evaluate_exact(z)
-        scale = magnitude.evaluate_exact([abs(c) for c in z])
+        exact = evaluate_exact(poly, z)
+        scale = evaluate_exact(magnitude, [abs(c) for c in z])
         assert abs(F(got) - exact) <= F(1e-13) * max(scale, F(1))
 
 
@@ -416,12 +495,12 @@ def identity_matrix(d):
 
 def test_identity_substitution_is_noop():
     f = x_var(1, N) * p_var(2, N) + 3 * x_var(3, N) ** 2
-    assert f.substitute_linear(identity_matrix(N + 1)) == f
+    assert substitute_linear(f, identity_matrix(N + 1)) == f
 
 
 def test_momentum_shift_substitution():
     shift = [x_var(2, N), PhasePoly(N), PhasePoly(N)]
-    image = p_var(1, N).substitute_linear(identity_matrix(N + 1), p_shift=shift)
+    image = substitute_linear(p_var(1, N), identity_matrix(N + 1), p_shift=shift)
     assert image == p_var(1, N) + x_var(2, N)
 
 
@@ -436,7 +515,7 @@ def test_substitution_agrees_with_shifted_evaluation():
         + 2 * x_var(3, N)
     )
     shift = [F(1, 2) * x_var(2, N), F(-1, 2) * x_var(1, N), PhasePoly(N)]
-    composed = f.substitute_linear(identity_matrix(N + 1), p_shift=shift)
+    composed = substitute_linear(f, identity_matrix(N + 1), p_shift=shift)
     for _ in range(20):
         z = [F(int(v), 8) for v in rng.integers(-8, 9, size=WIDTH)]
         x, p = z[: N + 1], z[N + 1 :]
@@ -445,7 +524,7 @@ def test_substitution_agrees_with_shifted_evaluation():
             p[1] - F(1, 2) * x[0],
             p[2],
         ]
-        assert composed.evaluate_exact(z) == f.evaluate_exact(shifted)
+        assert evaluate_exact(composed, z) == evaluate_exact(f, shifted)
 
 
 def test_orthogonal_substitution_preserves_bracket():
@@ -455,8 +534,8 @@ def test_orthogonal_substitution_preserves_bracket():
     q = [[c, -s, F(0)], [s, c, F(0)], [F(0), F(0), F(1)]]
     f = x_var(1, N) * p_var(2, N) + x_var(3, N) ** 2
     g = p_var(1, N) ** 2 - x_var(2, N) * p_var(3, N)
-    lhs = poisson_bracket(f.substitute_linear(q), g.substitute_linear(q))
-    rhs = poisson_bracket(f, g).substitute_linear(q)
+    lhs = poisson_bracket(substitute_linear(f, q), substitute_linear(g, q))
+    rhs = substitute_linear(poisson_bracket(f, g), q)
     assert (lhs - rhs).is_zero
 
 

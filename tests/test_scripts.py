@@ -1,5 +1,10 @@
-"""Smoke runs of the scripts under scripts/, which use the public API."""
+"""Smoke runs of the scripts under scripts/, which use the public API,
+and a check that the names the benchmark's tracer wraps still exist."""
 
+import contextlib
+import importlib
+import importlib.util
+import io
 import os
 import subprocess
 import sys
@@ -57,3 +62,36 @@ def test_convergence_study_rejects_bad_input_with_one_error_line(args):
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: ")
+
+
+def test_bench_tracer_targets_resolve(tmp_path, monkeypatch):
+    """Every name in perfbench/tracing.TARGETS resolves in its module, and
+    a traced build and verify counts brackets through `num_terms`, so a
+    refactor cannot silently break a traced bench run."""
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "tracing", tracing)  # for its dataclass
+    spec.loader.exec_module(tracing)
+    modules = {name: importlib.import_module(name) for name in tracing.TARGETS}
+    for module_name, names in tracing.TARGETS.items():
+        for dotted in names:
+            owner = modules[module_name]
+            for part in dotted.split("."):
+                owner = getattr(owner, part)
+            assert callable(owner), f"{module_name}.{dotted}"
+
+    cli = modules["magneflow.cli"]
+    family, report = str(tmp_path / "family.json"), str(tmp_path / "report.json")
+    tracer = tracing.Tracer()
+    tracer.install(modules)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["build", "--n", "3", "--alpha", "1,1", "--out", family]) == 0
+            assert cli.main(["verify", "--family", family, "--report", report]) == 0
+    finally:
+        tracer.restore()
+    spans = {span[0] for span in tracer.spans}
+    assert {"exactpoly.poisson_bracket", "verify.functional_independence",
+            "verify.superintegrability_probe"} <= spans
+    assert tracer.counters["exactpoly.bracket_in_terms"] > 0
+    assert tracer.counters["verify.rank_tests"] == 1

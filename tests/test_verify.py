@@ -29,7 +29,7 @@ from magneflow import (
     x_var,
     p_var,
 )
-from magneflow import sampling
+from magneflow import sampling, verify
 from magneflow.verify import PRIME, _echelon, _probe_candidates, _solve_exact
 from oracles import (
     RANK_THRESHOLD_REL,
@@ -38,6 +38,7 @@ from oracles import (
     float_probe_verdicts,
     fraction_rank,
     gradient_tensor,
+    p_degree_parts,
     potential_compatibility,
     projected_ranks,
     rank_points,
@@ -137,7 +138,7 @@ def test_tampered_family_detected():
 
 
 def split_kinetic_potential(poly):
-    parts = poly.p_degree_parts()
+    parts = p_degree_parts(poly)
     n = poly.n
     return parts.get(2, PhasePoly(n)), parts.get(0, PhasePoly(n))
 
@@ -621,3 +622,22 @@ def test_passed_requires_certified_independence():
     data = dataclasses.replace(report, independence=uncertified).to_dict()
     assert data["independence"]["certified"] is False
     assert data["passed"] is False
+
+
+def test_verify_certifies_the_members_once(monkeypatch):
+    """run_verification hands its independence certificate to the probe,
+    which then gives the verdicts it gives when it certifies on its own."""
+    calls = []
+    certify = verify.functional_independence
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return certify(*args, **kwargs)
+
+    fam = commuting_basis(model_of(4, 1, 1))
+    monkeypatch.setattr(verify, "functional_independence", counted)
+    report = run_verification(fam, samples=20, seed=3)
+    assert len(calls) == 1
+    assert report.probe_results
+    assert report.probe_results == superintegrability_probe(fam, samples=20, seed=3)
+    assert len(calls) == 2
