@@ -121,14 +121,29 @@ def _load_json(path: str) -> dict:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
 
 
+def _float_array(value, depth: int, bad: str) -> np.ndarray:
+    """A JSON list of numbers nested `depth` deep (1 for a vector, 2 for
+    a matrix) as a float array; anything else raises InputError(bad).
+    JSON true/false and strings such as "1" are not numbers, though numpy
+    would convert them, and an integer beyond the float range is no float."""
+    def numbers(v, level):
+        if level == 0:
+            return type(v) in (int, float)
+        return isinstance(v, list) and all(numbers(e, level - 1) for e in v)
+
+    if not numbers(value, depth):
+        raise InputError(bad)
+    try:
+        return np.array(value, dtype=float)
+    except (OverflowError, ValueError):  # a huge integer, or ragged rows
+        raise InputError(bad) from None
+
+
 def cmd_normal_form(args) -> int:
     data = _load_json(args.infile)
     if not isinstance(data, dict) or "omega" not in data:
         raise InputError(f"{args.infile} must contain an 'omega' matrix")
-    try:
-        omega = np.array(data["omega"], dtype=float)
-    except (TypeError, ValueError):
-        raise InputError(f"{args.infile} does not contain a numeric matrix") from None
+    omega = _float_array(data["omega"], 2, f"{args.infile} does not contain a numeric matrix")
     form = skew_normal_form(omega)
     config = {"command": "normal-form", "in": args.infile, "out": args.out}
     _write_json(args.out, _artifact("skew-normal-form", config, 0, {"normal_form": form.to_dict()}))
@@ -176,15 +191,7 @@ def _initial_state(args, model: MagneticModel):
         data = _load_json(args.init)
         bad = f"{args.init} must contain float arrays 'x' and 'p'"
         x, p = (data.get("x"), data.get("p")) if isinstance(data, dict) else (None, None)
-        # JSON true/false and strings such as "1" are not coordinates,
-        # though numpy would convert them
-        if not all(isinstance(v, list) and all(type(e) in (int, float) for e in v)
-                   for v in (x, p)):
-            raise InputError(bad)
-        try:
-            x, p = np.array(x, dtype=float), np.array(p, dtype=float)
-        except OverflowError:  # an integer beyond the float range
-            raise InputError(bad) from None
+        x, p = _float_array(x, 1, bad), _float_array(p, 1, bad)
         if x.shape != (model.n + 1,) or p.shape != (model.n + 1,):
             raise InputError(f"initial state must have {model.n + 1} components")
         x, p = project_initial(x, p)

@@ -14,8 +14,8 @@ n) defines the accompanying Neumann-type potential; its level structure
 construction of the commuting family.
 
 `skew_normal_form` is the float-side front door: it block-diagonalizes an
-arbitrary real skew matrix by an orthogonal change of frame and reads off
-the alphas.
+arbitrary real skew matrix by an orthogonal change of frame, read off one
+Hermitian eigendecomposition of i*Omega, and returns the alphas.
 """
 
 from __future__ import annotations
@@ -117,6 +117,11 @@ class MagneticModel:
     def units(self) -> tuple:
         return ambient_units(self.n)
 
+    @cached_property
+    def hamiltonian(self) -> PhasePoly:
+        """H = K - S + U, built once, so its users share its cached partials."""
+        return kinetic_energy(self.n) - sigma_linear(self) + potential(self)
+
     @property
     def pairs(self) -> tuple:
         """The coordinate planes (2i-1, 2i) only."""
@@ -207,8 +212,9 @@ def potential(model: MagneticModel) -> PhasePoly:
 
 
 def hamiltonian_pert(model: MagneticModel) -> PhasePoly:
-    """H = K - S + U, the generator of the shifted-picture dynamics."""
-    return kinetic_energy(model.n) - sigma_linear(model) + potential(model)
+    """H = K - S + U, the generator of the shifted-picture dynamics (the
+    model's cached `hamiltonian`)."""
+    return model.hamiltonian
 
 
 def _plane_block(alphas: Sequence, d: int) -> list:
@@ -292,20 +298,31 @@ class SkewNormalForm:
         }
 
 
-# Eigenvalues of the Gram matrix closer than this, relative to the largest,
-# belong to one plane cluster.
-CLUSTER_RTOL = 1e-8
+# A plane rate at most this fraction of the largest rate reads as 0.
+ZERO_RATE_RTOL = 1e-4
+
+
+def _fix_phase(cols: np.ndarray) -> np.ndarray:
+    """Each column times the unit scalar that makes its first entry of
+    largest modulus real and positive."""
+    peak = cols[np.argmax(np.abs(cols), axis=0), np.arange(cols.shape[1])]
+    return cols * (np.abs(peak) / peak)
 
 
 def skew_normal_form(omega) -> SkewNormalForm:
     """Orthogonally block-diagonalize a real skew-symmetric matrix.
 
-    Works through the symmetric positive semidefinite Gram matrix
-    Omega^T Omega = -Omega^2: its eigenvalues are the squared plane rates
-    (each twice) plus zeros.  Within each eigenvalue cluster, planes are
-    extracted as (u, -Omega u / |Omega u|), which puts +alpha above the
-    diagonal of each 2x2 block.  Alphas are reported in descending order;
-    kernel directions fill trailing zero blocks.
+    i*Omega is Hermitian with eigenvalues +-alpha and zeros.  A unit
+    eigenvector w = u + iv of +alpha > 0 has |u| = |v| = 1/sqrt(2),
+    u orthogonal to v, Omega u = alpha v and Omega v = -alpha u, so the
+    columns (sqrt(2) u, -sqrt(2) v) span one plane with +alpha above the
+    diagonal of its 2x2 block (Ward & Gray, ACM TOMS 1978).  One `eigh`
+    gives every plane, orthogonal to the others even when rates (nearly)
+    repeat.  Each w is first turned so that its largest entry is real and
+    positive, which fixes the rotation within its plane.  Alphas are
+    reported in descending order; a rate at most ZERO_RATE_RTOL of the
+    largest reads as 0, and an orthonormal basis of the complement of the
+    planes fills the trailing zero blocks.
     """
     om = np.asarray(omega, dtype=float)
     if om.ndim != 2 or om.shape[0] != om.shape[1]:
@@ -315,10 +332,10 @@ def skew_normal_form(omega) -> SkewNormalForm:
         raise InputError("empty matrix")
     if not np.all(np.isfinite(om)):
         raise InputError("matrix entries must be finite")
-    # The Gram matrix squares the entries, so it overflows first; its
-    # entries are bounded by (d * max|entry|)^2.
+    # The Frobenius norm sums squared entries, so it overflows first; its
+    # square is bounded by (d * max|entry|)^2.
     if d * np.abs(om).max() >= np.sqrt(np.finfo(float).max):
-        raise InputError("matrix entries are too large: the Gram matrix would overflow")
+        raise InputError("matrix entries are too large: the Frobenius norm would overflow")
     norm = np.linalg.norm(om)
     if np.linalg.norm(om + om.T) > 1e-12 * max(norm, 1e-300):
         raise InputError("matrix is not skew-symmetric within tolerance")
@@ -327,67 +344,14 @@ def skew_normal_form(omega) -> SkewNormalForm:
     if norm == 0.0:
         return SkewNormalForm(q=np.eye(d), alphas=np.zeros(m), residual=0.0)
 
-    gram = om.T @ om
-    evals, evecs = np.linalg.eigh(gram)
-    order = np.argsort(evals)[::-1]
-    evals = evals[order]
-    evecs = evecs[:, order]
-    scale = max(evals[0], 0.0)
-    tol = CLUSTER_RTOL * scale
+    evals, evecs = np.linalg.eigh(1j * om)
+    rates, w = evals[::-1][:m], evecs[:, ::-1][:, :m]
+    alphas = np.where(rates > ZERO_RATE_RTOL * rates[0], rates, 0.0)
+    w = np.sqrt(2.0) * _fix_phase(w[:, alphas > 0])
+    planes = np.stack([w.real, -w.imag], axis=2).reshape(d, -1)
+    complement = np.linalg.qr(np.column_stack([planes, np.eye(d)]))[0][:, planes.shape[1]:]
+    q = np.column_stack([planes, _fix_phase(complement)])
 
-    clusters = []
-    start = 0
-    for i in range(1, d + 1):
-        if i == d or evals[start] - evals[i] > tol:
-            clusters.append((start, i))
-            start = i
-
-    pair_cols = []
-    kernel_cols = []
-    for lo, hi in clusters:
-        basis = evecs[:, lo:hi]
-        if evals[lo] <= tol:
-            kernel_cols.extend(basis[:, k] for k in range(basis.shape[1]))
-            continue
-        width = hi - lo
-        if width % 2:
-            raise InputError(
-                "eigenvalue cluster of odd dimension; matrix is not numerically skew"
-            )
-        work = basis
-        while work.shape[1]:
-            u = work[:, 0]
-            u = u / np.linalg.norm(u)
-            w = om @ u
-            alpha = np.linalg.norm(w)
-            v = -w / alpha
-            v = v - (u @ v) * u
-            v = v / np.linalg.norm(v)
-            pair_cols.append((alpha, u, v))
-            if work.shape[1] == 2:
-                break
-            rest = work[:, 1:]
-            rest = rest - np.outer(u, u @ rest) - np.outer(v, v @ rest)
-            q_rest, _ = np.linalg.qr(rest)
-            work = q_rest[:, : work.shape[1] - 2]
-
-    pair_cols.sort(key=lambda t: -t[0])
-    columns = []
-    alphas = []
-    for alpha, u, v in pair_cols:
-        columns.extend([u, v])
-        alphas.append(alpha)
-    kernel_iter = iter(kernel_cols)
-    for u in kernel_iter:
-        v = next(kernel_iter, None)
-        if v is None:
-            columns.append(u)
-        else:
-            columns.extend([u, v])
-            alphas.append(0.0)
-    q = np.column_stack(columns)
-
-    alphas_arr = np.array(alphas)
-    form = SkewNormalForm(q=q, alphas=alphas_arr, residual=0.0)
+    form = SkewNormalForm(q=q, alphas=alphas, residual=0.0)
     residual = float(np.linalg.norm(q.T @ om @ q - form.block_matrix()))
-    return SkewNormalForm(q=q, alphas=alphas_arr, residual=residual)
+    return SkewNormalForm(q=q, alphas=alphas, residual=residual)

@@ -360,8 +360,7 @@ def _probe_candidates(model: MagneticModel):
 
 
 def superintegrability_probe(
-    family: IntegralFamily, samples: int = 100, seed: int = 0,
-    certificate: IndependenceCertificate | None = None,
+    family: IntegralFamily, certificate: IndependenceCertificate
 ) -> list:
     """Search blocks with at least two coordinate planes for extra integrals.
 
@@ -370,24 +369,20 @@ def superintegrability_probe(
     combinations M_ac + M_bd and M_ad - M_bc (planes (a,b) and (c,d)).
     A candidate qualifies when its bracket with H and with every
     indicator quadratic is identically zero and it raises the rank of
-    the family to n+1.  The members are certified by
-    `functional_independence` with the same samples and seed, unless that
-    `certificate` is passed in, and each candidate's gradient at the
-    certifying point is reduced against the members' echelon form: a
+    the family to n+1.  `certificate` is the members' certificate from
+    `functional_independence`; each candidate's gradient at its
+    certifying point is reduced against the members' echelon form, and a
     nonzero remainder proves that the candidate raises the rank.  When
     the members are not certified, no candidate does.
     """
     candidates = list(_probe_candidates(family.model))
     if not candidates:
         return []
-    n = family.model.n
     h = hamiltonian_pert(family.model)
     indicator_quads = [
         q for q, prov in zip(family.quads, family.quad_provenance)
         if prov.get("kind") == "indicator"
     ]
-    if certificate is None:
-        certificate = functional_independence(family.members(), n, samples, seed)
     results = []
     for block, kind, label, poly, cross in candidates:
         commutes_h = poisson_bracket(poly, h).is_zero
@@ -454,6 +449,5 @@ def run_verification(
         pair_results=pair_results,
         independence=independence,
         membership=hamiltonian_membership(family),
-        probe_results=superintegrability_probe(
-            family, samples=samples, seed=seed, certificate=independence),
+        probe_results=superintegrability_probe(family, independence),
     )

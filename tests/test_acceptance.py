@@ -224,7 +224,8 @@ def test_09_single_generator_superintegrability_probe():
         fam = family_for(n, alphas)
         h = hamiltonian_pert(fam.model)
         oracle = cross_pair_brackets(fam.model)
-        probes = superintegrability_probe(fam, samples=100, seed=SEED)
+        probes = superintegrability_probe(
+            fam, functional_independence(fam.members(), fam.model.n, samples=100, seed=SEED))
         singles = [r for r in probes if r.kind == "generator" and r.cross_pair]
         if len(singles) != count or sorted(r.label for r in singles) != sorted(oracle):
             bad.append((n, alphas, "candidates", [r.label for r in singles]))
@@ -244,7 +245,8 @@ def test_09_single_generator_superintegrability_probe():
 def test_09_companion_pair_combinations_extend_the_family():
     for (n, alphas), count in (((4, ("1", "1")), 2), ((6, ("1", "1", "1")), 6)):
         fam = family_for(n, alphas)
-        probes = superintegrability_probe(fam, samples=100, seed=SEED)
+        probes = superintegrability_probe(
+            fam, functional_independence(fam.members(), fam.model.n, samples=100, seed=SEED))
         combos = [r for r in probes if r.kind in ("pair_sum", "pair_diff")]
         assert len(combos) == count, (n, alphas, [r.label for r in combos])
         for r in combos:

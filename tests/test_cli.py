@@ -297,7 +297,7 @@ def test_normal_form_rejects_bad_matrices(tmp_path, capsys):
     ragged = tmp_path / "ragged.json"
     ragged.write_text(json.dumps({"omega": [[0, 1], [1]]}))
     assert run(capsys, "normal-form", "--in", str(ragged), "--out", out)[0] == 2
-    # non-finite entries, and entries whose Gram matrix overflows: exit 2,
+    # non-finite entries, and entries whose Frobenius norm overflows: exit 2,
     # and no partial artifact
     for value in (float("nan"), float("inf"), 1e200):
         matrix = tmp_path / f"{value}.json"
@@ -305,6 +305,41 @@ def test_normal_form_rejects_bad_matrices(tmp_path, capsys):
         code, _, err = run(capsys, "normal-form", "--in", str(matrix), "--out", out)
         assert code == 2 and err.startswith("error: matrix")
         assert not (tmp_path / "form.json").exists()
+
+
+def test_normal_form_is_deterministic(tmp_path, capsys):
+    infile = tmp_path / "omega.json"
+    rng = np.random.default_rng(3)
+    raw = rng.standard_normal((6, 6))
+    infile.write_text(json.dumps({"omega": (raw - raw.T).tolist()}))
+    a, b = tmp_path / "first.json", tmp_path / "second.json"
+    for out in (a, b):
+        assert run(capsys, "normal-form", "--in", str(infile), "--out", str(out))[0] == 0
+    # the config echoes the output path, which differs; normalize it away
+    assert a.read_bytes().replace(b"first.json", b"x.json") == \
+        b.read_bytes().replace(b"second.json", b"x.json")
+
+
+def test_normal_form_near_repeated_rates(tmp_path, capsys):
+    """Rates 1e-9 apart still give an orthogonal frame that reconstructs
+    Omega, for the matrices Q B Q^T of five seeded orthogonal Q."""
+    block = np.zeros((8, 8))
+    for k, rate in enumerate([1.0, 1 + 1e-9, 1 + 2e-9, 1 + 3e-9]):
+        block[2 * k, 2 * k + 1], block[2 * k + 1, 2 * k] = rate, -rate
+    infile, out = tmp_path / "omega.json", tmp_path / "form.json"
+    for seed in range(1, 6):
+        q_rand, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((8, 8)))
+        omega = q_rand @ block @ q_rand.T
+        infile.write_text(json.dumps({"omega": omega.tolist()}))
+        assert run(capsys, "normal-form", "--in", str(infile), "--out", str(out))[0] == 0
+        form = json.loads(out.read_text())["normal_form"]
+        q = np.array(form["Q"])
+        assert np.linalg.norm(q.T @ q - np.eye(8)) <= 1e-12, seed
+        assert form["residual"] <= 1e-12 * np.linalg.norm(omega), seed
+        rebuilt = np.zeros((8, 8))
+        for k, alpha in enumerate(form["alphas"]):
+            rebuilt[2 * k, 2 * k + 1], rebuilt[2 * k + 1, 2 * k] = alpha, -alpha
+        assert np.linalg.norm(q @ rebuilt @ q.T - omega) <= 1e-12 * np.linalg.norm(omega), seed
 
 
 _ENTRIES = st.one_of(
@@ -317,9 +352,11 @@ _ENTRIES = st.one_of(
 @st.composite
 def matrix_inputs(draw):
     """(JSON payload, expected to be accepted): finite skew matrices built
-    as A - A^T, and matrices with a non-finite or huge entry, a non-square
-    or ragged shape, or no rows."""
-    kind = draw(st.sampled_from(["skew", "bad_entry", "non_square", "ragged", "empty"]))
+    as A - A^T, and matrices with a non-finite or huge entry, an entry
+    that is no number (a string, a bool, an integer beyond the float
+    range), a non-square or ragged shape, or no rows."""
+    kind = draw(st.sampled_from(
+        ["skew", "bad_entry", "non_number", "non_square", "ragged", "empty"]))
     d = draw(st.integers(1, 4))
     if kind == "skew":
         a = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=d * d, max_size=d * d)))
@@ -331,6 +368,11 @@ def matrix_inputs(draw):
         value = draw(st.sampled_from([math.nan, math.inf, -math.inf, 1e200, -1e300]))
         rows[i][j] = value
         rows[j][i] = -value
+        return rows, False
+    if kind == "non_number":
+        rows = [[0.0] * d for _ in range(d)]
+        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        rows[i][j] = draw(st.sampled_from(["0", "1", True, False, 10 ** 400, -(10 ** 400)]))
         return rows, False
     if kind == "non_square":
         cols = draw(st.integers(0, 4).filter(lambda c: c != d))

@@ -4,6 +4,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magneflow import (
     InputError,
@@ -124,6 +126,14 @@ def test_hamiltonian_point_value():
     h = hamiltonian_pert(model)
     value = evaluate_exact(h, [1, 0, 0, 0, 1, 0])
     assert value == F(1, 8)  # 1/2 - 1/2 + 1/8
+
+
+def test_hamiltonian_is_built_once_per_model():
+    model = model_of(4, 1, 2)
+    h = hamiltonian_pert(model)
+    assert hamiltonian_pert(model) is h
+    assert h == kinetic_energy(4) - sigma_linear(model) + potential(model)
+    assert hamiltonian_pert(model_of(4, 1, 2)) == h
 
 
 def test_hamiltonian_bidegree_profile():
@@ -314,6 +324,49 @@ def test_normal_form_positive_sign_above_diagonal():
     form = skew_normal_form(omega)
     transformed = form.q.T @ omega @ form.q
     assert transformed[0, 1] > 0
+
+
+_RATES = st.one_of(
+    st.floats(0.1, 10.0),                          # distinct
+    st.sampled_from([1.0, 2.0]),                   # repeated
+    st.just(0.0),                                  # zero
+    st.floats(0.0, 1e-9).map(lambda e: 1.0 + e),   # within 1e-9 of each other
+)
+
+
+@st.composite
+def rotated_plane_blocks(draw):
+    """(Omega, its rates): Q B Q^T for plane rates B and a random
+    orthogonal Q (or Q = I, which leaves zero planes exactly zero), at
+    scale 1 or 2^-+500, plus a skew perturbation of denormal entries."""
+    d = draw(st.integers(2, 22))
+    rates = np.array(draw(st.lists(_RATES, min_size=d // 2, max_size=d // 2)))
+    rates *= draw(st.sampled_from([1.0, 2.0 ** -500, 2.0 ** 500]))
+    q = np.eye(d)
+    if draw(st.booleans()):
+        seed = draw(st.integers(0, 2 ** 32 - 1))
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+    ints = np.array(draw(st.lists(st.integers(-3, 3), min_size=d * d, max_size=d * d)))
+    noise = 5e-324 * (ints.reshape(d, d) - ints.reshape(d, d).T)
+    omega = q @ canonical_block(rates, d) @ q.T
+    return (omega - omega.T) / 2 + noise, rates
+
+
+@given(rotated_plane_blocks())
+@settings(max_examples=150, deadline=None)
+def test_normal_form_property(case):
+    omega, rates = case
+    d = omega.shape[0]
+    form = skew_normal_form(omega)
+    top = rates.max()
+    assert np.all(np.diff(form.alphas) <= 0)
+    assert np.all(np.abs(form.alphas - np.sort(rates)[::-1]) <= 1e-12 * top)
+    assert np.linalg.norm(form.q.T @ form.q - np.eye(d)) <= 1e-12
+    transformed = form.q.T @ omega @ form.q
+    for k, alpha in enumerate(form.alphas):
+        if alpha:
+            assert transformed[2 * k, 2 * k + 1] > 0
+    assert form.residual <= 1e-12 * np.linalg.norm(omega)
 
 
 def test_normal_form_rejects_non_skew():

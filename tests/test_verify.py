@@ -330,7 +330,8 @@ def check_certificate_against_float_oracle(n, alpha):
     cert = functional_independence(fam.members(), n, samples=100, seed=42)
     assert cert.certified == float_independence(fam.members(), n, samples=100, seed=42).full_rank
     assert cert.certified
-    probe = superintegrability_probe(fam, samples=100, seed=42)
+    probe = superintegrability_probe(
+        fam, functional_independence(fam.members(), fam.model.n, samples=100, seed=42))
     polys = [poly for _, _, _, poly, _ in _probe_candidates(fam.model)]
     verdicts = float_probe_verdicts(fam, polys, samples=100, seed=42)
     assert [r.raises_rank for r in probe] == verdicts
@@ -499,7 +500,8 @@ def test_membership_solution_matches_fraction_gauss_jordan(n, alpha):
 
 def test_probe_empty_without_merged_blocks():
     fam = commuting_basis(model_of(4, 1, 2))
-    assert superintegrability_probe(fam, samples=20, seed=0) == []
+    assert superintegrability_probe(
+        fam, functional_independence(fam.members(), fam.model.n, samples=20, seed=0)) == []
 
 
 def test_probe_single_generators_fail_hamiltonian_commutation():
@@ -509,7 +511,8 @@ def test_probe_single_generators_fail_hamiltonian_commutation():
     m13, m14, m23 = killing(1, 3, 4), killing(1, 4, 4), killing(2, 3, 4)
     # the bracket is a definite nonzero rotation momentum combination
     assert poisson_bracket(m13, h) == F(1, 2) * (m23 + m14)
-    results = superintegrability_probe(fam, samples=30, seed=1)
+    results = superintegrability_probe(
+        fam, functional_independence(fam.members(), fam.model.n, samples=30, seed=1))
     singles = [r for r in results if r.kind == "generator" and r.cross_pair]
     assert len(singles) == 4
     assert all(not r.commutes_with_hamiltonian for r in singles)
@@ -526,7 +529,8 @@ def test_probe_pair_combinations_are_additional_integrals():
     combo_diff = killing(1, 4, 4) - killing(2, 3, 4)
     assert poisson_bracket(combo_sum, h).is_zero
     assert poisson_bracket(combo_diff, h).is_zero
-    results = superintegrability_probe(fam, samples=50, seed=2)
+    results = superintegrability_probe(
+        fam, functional_independence(fam.members(), fam.model.n, samples=50, seed=2))
     combos = [r for r in results if r.kind in ("pair_sum", "pair_diff")]
     assert len(combos) == 2
     for r in combos:
@@ -539,7 +543,8 @@ def test_probe_pair_combinations_are_additional_integrals():
 def test_probe_in_plane_generators_commute_but_add_no_rank():
     model = model_of(4, 1, 1)
     fam = commuting_basis(model)
-    results = superintegrability_probe(fam, samples=20, seed=3)
+    results = superintegrability_probe(
+        fam, functional_independence(fam.members(), fam.model.n, samples=20, seed=3))
     in_plane = [r for r in results if r.kind == "generator" and not r.cross_pair]
     assert len(in_plane) == 2
     for r in in_plane:
@@ -561,7 +566,8 @@ def candidate_poly(label, n):
 def test_probe_ranks_match_standalone_independence(n, alpha):
     model = model_of(n, *alpha.split(","))
     fam = commuting_basis(model)
-    results = superintegrability_probe(fam, samples=30, seed=5)
+    results = superintegrability_probe(
+        fam, functional_independence(fam.members(), fam.model.n, samples=30, seed=5))
     assert results
     # the standalone certificate of members plus candidate tries the same
     # points; up to the members' last one it certifies exactly there
@@ -582,7 +588,8 @@ def test_probe_raises_no_rank_without_certified_members():
         linear_provenance=fam.linear_provenance,
     )
     assert not functional_independence(dup.members(), 4, samples=10, seed=0).certified
-    results = superintegrability_probe(dup, samples=10, seed=0)
+    results = superintegrability_probe(
+        dup, functional_independence(dup.members(), dup.model.n, samples=10, seed=0))
     assert len(results) == 8
     assert not any(r.raises_rank or r.is_additional_integral for r in results)
 
@@ -626,7 +633,7 @@ def test_passed_requires_certified_independence():
 
 def test_verify_certifies_the_members_once(monkeypatch):
     """run_verification hands its independence certificate to the probe,
-    which then gives the verdicts it gives when it certifies on its own."""
+    which then gives the verdicts it gives with a freshly made one."""
     calls = []
     certify = verify.functional_independence
 
@@ -639,5 +646,6 @@ def test_verify_certifies_the_members_once(monkeypatch):
     report = run_verification(fam, samples=20, seed=3)
     assert len(calls) == 1
     assert report.probe_results
-    assert report.probe_results == superintegrability_probe(fam, samples=20, seed=3)
+    assert report.probe_results == superintegrability_probe(
+        fam, verify.functional_independence(fam.members(), fam.model.n, samples=20, seed=3))
     assert len(calls) == 2
