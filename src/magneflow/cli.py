@@ -15,6 +15,7 @@ the config echo, and the seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -262,7 +263,10 @@ def cmd_simulate(args) -> int:
     return 0 if passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: each `parse_args`
+    makes a fresh namespace, so calls of `main` share no values."""
     parser = argparse.ArgumentParser(
         prog="magneflow",
         description="Commuting integrals and constrained integration for "

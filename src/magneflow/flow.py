@@ -15,11 +15,15 @@ constraints are enforced at every step rather than drifting.
 At d = 5 a numpy step spends nearly all its time in per-call overhead,
 and its `@` dot products round as the BLAS kernel chosen at run time does
 (an FMA chain on some CPUs, a plain sum on others); the scalar step's
-orbit does not depend on the BLAS build.  For each (rates, dt) the step
-is generated as one straight-line function on local floats, with the
-plane turns' cos/sin and the constants of dt written as literals, and
-compiled once.  At d = 5 it takes about 5.5 us, where a loop over the
-coordinates took about 11 us (Python 3.11, one core).
+orbit does not depend on the BLAS build.  For each (rates, dt) the steps
+are generated as one function on local floats that loops over steps
+itself: its body is straight-line code, with the plane turns' cos/sin
+and the constants of dt written as literals, and it is compiled once.
+`integrate` runs a whole orbit in one call of it and packs the rows it
+yields into one block of doubles; `step` runs it for a single step.  At
+d = 5, recording every step, a step takes about 4.5 us inside the
+kernel and about 8 us through a loop of `step` calls, measured side by
+side (Python 3.11, one core).
 
 `write_csv` prints every number as `%.17g` does, byte for byte, but with
 numpy instead of one `%` per value.  The 17 digits of a value come from
@@ -37,6 +41,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -104,14 +109,19 @@ def _literal(v: float) -> str:
 
 @functools.lru_cache(maxsize=16)
 def _step_kernel(alpha_floats: tuple, two_a_floats: tuple, dt: float):
-    """The step of size dt for these rates, as one straight-line function
-    of (x, p) on local Python floats.
+    """Steps of size dt for these rates, as one generated function
+    kernel(x, p, steps, every) on local Python floats.
 
-    Its source is generated once per key.  Every constant that depends
-    only on the rates and dt (the cos/sin of the plane turns, 0.5*dt*dt,
-    -2.0*dt*dt, 4.0*dt**4, dt*dt, 0.5*dt) is computed here, in the order
-    the step's formulas give, and written as an exact literal.  The dot
-    products run left to right from 0.0, one `+=` statement per term.
+    The kernel is a generator.  It unpacks x and p once, runs steps
+    1..steps, and yields the row (k * dt, x0.., p0..) after each step k
+    with k % every == 0 or k == steps, so the last row is the final
+    state.  A failed step raises StepError(message, k).  The body of a
+    step is straight-line code, generated once per key.  Every constant
+    that depends only on the rates and dt (the cos/sin of the plane
+    turns, 0.5*dt*dt, -2.0*dt*dt, 4.0*dt**4, dt*dt, 0.5*dt) is computed
+    here, in the order the step's formulas give, and written as an exact
+    literal.  The dot products run left to right from 0.0, one `+=`
+    statement per term.
     """
     d = len(two_a_floats)
     dt_, tau = _literal(dt), dt / 2.0
@@ -127,54 +137,60 @@ def _step_kernel(alpha_floats: tuple, two_a_floats: tuple, dt: float):
     def rotate(positions):
         # plane k turns by -alpha_k * dt / 4, alike for positions and momenta
         return [
-            f"    {u}{i}, {u}{i + 1} = {c} * {u}{i} + {s} * {u}{i + 1}, "
+            f"{u}{i}, {u}{i + 1} = {c} * {u}{i} + {s} * {u}{i + 1}, "
             f"{ms} * {u}{i} + {c} * {u}{i + 1}"
             for i, c, s, ms in turns
             for u in (positions, "p")
         ]
 
     def dot(name, terms):
-        return [f"    {name} = 0.0"] + [f"    {name} += {term}" for term in terms]
+        return [f"{name} = 0.0"] + [f"{name} += {term}" for term in terms]
 
     half_dt_sq, half_dt = _literal(0.5 * dt * dt), _literal(0.5 * dt)
-    lines = [
-        "def kernel(x, p):",
-        f"    {names('x')} = map(float, x)",
-        f"    {names('p')} = map(float, p)",
-        *rotate("x"),
-    ]
+    body = rotate("x")
     # RATTLE, in the association of the vectorised reference step in
     # tests/test_flow.py, so that only the dot products may round
     # differently from it.
     for k, ak in enumerate(two_a_floats):
-        lines += [
-            f"    g{k} = {_literal(ak)} * x{k}",
-            f"    w{k} = x{k} + {dt_} * p{k} - {half_dt_sq} * g{k}",
+        body += [
+            f"g{k} = {_literal(ak)} * x{k}",
+            f"w{k} = x{k} + {dt_} * p{k} - {half_dt_sq} * g{k}",
         ]
-    lines += dot("wx", [f"w{k} * x{k}" for k in range(d)])
-    lines += dot("ww", [f"w{k} * w{k}" for k in range(d)])
-    lines += [
-        f"    b = {_literal(-2.0 * dt * dt)} * wx",
-        "    defect = ww - 1.0",
-        f"    disc = b * b - {_literal(4.0 * dt ** 4)} * defect",
-        "    if not disc >= 0.0:  # also catches a NaN from overflow",
-        f"        raise StepError({f'constraint projection lost the sphere (dt={dt:g})'!r})",
-        "    lam = 0.0 if defect == 0.0 else 2.0 * defect / (-b + sqrt(disc))",
-        f"    shift = {_literal(dt * dt)} * lam",
-        "    two_lam = 2.0 * lam",
+    body += dot("wx", [f"w{k} * x{k}" for k in range(d)])
+    body += dot("ww", [f"w{k} * w{k}" for k in range(d)])
+    body += [
+        f"b = {_literal(-2.0 * dt * dt)} * wx",
+        "defect = ww - 1.0",
+        f"disc = b * b - {_literal(4.0 * dt ** 4)} * defect",
+        "if not disc >= 0.0:  # also catches a NaN from overflow",
+        f"    raise StepError({f'constraint projection lost the sphere (dt={dt:g})'!r}, k)",
+        "lam = 0.0 if defect == 0.0 else 2.0 * defect / (-b + sqrt(disc))",
+        f"shift = {_literal(dt * dt)} * lam",
+        "two_lam = 2.0 * lam",
     ]
     for k, ak in enumerate(two_a_floats):
-        lines += [
-            f"    y{k} = w{k} - shift * x{k}",
-            f"    q{k} = p{k} - {half_dt} * (g{k} + two_lam * x{k})"
+        body += [
+            f"y{k} = w{k} - shift * x{k}",
+            f"q{k} = p{k} - {half_dt} * (g{k} + two_lam * x{k})"
             f" - {half_dt} * ({_literal(ak)} * y{k})",
         ]
-    lines += dot("xq", [f"y{k} * q{k}" for k in range(d)])
-    lines += dot("xx", [f"y{k} * y{k}" for k in range(d)])
-    lines.append(f"    dt_mu = {dt_} * (xq / ({dt_} * xx))")
-    lines += [f"    p{k} = q{k} - dt_mu * y{k}" for k in range(d)]
-    lines += rotate("y")
-    lines.append(f"    return [{names('y')}], [{names('p')}]")
+    body += dot("xq", [f"y{k} * q{k}" for k in range(d)])
+    body += dot("xx", [f"y{k} * y{k}" for k in range(d)])
+    body.append(f"dt_mu = {dt_} * (xq / ({dt_} * xx))")
+    body += [f"p{k} = q{k} - dt_mu * y{k}" for k in range(d)]
+    body += rotate("y")
+    body += [
+        f"{names('x')} = {names('y')}",
+        "if k % every == 0 or k == steps:",
+        f"    yield (k * {dt_}, {names('x')}, {names('p')})",
+    ]
+    lines = [
+        "def kernel(x, p, steps, every):",
+        f"    {names('x')} = map(float, x)",
+        f"    {names('p')} = map(float, p)",
+        "    for k in range(1, steps + 1):",
+        *(f"        {line}" for line in body),
+    ]
     namespace = {"StepError": StepError, "sqrt": math.sqrt}
     exec(compile("\n".join(lines) + "\n", f"<flow step kernel, d={d}>", "exec"), namespace)
     return namespace["kernel"]
@@ -196,17 +212,23 @@ def step(x, p, model: MagneticModel, dt: float):
       reach the sphere and is reported as a StepError.
     - rotate(dt/2) again.
 
-    The work is done by the straight-line kernel of (rates, dt), see
-    `_step_kernel`.  Every product and sum is a Python float operation
-    in a fixed order, dot products included, so the orbit does not
-    depend on the BLAS.
+    The work is done by one step of the kernel of (rates, dt), see
+    `_step_kernel`, the generator that `integrate` runs over a whole
+    orbit.  Every product and sum is a Python float operation in a fixed
+    order, dot products included, so the orbit does not depend on the
+    BLAS.
     """
     d = model.n + 1
     if len(x) != d or len(p) != d:
         raise InputError(f"state vectors have lengths {len(x)} and {len(p)}, model needs {d}")
     if dt == 0.0:
         return list(map(float, x)), list(map(float, p))
-    return _step_kernel(model.alpha_floats, model.two_a_floats, float(dt))(x, p)
+    kernel = _step_kernel(model.alpha_floats, model.two_a_floats, float(dt))
+    try:
+        row = next(kernel(x, p, 1, 1))  # (t, x, p) after the step
+    except StepError as exc:
+        raise StepError(exc.args[0]) from None
+    return list(row[1 : d + 1]), list(row[d + 1 :])
 
 
 @dataclass
@@ -248,8 +270,14 @@ def integrate(
     """Integrate from (x0, p0) and evaluate conserved quantities.
 
     The initial state is projected (within tolerance) before the run.
-    If a family is given, every member is evaluated along the recorded
-    states together with the Hamiltonian.
+    The whole run is one call of the step kernel of (rates, dt), see
+    `_step_kernel`, so its orbit has the bits of a loop of `step` calls.
+    The rows of step 0, of every record_every-th step and of the last
+    step fill one (rows, 1 + 2d) block of doubles, allocated once, from
+    which the record's times, xs and ps are copied.  A failed step k
+    raises StepError with the prefix "step k: ".  If a family is given,
+    every member is evaluated along the recorded states together with
+    the Hamiltonian.
     """
     if not (isinstance(steps, int) and steps >= 0):
         raise InputError(f"steps must be a nonnegative integer, got {steps!r}")
@@ -266,23 +294,29 @@ def integrate(
             f"state has dimension {x.size}, model needs {model.n + 1}"
         )
 
-    rows = steps // record_every + 1 + (steps % record_every != 0)
-    times = np.empty(rows)
-    xs = np.empty((rows, x.size))
-    ps = np.empty((rows, x.size))
-    times[0], xs[0], ps[0] = 0.0, x, p
+    d = x.size
     x, p = x.tolist(), p.tolist()
-    row = 1
-    for k in range(1, steps + 1):
-        try:
-            x, p = step(x, p, model, dt)
-        except StepError as exc:
-            raise StepError(f"step {k}: {exc}") from None
-        if k % record_every == 0 or k == steps:
-            times[row], xs[row], ps[row] = k * dt, x, p
-            row += 1
-
+    kernel = _step_kernel(model.alpha_floats, model.two_a_floats, float(dt))
+    rows = chain([(0.0, *x, *p)], kernel(x, p, steps, record_every))
+    count = steps // record_every + 1 + (steps % record_every != 0)
+    try:
+        # One allocation of the final size, filled in C; appending each row
+        # to an array("d") took about 1.6 times as long.
+        values = np.fromiter(chain.from_iterable(rows), float, count * (1 + 2 * d))
+    except StepError as exc:
+        message, k = exc.args
+        raise StepError(f"step {k}: {message}") from None
+    # Rows (t, x, p), copied out before the evaluator's states are stacked.
+    # Views of the block would spare two copies, but over repeated
+    # simulate-long commands in one process they raised the peak RSS from
+    # 75 to 88 MB: glibc then kept more of the freed heap resident.
+    block = values.reshape(count, 1 + 2 * d)
+    times, xs, ps = (
+        np.ascontiguousarray(a) for a in (block[:, 0], block[:, 1 : 1 + d], block[:, 1 + d :])
+    )
+    del values, block
     states = np.hstack([xs, ps])
+
     diagnostics = {}
     for label, poly in _diagnostic_polys(model, family):
         diagnostics[label] = compiled_evaluator(poly)(states)

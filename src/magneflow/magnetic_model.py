@@ -20,6 +20,7 @@ Hermitian eigendecomposition of i*Omega, and returns the alphas.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -322,7 +323,8 @@ def skew_normal_form(omega) -> SkewNormalForm:
     positive, which fixes the rotation within its plane.  Alphas are
     reported in descending order; a rate at most ZERO_RATE_RTOL of the
     largest reads as 0, and an orthonormal basis of the complement of the
-    planes fills the trailing zero blocks.
+    planes fills the trailing zero blocks.  A skew matrix whose entries
+    are all subnormal reads as the zero matrix.
     """
     om = np.asarray(omega, dtype=float)
     if om.ndim != 2 or om.shape[0] != om.shape[1]:
@@ -334,14 +336,19 @@ def skew_normal_form(omega) -> SkewNormalForm:
         raise InputError("matrix entries must be finite")
     # The Frobenius norm sums squared entries, so it overflows first; its
     # square is bounded by (d * max|entry|)^2.
-    if d * np.abs(om).max() >= np.sqrt(np.finfo(float).max):
+    top = float(np.abs(om).max())
+    if d * top >= np.sqrt(np.finfo(float).max):
         raise InputError("matrix entries are too large: the Frobenius norm would overflow")
-    norm = np.linalg.norm(om)
-    if np.linalg.norm(om + om.T) > 1e-12 * max(norm, 1e-300):
+    # Work on om / 2**e with max|entry| in [0.5, 1): the scaling is exact,
+    # and the squares in the norms cannot underflow for tiny entries.
+    exponent = math.frexp(top)[1]
+    om = np.ldexp(om, -exponent)
+    if np.linalg.norm(om + om.T) > 1e-12 * np.linalg.norm(om):
         raise InputError("matrix is not skew-symmetric within tolerance")
     m = d // 2
-
-    if norm == 0.0:
+    if top < np.finfo(float).tiny:
+        # Zero or subnormal entries only: they carry fewer than 53
+        # significant bits, and such a matrix reads as the zero matrix.
         return SkewNormalForm(q=np.eye(d), alphas=np.zeros(m), residual=0.0)
 
     evals, evecs = np.linalg.eigh(1j * om)
@@ -354,4 +361,6 @@ def skew_normal_form(omega) -> SkewNormalForm:
 
     form = SkewNormalForm(q=q, alphas=alphas, residual=0.0)
     residual = float(np.linalg.norm(q.T @ om @ q - form.block_matrix()))
-    return SkewNormalForm(q=q, alphas=alphas, residual=residual)
+    return SkewNormalForm(
+        q=q, alphas=np.ldexp(alphas, exponent), residual=math.ldexp(residual, exponent)
+    )

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magneflow import __version__
-from magneflow.cli import _write_json, main
+from magneflow.cli import _write_json, build_parser, main
 from magneflow.flow import MAX_ABS_DT, MIN_ABS_DT
 
 
@@ -277,6 +277,19 @@ def test_normal_form_canonical_input(tmp_path, capsys):
     assert form["residual"] < 1e-12
     q = np.array(form["Q"])
     assert np.allclose(q @ q.T, np.eye(3), atol=1e-12)
+
+
+def test_normal_form_tiny_matrices(tmp_path, capsys):
+    out = tmp_path / "form.json"
+    skew, symmetric = tmp_path / "skew.json", tmp_path / "symmetric.json"
+    skew.write_text(json.dumps({"omega": [[0, 1e-170], [-1e-170, 0]]}))
+    symmetric.write_text(json.dumps({"omega": [[0, 1e-170], [1e-170, 0]]}))
+    assert run(capsys, "normal-form", "--in", str(skew), "--out", str(out))[0] == 0
+    assert json.loads(out.read_text())["normal_form"]["alphas"] == [1e-170]
+    out.unlink()
+    code, _, err = run(capsys, "normal-form", "--in", str(symmetric), "--out", str(out))
+    assert code == 2 and err.startswith("error: matrix is not skew-symmetric")
+    assert not out.exists()
 
 
 def test_normal_form_rejects_bad_matrices(tmp_path, capsys):
@@ -697,6 +710,27 @@ def test_simulate_check_picture(tmp_path, capsys):
     picture = drift["drift"]["picture"]["series"]
     assert set(picture) == {"H_kin"}
     assert picture["H_kin"]["max_rel_drift"] < 1e-5
+
+
+def test_successive_mains_do_not_share_values(tmp_path, capsys):
+    """main builds its parser once per process; each call still parses
+    into its own namespace, so a flag of one call leaks into no other."""
+    assert build_parser() is build_parser()
+    family = build_family(tmp_path, capsys, n=2, alpha="1")
+    common = ["simulate", "--n", "2", "--alpha", "1", "--dt", "1e-3", "--steps", "20"]
+    configs = []
+    for extra in (["--check-picture", "--seed", "3", "--record-every", "5"], []):
+        prefix = tmp_path / f"run{len(configs)}"
+        assert run(capsys, *common, *extra, "--out", str(prefix))[0] == 0
+        drift = json.loads((tmp_path / f"{prefix.name}.drift.json").read_text())
+        configs.append((drift["config"], drift["seed"], "picture" in drift["drift"]))
+        code, _, _ = run(capsys, "verify", "--family", str(family),
+                         "--report", str(tmp_path / "report.json"))
+        assert code == 0
+    (first, first_seed, first_picture), (second, second_seed, second_picture) = configs
+    assert (first["check_picture"], first["record_every"], first_seed) == (True, 5, 3)
+    assert (second["check_picture"], second["record_every"], second_seed) == (False, 1, 0)
+    assert first_picture and not second_picture
 
 
 def test_simulate_outputs_are_deterministic(tmp_path, capsys):

@@ -180,20 +180,27 @@ def test_step_rejects_state_of_wrong_length(size):
         step(wrong, p, model, 0.0)
 
 
-def test_integrate_calls_step_once_per_step(monkeypatch):
-    """integrate goes through the module-level `step` on every step, which
-    is the name the benchmark wraps to count and time steps."""
+def test_integrate_makes_one_kernel_call_per_run(monkeypatch):
+    """integrate runs the whole orbit in one call of the step kernel,
+    whatever the number of steps and the recording stride."""
     calls = []
+    step_kernel = flow._step_kernel
 
-    def counting_step(*args):
-        calls.append(args[3])
-        return step(*args)
+    def counting_step_kernel(*key):
+        kernel = step_kernel(*key)
 
-    monkeypatch.setattr(flow, "step", counting_step)
+        def counting_kernel(x, p, steps, every):
+            calls.append((steps, every))
+            return kernel(x, p, steps, every)
+
+        return counting_kernel
+
+    monkeypatch.setattr(flow, "_step_kernel", counting_step_kernel)
     model = model_of(4, 1, 2)
     x0, p0 = seeded_state(4)
-    integrate(model, x0, p0, dt=1e-2, steps=37, record_every=5)
-    assert calls == [1e-2] * 37
+    rec = integrate(model, x0, p0, dt=1e-2, steps=37, record_every=5)
+    assert calls == [(37, 5)]
+    assert rec.times.shape == (9,)
 
 
 def test_one_kernel_per_rates_and_dt():
@@ -205,7 +212,7 @@ def test_one_kernel_per_rates_and_dt():
     integrate(model_of(4, 1, 2), x0, p0, dt=1e-2, steps=20)
     after = flow._step_kernel.cache_info()
     assert after.misses == before.misses
-    assert after.hits == before.hits + 40
+    assert after.hits == before.hits + 2
     assert flow._step_kernel(model.alpha_floats, model.two_a_floats, 1e-2) is kernel
     assert flow._step_kernel(model.alpha_floats, model.two_a_floats, -1e-2) is not kernel
 
@@ -404,6 +411,48 @@ def test_recorded_rows_match_the_stride(steps, every):
     assert np.array_equal(rec.ps, [rows[k][1] for k in ks])
 
 
+def test_orbit_is_bit_identical_to_a_step_loop_at_n61():
+    """The kernel's loop over steps and its strided recording give the
+    bits of one `step` call per step, here at d = 62 with a stride that
+    does not divide the number of steps."""
+    model = model_of(61, *(("0", "1", "3/2", "0", "5")[k % 5] for k in range(31)))
+    x0, p0 = seeded_state(61)
+    steps, every = 200, 9
+    rec = integrate(model, x0, p0, dt=1e-2, steps=steps, record_every=every)
+    x, p = project_initial(x0, p0)
+    ks = [0]
+    rows = [(x, p)]
+    for k in range(1, steps + 1):
+        x, p = step(x, p, model, 1e-2)
+        if k % every == 0 or k == steps:
+            ks.append(k)
+            rows.append((x, p))
+    assert rec.times.tolist() == [k * 1e-2 for k in ks]
+    assert np.array_equal(rec.xs, [x for x, _ in rows])
+    assert np.array_equal(rec.ps, [p for _, p in rows])
+
+
+def test_integrate_memory_is_the_recorded_rows():
+    """integrate packs the recorded rows into one block of doubles and
+    copies them out, so its peak is the rows, one copy of them (the
+    states the evaluator reads) and the evaluator's working chunk.  A
+    Python list of the floats would take about 32 bytes per value, four
+    times the 8 bytes of the record."""
+    model = model_of(4, 1, 2)
+    x0, p0 = seeded_state(4)
+    integrate(model, x0, p0, dt=1e-3, steps=10)  # compile the kernel and the evaluator
+    tracemalloc.start()
+    try:
+        rec = integrate(model, x0, p0, dt=1e-3, steps=100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = [rec.times, rec.xs, rec.ps, rec.sphere_residual, rec.tangency_residual,
+              *rec.diagnostics.values()]
+    record_bytes = sum(a.nbytes for a in arrays)
+    assert peak < 2 * record_bytes + 2 * 2 ** 20, (peak, record_bytes)
+
+
 def test_integrate_validates_parameters():
     model = model_of(2, 1)
     x0, p0 = seeded_state(2)
@@ -464,6 +513,26 @@ def test_step_error_names_dt_and_step():
     assert str(err.value) == "step 1: " + message
     with pytest.raises(StepError, match=r"\(dt=nan\)"):
         step(x0, [0.0, 1.0, 0.0], model, math.nan)
+
+
+@pytest.mark.parametrize("every", [1, 7])
+def test_step_error_names_a_later_step(every):
+    """A step that fails after others succeeded is named by its number,
+    the k at which a loop of `step` calls fails."""
+    model = model_of(4, 1, 2)
+    x0, p0 = seeded_state(4, seed=1)
+    x, p = project_initial(x0, p0)
+    message = None
+    for k in range(1, 101):
+        try:
+            x, p = step(x, p, model, 0.85)
+        except StepError as exc:
+            message = str(exc)
+            break
+    assert k > 1 and message == "constraint projection lost the sphere (dt=0.85)"
+    with pytest.raises(StepError) as err:
+        integrate(model, x0, p0, dt=0.85, steps=100, record_every=every)
+    assert str(err.value) == f"step {k}: {message}"
 
 
 def test_csv_output_round_trips(tmp_path):

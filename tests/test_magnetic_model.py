@@ -369,6 +369,18 @@ def test_normal_form_property(case):
     assert form.residual <= 1e-12 * np.linalg.norm(omega)
 
 
+def test_normal_form_of_tiny_matrices():
+    """Entries near 1e-170 square to below the smallest double, so the
+    norms must see the matrix scaled by a power of two: the skew matrix
+    keeps its rate and the symmetric one is still rejected."""
+    form = skew_normal_form([[0.0, 1e-170], [-1e-170, 0.0]])
+    assert form.alphas.tolist() == [1e-170]
+    assert np.array_equal(form.q, np.eye(2))
+    assert form.residual == 0.0
+    with pytest.raises(InputError, match="not skew-symmetric"):
+        skew_normal_form([[0.0, 1e-170], [1e-170, 0.0]])
+
+
 def test_normal_form_rejects_non_skew():
     with pytest.raises(InputError):
         skew_normal_form(np.eye(3))
