@@ -93,7 +93,10 @@ def _json_text(obj, newline: str = "\n") -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [_json_text(v, inner) for v in obj]
+        if set(map(type, obj)) == {int}:  # exponent lists; bools recurse
+            items = map(int.__repr__, obj)
+        else:
+            items = [_json_text(v, inner) for v in obj]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(obj, dict):
         if not obj:

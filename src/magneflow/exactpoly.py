@@ -77,13 +77,20 @@ def parse_rational(text: str) -> Fraction:
     Decimal and scientific notation are rejected on purpose: every number
     that enters the exact layer must already be a rational literal.
     """
+    return Fraction(*_parse_literal(text))
+
+
+def _parse_literal(text) -> tuple:
+    """(p, q) of the literal 'p' or 'p/q' (q = 1), not reduced; q > 0.
+    The one parser of coefficient literals, behind parse_rational."""
     s = str(text).strip()
     if not _RATIONAL_RE.match(s):
         raise InputError(f"not an exact fraction literal: {text!r}")
-    try:
-        return Fraction(s)
-    except ZeroDivisionError:
-        raise InputError(f"zero denominator: {text!r}") from None
+    num, _, den = s.partition("/")
+    den = int(den or 1)
+    if not den:
+        raise InputError(f"zero denominator: {text!r}")
+    return int(num), den
 
 
 def format_rational(value: Fraction) -> str:
@@ -91,13 +98,12 @@ def format_rational(value: Fraction) -> str:
     return str(Fraction(value))
 
 
-def _coerce_coeff(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
+def _coerce_coeff(c) -> tuple:
+    """(numerator, positive denominator) of an exact coefficient."""
+    if isinstance(c, (int, Fraction)):
+        return c.numerator, c.denominator
     if isinstance(c, str):
-        return parse_rational(c)
+        return _parse_literal(c)
     raise TypeError(
         f"coefficient must be exact (int, Fraction or 'p/q' string), got {type(c).__name__}"
     )
@@ -142,24 +148,8 @@ class PhasePoly:
     __slots__ = ("n", "terms", "den", "_degree", "_derivs")
 
     def __init__(self, n: int, terms: Mapping | Iterable | None = None):
-        if not isinstance(n, int) or n < 1:
-            raise InputError(f"ambient sphere dimension must be an integer >= 1, got {n!r}")
-        width = 2 * (n + 1)
-        checked = []
-        for expo, coeff in terms.items() if isinstance(terms, Mapping) else (terms or ()):
-            expo = tuple(map(int, expo))
-            if len(expo) != width:
-                raise InputError(
-                    f"exponent tuple has length {len(expo)}, expected {width} for n={n}"
-                )
-            if min(expo) < 0:
-                raise InputError(f"negative exponent in {expo}")
-            if sum(expo) > MAX_TERM_DEGREE:
-                raise InputError(f"term {expo} has degree above {MAX_TERM_DEGREE}")
-            c = _coerce_coeff(coeff)
-            if c:
-                checked.append((int.from_bytes(bytes(expo), "big"), c))
-        _assign(self, n, *_lowest_terms(*_sum_items(checked)))
+        items = terms.items() if isinstance(terms, Mapping) else (terms or ())
+        _build(self, n, items, _coerce_coeff)
 
     def __setattr__(self, name, value):
         raise AttributeError("PhasePoly is immutable")
@@ -168,8 +158,7 @@ class PhasePoly:
 
     @classmethod
     def constant(cls, n: int, value) -> "PhasePoly":
-        width = 2 * (n + 1)
-        return cls(n, {(0,) * width: _coerce_coeff(value)})
+        return cls(n, {(0,) * (2 * (n + 1)): value})
 
     # -- basic structure ---------------------------------------------------
 
@@ -194,12 +183,17 @@ class PhasePoly:
             object.__setattr__(self, "_degree", degree)
         return degree
 
+    def _graded(self) -> list:
+        """(exponent bytes, int numerator) of every term in the canonical
+        graded lexicographic order, (total degree, key)."""
+        width, terms = self.width, self.terms
+        order = sorted(terms, key=lambda m: (sum(m.to_bytes(width, "big")), m))
+        return [(m.to_bytes(width, "big"), terms[m]) for m in order]
+
     def sorted_terms(self) -> list:
         """(exponent tuple, Fraction) pairs in the canonical graded
         lexicographic order."""
-        width, den = self.width, self.den
-        order = sorted(self.terms, key=lambda m: (sum(m.to_bytes(width, "big")), m))
-        return [(tuple(m.to_bytes(width, "big")), Fraction(self.terms[m], den)) for m in order]
+        return [(tuple(e), Fraction(c, self.den)) for e, c in self._graded()]
 
     # -- arithmetic --------------------------------------------------------
 
@@ -273,12 +267,14 @@ class PhasePoly:
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "terms": [
-                {"c": format_rational(c), "e": list(e)} for e, c in self.sorted_terms()
-            ],
-        }
+        """The JSON form; each coefficient is printed from its numerator
+        and the denominator as format_rational prints it, 'p' or 'p/q'."""
+        den, terms = self.den, []
+        for e, c in self._graded():
+            g = math.gcd(c, den)
+            text = f"{c // g}/{den // g}" if g != den else str(c // g)
+            terms.append({"c": text, "e": list(e)})
+        return {"n": self.n, "terms": terms}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PhasePoly":
@@ -292,18 +288,20 @@ class PhasePoly:
         terms = []
         for item in raw:
             try:
-                expo, coeff = item["e"], parse_rational(item["c"])
+                expo, coeff = item["e"], _parse_literal(item["c"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise InputError(f"malformed polynomial term: {exc}") from None
-            # int() would read 1.5, "2" and true as exponents; the
-            # constructor rejects negative ones
-            if not (isinstance(expo, list) and all(type(e) is int for e in expo)):
+            # int() would read 1.5, "2" and true as exponents; _build
+            # rejects negative ones
+            if not (isinstance(expo, list) and set(map(type, expo)) <= {int}):
                 raise InputError(
                     f"malformed polynomial term: exponents must be a list of "
                     f"integers, got {expo!r}"
                 )
-            terms.append((tuple(expo), coeff))
-        return cls(n, terms)
+            terms.append((expo, coeff))
+        poly = cls.__new__(cls)
+        _build(poly, n, terms, tuple)  # each coefficient is already a (p, q) pair
+        return poly
 
     # -- debugging ---------------------------------------------------------
 
@@ -332,6 +330,29 @@ class PhasePoly:
         return out.replace("+ -", "- ")
 
 
+def _build(poly: PhasePoly, n: int, items, coerce):
+    """Check n and the (exponent tuple, coefficient) items, and make poly
+    their sum over Q; `coerce` turns a coefficient into (p, q), q > 0."""
+    if not isinstance(n, int) or n < 1:
+        raise InputError(f"ambient sphere dimension must be an integer >= 1, got {n!r}")
+    width = 2 * (n + 1)
+    checked = []
+    for expo, coeff in items:
+        expo = tuple(map(int, expo))
+        if len(expo) != width:
+            raise InputError(
+                f"exponent tuple has length {len(expo)}, expected {width} for n={n}"
+            )
+        if min(expo) < 0:
+            raise InputError(f"negative exponent in {expo}")
+        if sum(expo) > MAX_TERM_DEGREE:
+            raise InputError(f"term {expo} has degree above {MAX_TERM_DEGREE}")
+        num, den = coerce(coeff)
+        if num:
+            checked.append((int.from_bytes(bytes(expo), "big"), num, den))
+    _assign(poly, n, *_lowest_terms(*_sum_items(checked)))
+
+
 def _assign(poly: PhasePoly, n: int, terms: dict, den: int):
     object.__setattr__(poly, "n", n)
     object.__setattr__(poly, "terms", terms)
@@ -358,16 +379,17 @@ def _raw(n: int, terms: dict, den: int) -> PhasePoly:
 
 def _sum_items(items: list) -> tuple:
     """(int term dict, common denominator) of the sum of (packed monomial,
-    nonzero int or Fraction) pairs, added in order."""
-    den = math.lcm(*(c.denominator for _, c in items))
-    terms = [(m, c.numerator * (den // c.denominator)) for m, c in items]
+    nonzero int numerator, positive int denominator) triples, added in
+    order over the lcm of the denominators."""
+    den = math.lcm(*(q for _, _, q in items))
+    terms = [(m, p * (den // q)) for m, p, q in items]
     return _mul_into({}, terms, ((0, 1),)), den
 
 
 def _from_monomials(n: int, items) -> PhasePoly:
     """Polynomial of the sum of (packed monomial, nonzero exact
     coefficient) pairs; every exponent must fit its field."""
-    return _raw(n, *_sum_items(list(items)))
+    return _raw(n, *_sum_items([(m, c.numerator, c.denominator) for m, c in items]))
 
 
 def _mul_into(acc: dict, left, right) -> dict:

@@ -21,7 +21,7 @@ reproducible from the seed alone.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -30,7 +30,6 @@ from . import sampling
 from .errors import InputError
 from .exactpoly import (
     PhasePoly,
-    _fields,
     _partials,
     compiled_evaluator,
     format_rational,
@@ -71,7 +70,8 @@ class PairResult:
     witness_terms: int
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # the fields hold immutable values, so a shallow copy shares nothing
+        return dict(vars(self))
 
 
 def _classify_nonzero(f, g, bracket, points) -> str:
@@ -84,17 +84,20 @@ def _classify_nonzero(f, g, bracket, points) -> str:
 
 
 def check_commutation(family: IntegralFamily, seed: int = 0) -> list:
-    """Exact brackets of all member pairs (self pairs included) and of each
-    member with the Hamiltonian.  The float points that classify a nonzero
-    bracket are drawn on the first one, so a family whose brackets all
-    vanish draws none."""
+    """Exact brackets of all member pairs and of each member with the
+    Hamiltonian, in the order (F_i, F_i), (F_i, F_j) for j > i, (F_i, H).
+    A self pair is reported as the zero polynomial without a bracket: the
+    canonical bracket is antisymmetric, so {F, F} = 0 over Q for every F.
+    The float points that classify a nonzero bracket are drawn on the
+    first one, so a family whose brackets all vanish draws none."""
     members = family.members() + [hamiltonian_pert(family.model)]
     labels = family.labels() + ["H"]
     points = None
 
     results = []
     for i in range(len(members) - 1):  # no (H, H) self pair
-        for j in range(i, len(members)):
+        results.append(PairResult(labels[i], labels[i], "zero_polynomial", 0))
+        for j in range(i + 1, len(members)):
             bracket = poisson_bracket(members[i], members[j])
             if bracket.is_zero:
                 results.append(PairResult(labels[i], labels[j], "zero_polynomial", 0))
@@ -146,13 +149,18 @@ class IndependenceCertificate:
 def _gradient_row(poly: PhasePoly, residues: list) -> list:
     """den(poly) times the gradient of poly mod PRIME at the point whose
     coordinates have these residues.  Scaling a row leaves ranks unchanged."""
-    width = poly.width
-    row = [0] * width
+    row = [0] * poly.width
+    # byte b of a packed monomial, counted from the least significant,
+    # is the exponent field of slot width - 1 - b (exactpoly._fields)
+    by_byte = residues[::-1]
     for slot, terms in _partials(poly).items():
         total = 0
         for mono, c in terms:
-            for factor, k in _fields(mono, width):
-                c *= residues[factor] ** k
+            while mono:
+                shift = (mono.bit_length() - 1) & -8
+                k = mono >> shift
+                mono -= k << shift
+                c *= by_byte[shift >> 3] ** k
             total += c
         row[slot] = total % PRIME
     return row
@@ -333,7 +341,8 @@ class ProbeResult:
     is_additional_integral: bool
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # the fields hold immutable values, so a shallow copy shares nothing
+        return dict(vars(self))
 
 
 def _probe_candidates(model: MagneticModel):

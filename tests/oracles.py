@@ -5,6 +5,9 @@
   the bidegree profile and (linear) substitution.  They are written on
   `sorted_terms()` and the public constructor, so they do not depend on
   how `PhasePoly` keys its monomials.
+- `reference_to_dict` and `reference_from_dict`: the JSON form of a
+  `PhasePoly` as it was written on `Fraction` coefficients, the reference
+  of the int path of `PhasePoly.to_dict` and `from_dict`.
 - `fd_bracket_oracle`: a central-difference estimate of a Poisson
   bracket, the independent cross-check of the exact bracket engine.
 - `potential_compatibility`: the exact mixed-degree commutation test
@@ -20,6 +23,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -130,6 +134,58 @@ def substitute_linear(poly: PhasePoly, q, p_shift=None) -> PhasePoly:
     if p_shift is not None:
         ps = [img + shift for img, shift in zip(ps, p_shift)]
     return substitute(poly, xs + ps)
+
+
+# -- the Fraction-based JSON form ----------------------------------------------
+
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+
+
+def reference_parse_rational(text) -> Fraction:
+    """The literal 'p' or 'p/q' read by Fraction(str)."""
+    s = str(text).strip()
+    if not _RATIONAL_RE.match(s):
+        raise InputError(f"not an exact fraction literal: {text!r}")
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise InputError(f"zero denominator: {text!r}") from None
+
+
+def reference_to_dict(poly: PhasePoly) -> dict:
+    """{"n", "terms"}: every term as its Fraction printed by str and its
+    exponent list, sorted by (total degree, exponent tuple)."""
+    width = poly.width
+    terms = sorted(
+        (tuple(m.to_bytes(width, "big")), Fraction(c, poly.den)) for m, c in poly.terms.items()
+    )
+    terms.sort(key=lambda t: sum(t[0]))
+    return {"n": poly.n, "terms": [{"c": str(c), "e": list(e)} for e, c in terms]}
+
+
+def reference_from_dict(data) -> PhasePoly:
+    """Read the JSON form with one Fraction per term, through the public
+    constructor."""
+    try:
+        n = int(data["n"])
+        raw = data["terms"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed polynomial record: {exc}") from None
+    if not isinstance(raw, list):
+        raise InputError("malformed polynomial record: 'terms' must be a list")
+    terms = []
+    for item in raw:
+        try:
+            expo, coeff = item["e"], reference_parse_rational(item["c"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"malformed polynomial term: {exc}") from None
+        if not (isinstance(expo, list) and all(type(e) is int for e in expo)):
+            raise InputError(
+                f"malformed polynomial term: exponents must be a list of "
+                f"integers, got {expo!r}"
+            )
+        terms.append((tuple(expo), coeff))
+    return PhasePoly(n, terms)
 
 
 # -- finite-difference oracle -------------------------------------------------

@@ -15,11 +15,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from magneflow import __version__
-from magneflow.cli import _write_json, build_parser, main
+from magneflow import IntegralFamily, __version__
+from magneflow.cli import _json_text, _write_json, build_parser, main
 from magneflow.flow import MAX_ABS_DT, MIN_ABS_DT
 
 
@@ -185,6 +185,54 @@ def test_verify_rejects_malformed_input(tmp_path, capsys):
     bare.write_text(json.dumps(artifact["family"]))
     code, _, err = run(capsys, "verify", "--family", str(bare), "--report", report)
     assert code == 2 and one_error_line(err)
+
+
+# (literal, sha256 of the family read back) with the first coefficient
+# of F1 of (3, 1,2) replaced by the literal, and the sha256 of the report
+# of `verify --family f.json --report r.json`, which every accepted
+# literal shares: the report fails and holds no coefficient, so the family
+# digest shows the value read.
+LITERAL_DIGESTS = (
+    ("2/4", "f4a1b51fe2d0719329c59930ab56040745eedf8205d3c7e280d2b00375ddcfa6"),
+    (" 1/2 ", "f4a1b51fe2d0719329c59930ab56040745eedf8205d3c7e280d2b00375ddcfa6"),
+    ("+3", "fc1953b6c2035ee4cd94b1749e6ebfe4173b7ecfb9f801ea8d303590cc228d8f"),
+    (3, "fc1953b6c2035ee4cd94b1749e6ebfe4173b7ecfb9f801ea8d303590cc228d8f"),
+    ("-0", "887fd22f45a54c9a62e609e876e798fdfe78aac6b0a7b0d1c6f588d8e0c07606"),
+)
+LITERAL_REPORT_DIGEST = "ed93c2a4ac9f049cbb2ef51bc98b45f5ad2acb50e6a67b601d04489be1e2dece"
+
+
+def verify_with_literal(tmp_path, capsys, monkeypatch, literal):
+    monkeypatch.chdir(tmp_path)
+    data = json.loads(build_family(tmp_path, capsys).read_text())
+    data["family"]["integrals"][0]["poly"]["terms"][0]["c"] = literal
+    Path("f.json").write_text(json.dumps(data))
+    code, _, err = run(capsys, "verify", "--family", "f.json", "--report", "r.json")
+    return code, err, data["family"]
+
+
+@pytest.mark.parametrize("literal, family_digest", LITERAL_DIGESTS)
+def test_verify_reads_coefficient_literals(tmp_path, capsys, monkeypatch, literal, family_digest):
+    code, err, family = verify_with_literal(tmp_path, capsys, monkeypatch, literal)
+    assert code == 1 and err == ""
+    report = hashlib.sha256(Path("r.json").read_bytes()).hexdigest()
+    assert report == LITERAL_REPORT_DIGEST
+    text = _json_text(IntegralFamily.from_dict(family).to_dict())
+    assert hashlib.sha256(text.encode()).hexdigest() == family_digest
+
+
+@pytest.mark.parametrize("literal, message", [
+    ("1/0", "zero denominator: '1/0'"),
+    ("1.5", "not an exact fraction literal: '1.5'"),
+    ("1e3", "not an exact fraction literal: '1e3'"),
+    ("", "not an exact fraction literal: ''"),
+    (True, "not an exact fraction literal: True"),
+    (None, "not an exact fraction literal: None"),
+])
+def test_verify_rejects_coefficient_literals(tmp_path, capsys, monkeypatch, literal, message):
+    code, err, _ = verify_with_literal(tmp_path, capsys, monkeypatch, literal)
+    assert code == 2 and err == f"error: malformed polynomial term: {message}\n"
+    assert not Path("r.json").exists()
 
 
 @pytest.mark.parametrize("bad", [1.5, "2", True, -1])
@@ -417,14 +465,18 @@ def json_values():
     """Nested JSON-able values, with the types json dispatches on: str
     (escape-heavy and non-ASCII too), None, bools, ints, floats (-0.0,
     1e308, np.float64), lists, tuples and dicts with str, int or float
-    keys, empty containers included."""
+    keys, empty containers included.  Lists and tuples of ints, which
+    the writer prints in one join, come with a bool or another scalar
+    mixed in now and then."""
     text = st.text() | st.text(alphabet='"\\/\n\r\t\b\f\x00\x1f\x7f\u2028\ud800é€😀')
     finite = st.floats(allow_nan=False, allow_infinity=False)
     scalars = st.one_of(
         st.none(), st.booleans(), st.integers(-10**30, 10**30), text,
         finite, finite.map(np.float64), st.sampled_from([-0.0, 1e308, -1e308, 5e-324]),
     )
-    return st.recursive(scalars, lambda children: st.one_of(
+    ints = st.integers(-10**30, 10**30) | st.integers(0, 255)
+    int_lists = st.lists(ints, max_size=8) | st.lists(ints | st.just(True) | scalars, max_size=6)
+    return st.recursive(scalars | int_lists | int_lists.map(tuple), lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
         st.dictionaries(text, children, max_size=4),
@@ -434,6 +486,9 @@ def json_values():
 
 
 @given(json_values())
+@example([1, True, 2])
+@example((False, 0))
+@example({"e": [3, 1], "f": [[0], [True]]})
 @settings(max_examples=200, deadline=None)
 def test_json_writer_matches_json_dumps(obj):
     with tempfile.TemporaryDirectory() as tmp:
@@ -448,6 +503,8 @@ def test_artifacts_are_strict_json(tmp_path):
     for value in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError):
             _write_json(str(path), {"a": [1.0, {"b": value}]})
+        with pytest.raises(ValueError):
+            _write_json(str(path), {"e": [0, 1], "x": [1, 2, value]})
         assert not path.exists()
     _write_json(str(path), {"b": [1.0], "a": 2})
     assert path.read_text() == '{\n  "a": 2,\n  "b": [\n    1.0\n  ]\n}\n'

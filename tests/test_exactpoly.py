@@ -23,12 +23,15 @@ from magneflow import (
     x_var,
 )
 from magneflow import exactpoly
+from magneflow.cli import _json_text
 from oracles import (
     evaluate_exact,
     fd_bracket_oracle,
     partial,
     partial_p,
     partial_x,
+    reference_from_dict,
+    reference_to_dict,
     substitute_linear,
 )
 
@@ -563,6 +566,69 @@ def test_serialized_terms_are_sorted():
 @given(polys())
 def test_json_round_trip_random(f):
     assert PhasePoly.from_dict(f.to_dict()) == f
+
+
+def draw_literal(draw, p, q):
+    """A literal of p/q in one of the forms the JSON form accepts: 'p',
+    'p/q' with q > 1, not reduced ('2/4'), with a sign ('+3', '-0') or
+    surrounding white space, or a JSON int."""
+    k = draw(st.sampled_from([1, 1, 2, 3, 10**9]))
+    text = f"{p * k}/{q * k}" if q * k > 1 else str(p)
+    style = draw(st.sampled_from(["plain", "plain", "sign", "space", "int"]))
+    if style == "sign":
+        return ("+" if p > 0 else "-" if p == 0 else "") + text
+    if style == "space":
+        return f" {text}\n"
+    if style == "int" and q * k == 1:
+        return p
+    return text
+
+
+@st.composite
+def poly_records(draw):
+    """The JSON form of a random polynomial at n = 1..7, out of canonical
+    order, with repeated monomials and negated copies of some terms, so
+    that terms cancel."""
+    n = draw(st.integers(1, 7))
+    width = 2 * (n + 1)
+    expo = st.lists(st.integers(0, 3), min_size=width, max_size=width)
+    coeff = st.tuples(st.integers(-10**20, 10**20) | st.integers(-6, 6),
+                      st.integers(1, 12) | st.integers(1, 10**18))
+    raw = draw(st.lists(st.tuples(expo, coeff), max_size=8))
+    for e, (p, q) in draw(st.lists(st.sampled_from(raw), max_size=4)) if raw else ():
+        raw.insert(draw(st.integers(0, len(raw))), (e, (-p, q)))
+    return {"n": n, "terms": [{"c": draw_literal(draw, p, q), "e": e} for e, (p, q) in raw]}
+
+
+@given(poly_records())
+@settings(max_examples=300, deadline=None)
+def test_int_json_form_matches_fraction_reference(data):
+    poly, ref = PhasePoly.from_dict(data), reference_from_dict(data)
+    assert poly == ref and poly.den == ref.den
+    # term insertion order fixes the coefficient order of compiled_evaluator
+    assert list(poly.terms.items()) == list(ref.terms.items())
+    assert poly.to_dict() == reference_to_dict(poly)
+    assert _json_text(poly.to_dict()) == _json_text(reference_to_dict(ref))
+    assert PhasePoly.from_dict(poly.to_dict()) == poly
+
+
+@given(st.integers(1, 3).flatmap(wide_polys))
+@settings(max_examples=100, deadline=None)
+def test_to_dict_of_wide_coefficients_matches_fraction_reference(poly):
+    assert poly.to_dict() == reference_to_dict(poly)
+    again = PhasePoly.from_dict(poly.to_dict())
+    assert list(again.terms.items()) == list(reference_from_dict(poly.to_dict()).terms.items())
+
+
+@pytest.mark.parametrize("c", ["1/0", "1.5", "1e3", "", "a/b", "1/2/3", "3/-4", "0x10",
+                               "1_000", True, None, 1.5, [1], {"p": 1}])
+def test_from_dict_rejects_literals_as_the_fraction_reference_does(c):
+    data = {"n": 1, "terms": [{"c": "1", "e": [1, 0, 0, 0]}, {"c": c, "e": [0, 0, 1, 0]}]}
+    with pytest.raises(InputError) as want:
+        reference_from_dict(data)
+    with pytest.raises(InputError) as got:
+        PhasePoly.from_dict(data)
+    assert str(got.value) == str(want.value)
 
 
 def test_from_dict_rejects_garbage():

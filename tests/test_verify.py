@@ -92,12 +92,29 @@ def test_family_pairs_all_identically_zero():
     assert {r.right for r in results if r.right == "H"} == {"H"}
 
 
-def test_self_pairs_are_zero_by_antisymmetry():
-    fam = commuting_basis(model_of(3, 1, 2))
-    results = check_commutation(fam, seed=0)
-    for r in results:
-        if r.left == r.right:
-            assert r.status == "zero_polynomial" and r.witness_terms == 0
+def test_self_pairs_are_zero_by_antisymmetry(monkeypatch):
+    # check_commutation reports (F, F) without a bracket; this keeps the
+    # identity it relies on, {F, F} = 0 over Q, tested on the real bracket
+    calls = []
+
+    def bracket(f, g):
+        calls.append((f, g))
+        return poisson_bracket(f, g)
+
+    monkeypatch.setattr(verify, "poisson_bracket", bracket)
+    for n, alpha in CI_MATRIX:
+        fam = commuting_basis(model_of(n, *alpha.split(",")))
+        for member in fam.members():
+            assert poisson_bracket(member, member).is_zero
+        calls.clear()
+        results = check_commutation(fam, seed=0)
+        assert not any(f is g for f, g in calls)
+        labels = fam.labels() + ["H"]
+        expected = [(a, b) for i, a in enumerate(labels[:-1]) for b in labels[i:]]
+        assert [(r.left, r.right) for r in results] == expected
+        for r in results:
+            if r.left == r.right:
+                assert r.status == "zero_polynomial" and r.witness_terms == 0
 
 
 def test_commutation_distinguishes_all_three_tiers():
