@@ -281,21 +281,18 @@ def build_parser() -> argparse.ArgumentParser:
     nf = sub.add_parser("normal-form", help="block-diagonalize a skew matrix")
     nf.add_argument("--in", dest="infile", required=True, metavar="FILE")
     nf.add_argument("--out", required=True, metavar="FILE")
-    nf.set_defaults(func=cmd_normal_form)
 
     build = sub.add_parser("build", help="construct the commuting family")
     build.add_argument("--n", type=int, required=True)
     build.add_argument("--alpha", required=True, metavar="CSV",
                        help="comma-separated exact fractions, one per plane")
     build.add_argument("--out", required=True, metavar="FILE")
-    build.set_defaults(func=cmd_build)
 
     verify = sub.add_parser("verify", help="verify a family file")
     verify.add_argument("--family", required=True, metavar="FILE")
     verify.add_argument("--samples", type=int, default=100)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--report", required=True, metavar="FILE")
-    verify.set_defaults(func=cmd_verify)
 
     sim = sub.add_parser("simulate", help="integrate one trajectory")
     sim.add_argument("--n", type=int, required=True)
@@ -314,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="keep the momentum scale of --init instead of |P|=1")
     sim.add_argument("--out", required=True, metavar="PREFIX",
                      help="output prefix; writes PREFIX.csv and PREFIX.drift.json")
-    sim.set_defaults(func=cmd_simulate)
 
     return parser
 
@@ -326,8 +322,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad usage and 0 on --help; keep its code.
         return int(exc.code or 0)
+    # The handler is looked up at call time, not bound into the cached
+    # parser, so a wrapper set on a module's cmd_* function is called.
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

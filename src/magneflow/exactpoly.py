@@ -387,9 +387,11 @@ def _sum_items(items: list) -> tuple:
 
 
 def _from_monomials(n: int, items) -> PhasePoly:
-    """Polynomial of the sum of (packed monomial, nonzero exact
-    coefficient) pairs; every exponent must fit its field."""
-    return _raw(n, *_sum_items([(m, c.numerator, c.denominator) for m, c in items]))
+    """Polynomial of the sum of (packed monomial, nonzero int numerator,
+    positive int denominator) triples, added in order; every exponent
+    must fit its field.  The builders of closed-form polynomials list
+    their terms and make them one polynomial here."""
+    return _raw(n, *_sum_items(list(items)))
 
 
 def _mul_into(acc: dict, left, right) -> dict:

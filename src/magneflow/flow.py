@@ -274,10 +274,10 @@ def integrate(
     `_step_kernel`, so its orbit has the bits of a loop of `step` calls.
     The rows of step 0, of every record_every-th step and of the last
     step fill one (rows, 1 + 2d) block of doubles, allocated once, from
-    which the record's times, xs and ps are copied.  A failed step k
-    raises StepError with the prefix "step k: ".  If a family is given,
-    every member is evaluated along the recorded states together with
-    the Hamiltonian.
+    which the record's times, xs and ps are copied; a block that cannot
+    be allocated raises InputError.  A failed step k raises StepError
+    with the prefix "step k: ".  If a family is given, every member is
+    evaluated along the recorded states together with the Hamiltonian.
     """
     if not (isinstance(steps, int) and steps >= 0):
         raise InputError(f"steps must be a nonnegative integer, got {steps!r}")
@@ -299,6 +299,12 @@ def integrate(
     kernel = _step_kernel(model.alpha_floats, model.two_a_floats, float(dt))
     rows = chain([(0.0, *x, *p)], kernel(x, p, steps, record_every))
     count = steps // record_every + 1 + (steps % record_every != 0)
+    too_long = InputError(
+        f"a record of {count} rows does not fit in memory; "
+        "lower --steps or raise --record-every"
+    )
+    if count * (1 + 2 * d) > sys.maxsize // 8:  # more bytes than any address space
+        raise too_long
     try:
         # One allocation of the final size, filled in C; appending each row
         # to an array("d") took about 1.6 times as long.
@@ -306,6 +312,8 @@ def integrate(
     except StepError as exc:
         message, k = exc.args
         raise StepError(f"step {k}: {message}") from None
+    except MemoryError:
+        raise too_long from None
     # Rows (t, x, p), copied out before the evaluator's states are stacked.
     # Views of the block would spare two copies, but over repeated
     # simulate-long commands in one process they raised the peak RSS from

@@ -18,13 +18,21 @@ integrals, and the plane rotation momenta M_{2i-1,2i}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import InputError
-from .exactpoly import PhasePoly, _from_monomials, format_rational, parse_rational, p_var, x_var
-from .magnetic_model import MagneticModel, _killing_square_terms, ambient_units, level_blocks
+from .exactpoly import PhasePoly, _from_monomials, format_rational
+from .magnetic_model import (
+    MagneticModel,
+    _killing_square_terms,
+    _killing_terms,
+    _x_square_terms,
+    ambient_units,
+    level_blocks,
+)
 
 __all__ = [
     "killing",
@@ -40,7 +48,7 @@ def killing(i: int, j: int, n: int) -> PhasePoly:
     """Rotation momentum M_ij = Xi Pj - Xj Pi, 1-based, i < j."""
     if not 1 <= i < j <= n + 1:
         raise InputError(f"need 1 <= i < j <= {n + 1}, got ({i}, {j})")
-    return x_var(i, n) * p_var(j, n) - x_var(j, n) * p_var(i, n)
+    return _from_monomials(n, _killing_terms(i, j, n, 1))
 
 
 def _coerce_vector(values: Sequence, n: int, what: str) -> list:
@@ -50,19 +58,34 @@ def _coerce_vector(values: Sequence, n: int, what: str) -> list:
     return vec
 
 
-def _neumann_quadratic(n: int, lam: Mapping, mu: Mapping) -> PhasePoly:
-    """(1/2) sum_{l<m, lam_l != lam_m} (mu_l - mu_m)/(lam_l - lam_m) * M_lm^2,
-    where lam and mu map the same ascending 1-based indices to rationals."""
+def _numerators(values: Mapping) -> tuple:
+    """(index -> int numerator, common denominator) of a map of rationals."""
+    den = math.lcm(*(v.denominator for v in values.values()))
+    return {i: v.numerator * (den // v.denominator) for i, v in values.items()}, den
+
+
+def _neumann_quadratic(n: int, lam: Mapping, mu: Mapping) -> list:
+    """The terms of
+
+        (1/2) sum_{l<m, lam_l != lam_m} (mu_l - mu_m)/(lam_l - lam_m) * M_lm^2,
+
+    where lam and mu map the same ascending 1-based indices to Fractions.
+    With lam = L/dl and mu = N/dm on common denominators, the coefficient
+    of M_lm^2 is (N_l - N_m) dl / (2 dm (L_l - L_m)); pairs with equal lam
+    or equal mu have none."""
+    lnum, dl = _numerators(lam)
+    mnum, dm = _numerators(mu)
     idxs = list(lam)
     terms = []
     for ai, l in enumerate(idxs):
+        lam_l, mu_l = lnum[l], mnum[l]
         for m in idxs[ai + 1:]:
-            if lam[l] == lam[m]:
-                continue
-            coeff = (mu[l] - mu[m]) / (lam[l] - lam[m]) / 2
-            if coeff:
-                terms.extend(_killing_square_terms(l, m, n, coeff))
-    return _from_monomials(n, terms)
+            dmu, dlam = mu_l - mnum[m], lam_l - lnum[m]
+            if dmu and dlam:
+                if dlam < 0:
+                    dmu, dlam = -dmu, -dlam
+                terms.extend(_killing_square_terms(l, m, n, dmu * dl, 2 * dm * dlam))
+    return terms
 
 
 def uhlenbeck_integral(a: Sequence, b: Sequence) -> PhasePoly:
@@ -88,11 +111,8 @@ def degenerate_integral(a: Sequence, b: Sequence) -> PhasePoly:
                 "b must be constant on each level block of a; "
                 f"block {[i + 1 for i in block]} carries values {sorted(vals)}"
             )
-    poly = _neumann_quadratic(n, dict(enumerate(av, 1)), dict(enumerate(bv, 1)))
-    for i in range(n + 1):
-        if bv[i]:
-            poly = poly + bv[i] * (x_var(i + 1, n) ** 2)
-    return poly
+    terms = _neumann_quadratic(n, dict(enumerate(av, 1)), dict(enumerate(bv, 1)))
+    return _from_monomials(n, terms + _x_square_terms(n, bv))
 
 
 def limit_integral(n: int, group: Sequence[int], lam: Mapping, mu: Mapping) -> PhasePoly:
@@ -135,7 +155,7 @@ def limit_integral(n: int, group: Sequence[int], lam: Mapping, mu: Mapping) -> P
     unit_lams = [lam_v[u[0]] for u in group_units]
     if len(set(unit_lams)) != len(unit_lams):
         raise InputError("lambda must take distinct values on distinct units")
-    return _neumann_quadratic(n, lam_v, mu_v)
+    return _from_monomials(n, _neumann_quadratic(n, lam_v, mu_v))
 
 
 @dataclass
@@ -154,9 +174,6 @@ class IntegralFamily:
 
     def labels(self) -> list:
         return [f"F{k + 1}" for k in range(len(self.quads) + len(self.linears))]
-
-    def size(self) -> int:
-        return len(self.quads) + len(self.linears)
 
     def to_dict(self) -> dict:
         integrals = []

@@ -35,7 +35,6 @@ from .exactpoly import (
     _unit,
     format_rational,
     parse_rational,
-    p_var,
     x_var,
 )
 
@@ -120,8 +119,11 @@ class MagneticModel:
 
     @cached_property
     def hamiltonian(self) -> PhasePoly:
-        """H = K - S + U, built once, so its users share its cached partials."""
-        return kinetic_energy(self.n) - sigma_linear(self) + potential(self)
+        """H = K - S + U, built once from the terms of K, -S and U, so its
+        users share its cached partials."""
+        return _from_monomials(self.n, (
+            _kinetic_terms(self.n) + _sigma_terms(self, -1) + _x_square_terms(self.n, self.a)
+        ))
 
     @property
     def pairs(self) -> tuple:
@@ -156,19 +158,61 @@ class MagneticModel:
 
 
 # -- exact polynomial builders ----------------------------------------------
+#
+# Every polynomial here has closed-form terms, so each builder lists its
+# (packed monomial, int numerator, positive int denominator) triples and
+# sums them in one pass with `_from_monomials`.
 
 
-def _killing_square_terms(i: int, j: int, n: int, coeff: Fraction) -> tuple:
-    """The (packed monomial, coefficient) terms of coeff * (Xi Pj - Xj Pi)^2,
-    1-based i < j."""
+def _killing_terms(i: int, j: int, n: int, p: int, q: int = 1) -> tuple:
+    """The terms of (p/q) * (Xi Pj - Xj Pi), 1-based i < j, q > 0."""
+    width = 2 * (n + 1)
+    return (
+        (_unit(width, i - 1) + _unit(width, n + j), p, q),
+        (_unit(width, j - 1) + _unit(width, n + i), -p, q),
+    )
+
+
+def _killing_square_terms(i: int, j: int, n: int, p: int, q: int) -> tuple:
+    """The terms of (p/q) * (Xi Pj - Xj Pi)^2, 1-based i < j, q > 0."""
     width = 2 * (n + 1)
     xi, xj = _unit(width, i - 1), _unit(width, j - 1)
     pi, pj = _unit(width, n + i), _unit(width, n + j)
     return (
-        (2 * xi + 2 * pj, coeff),
-        (xi + xj + pi + pj, -2 * coeff),
-        (2 * xj + 2 * pi, coeff),
+        (2 * xi + 2 * pj, p, q),
+        (xi + xj + pi + pj, -2 * p, q),
+        (2 * xj + 2 * pi, p, q),
     )
+
+
+def _x_square_terms(n: int, coeffs: Sequence) -> list:
+    """The terms of sum_k c_k X_k^2 for the exact coefficients c_1..c_{n+1},
+    zeros left out."""
+    width = 2 * (n + 1)
+    return [
+        (2 * _unit(width, k), c.numerator, c.denominator)
+        for k, c in enumerate(coeffs) if c
+    ]
+
+
+def _kinetic_terms(n: int) -> list:
+    """The terms of K."""
+    return [
+        term
+        for i in range(1, n + 2)
+        for j in range(i + 1, n + 2)
+        for term in _killing_square_terms(i, j, n, 1, 2)
+    ]
+
+
+def _sigma_terms(model: MagneticModel, sign: int) -> list:
+    """The terms of sign * S."""
+    return [
+        term
+        for k, alpha in enumerate(model.alphas) if alpha
+        for term in _killing_terms(
+            2 * k + 1, 2 * k + 2, model.n, sign * alpha.numerator, 2 * alpha.denominator)
+    ]
 
 
 def kinetic_energy(n: int) -> PhasePoly:
@@ -177,39 +221,18 @@ def kinetic_energy(n: int) -> PhasePoly:
     On the unit cotangent structure |X| = 1, <X, P> = 0 this restricts to
     (1/2)|P|^2, the round-sphere kinetic energy.
     """
-    half = Fraction(1, 2)
-    return _from_monomials(n, (
-        term
-        for i in range(1, n + 2)
-        for j in range(i + 1, n + 2)
-        for term in _killing_square_terms(i, j, n, half)
-    ))
+    return _from_monomials(n, _kinetic_terms(n))
 
 
 def sigma_linear(model: MagneticModel) -> PhasePoly:
     """Momentum function of the magnetic rotation field:
     S = (1/2) sum_i alpha_i (X_{2i-1} P_{2i} - X_{2i} P_{2i-1})."""
-    n = model.n
-    poly = PhasePoly(n)
-    for k, alpha in enumerate(model.alphas):
-        if not alpha:
-            continue
-        i, j = 2 * k + 1, 2 * k + 2
-        half_alpha = alpha / 2
-        poly = poly + half_alpha * (
-            x_var(i, n) * p_var(j, n) - x_var(j, n) * p_var(i, n)
-        )
-    return poly
+    return _from_monomials(model.n, _sigma_terms(model, 1))
 
 
 def potential(model: MagneticModel) -> PhasePoly:
     """U = sum_k a_k X_k^2 = (1/8) sum_i alpha_i^2 (X_{2i-1}^2 + X_{2i}^2)."""
-    n = model.n
-    poly = PhasePoly(n)
-    for idx, a_k in enumerate(model.a, start=1):
-        if a_k:
-            poly = poly + a_k * (x_var(idx, n) ** 2)
-    return poly
+    return _from_monomials(model.n, _x_square_terms(model.n, model.a))
 
 
 def hamiltonian_pert(model: MagneticModel) -> PhasePoly:

@@ -30,14 +30,15 @@ from . import sampling
 from .errors import InputError
 from .exactpoly import (
     PhasePoly,
+    _from_monomials,
+    _mul_into,
     _partials,
     compiled_evaluator,
     format_rational,
     poisson_bracket,
-    x_var,
 )
 from .integral_family import IntegralFamily, killing
-from .magnetic_model import MagneticModel, hamiltonian_pert
+from .magnetic_model import MagneticModel, _killing_terms, _x_square_terms, hamiltonian_pert
 
 __all__ = [
     "PairResult",
@@ -280,6 +281,34 @@ def _solve_exact(columns, target: PhasePoly):
     return solution
 
 
+def _residual_is_zero(target: PhasePoly, solution, columns) -> bool:
+    """Whether target - sum_k solution[k] columns[k] is the zero
+    polynomial, accumulated in one dict over a common denominator."""
+    used = [(c, col) for c, col in zip(solution, columns) if c]
+    den = math.lcm(target.den, *(c.denominator * col.den for c, col in used))
+    acc = {m: c * (den // target.den) for m, c in target.terms.items()}
+    for c, col in used:
+        scale = c.numerator * (den // (c.denominator * col.den))
+        _mul_into(acc, col.terms.items(), ((0, -scale),))
+    return not acc
+
+
+def _membership_columns(family: IntegralFamily) -> tuple:
+    """(names, columns) of the membership solve: the members F_k, the
+    squares L_i^2 of the linear members, |X|^2 and the constant 1.  A
+    family file may carry any linear member, so L_i^2 is its product
+    with itself; the other columns are listed from their terms."""
+    n = family.model.n
+    labels = family.labels()
+    names = labels + [f"{label}^2" for label in labels[len(family.quads):]] + ["|X|^2", "1"]
+    columns = (
+        family.members()
+        + [poly * poly for poly in family.linears]
+        + [_from_monomials(n, _x_square_terms(n, [1] * (n + 1))), _from_monomials(n, [(0, 1, 1)])]
+    )
+    return names, columns
+
+
 def hamiltonian_membership(
     family: IntegralFamily, hamiltonian: PhasePoly | None = None
 ) -> MembershipResult:
@@ -294,34 +323,10 @@ def hamiltonian_membership(
     set.  The residual must be the empty polynomial; anything else is
     reported as not representable.
     """
-    model = family.model
-    n = model.n
-    h = hamiltonian if hamiltonian is not None else hamiltonian_pert(model)
-    labels = family.labels()
-    columns = []
-    names = []
-    for label, poly in zip(labels, family.members()):
-        columns.append(poly)
-        names.append(label)
-    for label, poly in zip(labels[len(family.quads):], family.linears):
-        columns.append(poly * poly)
-        names.append(f"{label}^2")
-    sphere = PhasePoly(n)
-    for i in range(1, n + 2):
-        sphere = sphere + x_var(i, n) ** 2
-    columns.append(sphere)
-    names.append("|X|^2")
-    columns.append(PhasePoly.constant(n, 1))
-    names.append("1")
-
+    h = hamiltonian if hamiltonian is not None else hamiltonian_pert(family.model)
+    names, columns = _membership_columns(family)
     solution = _solve_exact(columns, h)
-    if solution is None:
-        return MembershipResult(ok=False, coefficients=None)
-    recomposed = PhasePoly(n)
-    for c, col in zip(solution, columns):
-        if c:
-            recomposed = recomposed + c * col
-    if not (recomposed - h).is_zero:
+    if solution is None or not _residual_is_zero(h, solution, columns):
         return MembershipResult(ok=False, coefficients=None)
     return MembershipResult(ok=True, coefficients=dict(zip(names, solution)))
 
@@ -362,10 +367,12 @@ def _probe_candidates(model: MagneticModel):
                 yield block, "generator", f"M({l},{m})", killing(l, m, n), cross
         for pi, (a, b) in enumerate(planes):
             for c, d in planes[pi + 1:]:
+                pair_sum = _killing_terms(a, c, n, 1) + _killing_terms(b, d, n, 1)
+                pair_diff = _killing_terms(a, d, n, 1) + _killing_terms(b, c, n, -1)
                 yield (block, "pair_sum", f"M({a},{c})+M({b},{d})",
-                       killing(a, c, n) + killing(b, d, n), True)
+                       _from_monomials(n, pair_sum), True)
                 yield (block, "pair_diff", f"M({a},{d})-M({b},{c})",
-                       killing(a, d, n) - killing(b, c, n), True)
+                       _from_monomials(n, pair_diff), True)
 
 
 def superintegrability_probe(

@@ -8,6 +8,12 @@
 - `reference_to_dict` and `reference_from_dict`: the JSON form of a
   `PhasePoly` as it was written on `Fraction` coefficients, the reference
   of the int path of `PhasePoly.to_dict` and `from_dict`.
+- The closed-form polynomials of `build` and `verify` (rotation momenta,
+  S, U, K, H, the Neumann/Uhlenbeck quadratics, the membership columns
+  and the probe candidates) built through generic `PhasePoly`
+  arithmetic, as `src` built them before it listed their terms: the
+  references of the term builders, down to the insertion order of the
+  terms.
 - `fd_bracket_oracle`: a central-difference estimate of a Poisson
   bracket, the independent cross-check of the exact bracket engine.
 - `potential_compatibility`: the exact mixed-degree commutation test
@@ -186,6 +192,118 @@ def reference_from_dict(data) -> PhasePoly:
             )
         terms.append((tuple(expo), coeff))
     return PhasePoly(n, terms)
+
+
+# -- closed-form polynomials through generic arithmetic ------------------------
+
+
+def reference_killing(i: int, j: int, n: int) -> PhasePoly:
+    """M_ij = Xi Pj - Xj Pi."""
+    return x_var(i, n) * p_var(j, n) - x_var(j, n) * p_var(i, n)
+
+
+def reference_kinetic_energy(n: int) -> PhasePoly:
+    """K = (1/2) sum_{i<j} M_ij^2."""
+    poly = PhasePoly(n)
+    for i in range(1, n + 2):
+        for j in range(i + 1, n + 2):
+            m_ij = reference_killing(i, j, n)
+            poly = poly + Fraction(1, 2) * (m_ij * m_ij)
+    return poly
+
+
+def reference_sigma_linear(model) -> PhasePoly:
+    """S = (1/2) sum_i alpha_i M_{2i-1,2i}."""
+    n = model.n
+    poly = PhasePoly(n)
+    for k, alpha in enumerate(model.alphas):
+        if alpha:
+            poly = poly + alpha / 2 * reference_killing(2 * k + 1, 2 * k + 2, n)
+    return poly
+
+
+def _x_squares(n: int, coeffs) -> PhasePoly:
+    poly = PhasePoly(n)
+    for idx, c in enumerate(coeffs, start=1):
+        if c:
+            poly = poly + c * (x_var(idx, n) ** 2)
+    return poly
+
+
+def reference_potential(model) -> PhasePoly:
+    """U = sum_k a_k X_k^2."""
+    return _x_squares(model.n, model.a)
+
+
+def reference_hamiltonian(model) -> PhasePoly:
+    """H = K - S + U."""
+    return (reference_kinetic_energy(model.n) - reference_sigma_linear(model)
+            + reference_potential(model))
+
+
+def reference_neumann_quadratic(n: int, lam, mu) -> PhasePoly:
+    """(1/2) sum_{l<m, lam_l != lam_m} (mu_l - mu_m)/(lam_l - lam_m) M_lm^2
+    with one Fraction coefficient per pair."""
+    idxs = list(lam)
+    poly = PhasePoly(n)
+    for ai, l in enumerate(idxs):
+        for m in idxs[ai + 1:]:
+            if lam[l] == lam[m]:
+                continue
+            coeff = (Fraction(mu[l]) - mu[m]) / (Fraction(lam[l]) - lam[m]) / 2
+            if coeff:
+                m_lm = reference_killing(l, m, n)
+                poly = poly + coeff * (m_lm * m_lm)
+    return poly
+
+
+def reference_degenerate_integral(a, b) -> PhasePoly:
+    """F_B without the pairs inside a level block of a."""
+    n = len(a) - 1
+    quad = reference_neumann_quadratic(n, dict(enumerate(a, 1)), dict(enumerate(b, 1)))
+    return quad + _x_squares(n, b)
+
+
+def reference_membership_columns(family) -> list:
+    """The members, the squares of the linear members, |X|^2 and 1."""
+    n = family.model.n
+    return (
+        family.members()
+        + [poly * poly for poly in family.linears]
+        + [_x_squares(n, [1] * (n + 1)), PhasePoly.constant(n, 1)]
+    )
+
+
+def reference_residual_is_zero(target: PhasePoly, solution, columns) -> bool:
+    """Whether the recomposed sum of c_k columns[k] equals target."""
+    recomposed = PhasePoly(target.n)
+    for c, col in zip(solution, columns):
+        if c:
+            recomposed = recomposed + c * col
+    return (recomposed - target).is_zero
+
+
+def reference_probe_candidates(model) -> list:
+    """(block, kind, label, polynomial, cross_pair) of every probe
+    candidate, as `verify._probe_candidates` lists them."""
+    n = model.n
+    out = []
+    for block in model.partition:
+        planes = [u for u in model.block_units(block) if len(u) == 2]
+        if len(planes) < 2:
+            continue
+        plane_of = {idx: unit for unit in planes for idx in unit}
+        for ai, l in enumerate(block):
+            for m in block[ai + 1:]:
+                cross = plane_of.get(l) != plane_of.get(m)
+                out.append((block, "generator", f"M({l},{m})", reference_killing(l, m, n), cross))
+        for pi, (a, b) in enumerate(planes):
+            for c, d in planes[pi + 1:]:
+                out.append((block, "pair_sum", f"M({a},{c})+M({b},{d})",
+                            reference_killing(a, c, n) + reference_killing(b, d, n), True))
+                out.append((block, "pair_diff", f"M({a},{d})-M({b},{c})",
+                            reference_killing(a, d, n) - reference_killing(b, c, n), True))
+    return out
 
 
 # -- finite-difference oracle -------------------------------------------------

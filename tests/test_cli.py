@@ -555,6 +555,21 @@ def test_simulate_oversized_step_exits_one(tmp_path, capsys):
     assert "integration failed" in err
 
 
+@pytest.mark.parametrize("steps", ["100000000000000", "10" + "0" * 20])
+def test_simulate_rejects_a_record_that_cannot_fit_in_memory(tmp_path, capsys, steps):
+    # 1e14 rows are about 7.8 PiB, which numpy refuses before touching
+    # memory; 1e21 rows are more bytes than an address space holds.
+    code, out, err = run(
+        capsys, "simulate", "--n", "2", "--alpha", "1", "--dt", "1e-3",
+        "--steps", steps, "--seed", "3", "--out", str(tmp_path / "x"),
+    )
+    assert code == 2
+    assert out == ""
+    assert one_error_line(err)
+    assert "--steps" in err and "--record-every" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_init_file_normalization(tmp_path, capsys):
     init = tmp_path / "init.json"
     init.write_text(json.dumps({"x": [1.0, 0.0, 0.0], "p": [0.0, 2.0, 0.0]}))

@@ -6,6 +6,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magneflow import (
     InputError,
@@ -21,11 +23,28 @@ from magneflow import (
     poisson_bracket,
     potential,
     run_verification,
+    sigma_linear,
     uhlenbeck_integral,
     x_var,
 )
 from magneflow import sampling
-from oracles import evaluate_exact, fd_bracket_oracle, float_report_dict, p_degree_parts
+from magneflow.verify import _membership_columns, _probe_candidates, _residual_is_zero, _solve_exact
+from oracles import (
+    evaluate_exact,
+    fd_bracket_oracle,
+    float_report_dict,
+    p_degree_parts,
+    reference_degenerate_integral,
+    reference_hamiltonian,
+    reference_killing,
+    reference_kinetic_energy,
+    reference_membership_columns,
+    reference_neumann_quadratic,
+    reference_potential,
+    reference_probe_candidates,
+    reference_residual_is_zero,
+    reference_sigma_linear,
+)
 
 
 def sphere_poly(n):
@@ -254,7 +273,7 @@ def test_family_member_degrees():
 def test_family_labels_and_size():
     fam = commuting_basis(model_of(3, 1, 2))
     assert fam.labels() == ["F1", "F2", "F3"]
-    assert fam.size() == 3
+    assert len(fam.members()) == 3
 
 
 def test_family_json_round_trip():
@@ -268,7 +287,8 @@ def test_family_json_round_trip():
 
 
 # sha256 of json.dumps(family.to_dict(), sort_keys=True) for the model matrix
-# of scripts/run_ci_matrix.py plus (9, all rates 1).  The family is exact
+# of scripts/run_ci_matrix.py plus (9, all rates 1) and the two largest models
+# of the verify benchmark, (11, 1..6) and (15, 1..8).  The family is exact
 # (Fraction coefficients, canonically sorted terms), so the digests do not
 # depend on the platform; any change to the builders that alters a single
 # term or provenance record changes them.
@@ -285,6 +305,8 @@ FAMILY_DIGESTS = (
     (7, "1,2,3,4", "5cdb5f766ba5dd18096fdffeb0f35813cb7d56d4b7bbbb63933fbdb1b5883ca2"),
     (7, "1,1,2,2", "3de08516078d28f872c4b5a7e76612a79dbef9daa80ecd2729a127b1fe87c297"),
     (9, "1,1,1,1,1", "328c6e5e55a482a64b60703d024d70511dd3f50ba7d40a58359e0f1fbbaba1cb"),
+    (11, "1,2,3,4,5,6", "4219ef0cd540e272c45d69e4096e44b059d0126dba935afb401663d0a0715181"),
+    (15, "1,2,3,4,5,6,7,8", "b4deac35c1b9c0a48b945135f89c9879a4b75992f96f6736022c3f2ee7bb5ede"),
 )
 
 
@@ -313,6 +335,8 @@ CERTIFIED_REPORT_DIGESTS = (
     (7, "1,2,3,4", "82e7fc47203f0b6bd227fd067537c1596393c9a0b39051dd8429935529e7ee6b"),
     (7, "1,1,2,2", "6534178279b4b6a20f34351390e92d23cab1f4de01a52c496c89fe61a5763778"),
     (9, "1,1,1,1,1", "a9e2575396a15dfc653f7a66f320f9c60e0d625a3af4e6094c5aca156227ea8b"),
+    (11, "1,2,3,4,5,6", "975abe886b88c7bdf4c454a8d0ce5c5ab34addb8aa5130a85755b458dbd088e2"),
+    (15, "1,2,3,4,5,6,7,8", "4572ffe4ac7b27c89e3da2d23f76e614aec20175e06a1bd8e9d4d463a43f89eb"),
 )
 
 
@@ -482,3 +506,76 @@ def test_family_brackets_vanish_for_representative_models():
         h = hamiltonian_pert(model)
         for f in members:
             assert poisson_bracket(f, h).is_zero
+
+
+# -- closed-form builders against generic arithmetic ------------------------
+
+# Rates with zeros, repeats (a small range) and non-integer rationals.
+RATES = st.one_of(st.integers(0, 3).map(F), st.fractions(0, 3, max_denominator=7))
+
+
+@st.composite
+def models_with_block_weights(draw):
+    """A model on S^2..S^21 and a weight vector b that is constant on each
+    level block of its a-vector."""
+    n = draw(st.integers(2, 21))
+    model = MagneticModel(n, tuple(draw(st.lists(RATES, min_size=(n + 1) // 2,
+                                                 max_size=(n + 1) // 2))))
+    b = [F(0)] * (n + 1)
+    for block in model.partition:
+        weight = draw(st.fractions(-3, 3, max_denominator=7))
+        for idx in block:
+            b[idx - 1] = weight
+    return model, b
+
+
+def assert_same_poly(poly, ref):
+    """Equal terms and denominator, and the same term insertion order, which
+    fixes the summation order of compiled_evaluator."""
+    assert poly == ref
+    assert list(poly.terms) == list(ref.terms)
+
+
+@given(models_with_block_weights())
+@settings(max_examples=40, deadline=None)
+def test_closed_form_builders_match_generic_arithmetic(case):
+    model, b = case
+    n = model.n
+    assert_same_poly(sigma_linear(model), reference_sigma_linear(model))
+    assert_same_poly(potential(model), reference_potential(model))
+    assert_same_poly(kinetic_energy(n), reference_kinetic_energy(n))
+    assert_same_poly(model.hamiltonian, reference_hamiltonian(model))
+    assert_same_poly(degenerate_integral(model.a, b), reference_degenerate_integral(model.a, b))
+
+    family = commuting_basis(model)
+    for poly, prov in zip(family.quads, family.quad_provenance):
+        if prov["kind"] == "indicator":
+            ref = reference_degenerate_integral(model.a, [F(v) for v in prov["b"]])
+        else:
+            lam = {int(i): F(v) for i, v in prov["lam"].items()}
+            mu = {int(i): F(v) for i, v in prov["mu"].items()}
+            ref = reference_neumann_quadratic(n, lam, mu)
+            assert_same_poly(limit_integral(n, prov["group"], lam, mu), ref)
+        assert_same_poly(poly, ref)
+    for poly, (i, j) in zip(family.linears, model.pairs):
+        assert_same_poly(poly, reference_killing(i, j, n))
+
+    # A family read from a file lists each member's terms in sorted order.
+    for fam in (family, IntegralFamily.from_dict(family.to_dict())):
+        columns = _membership_columns(fam)[1]
+        refs = reference_membership_columns(fam)
+        assert len(columns) == len(refs)
+        for col, ref in zip(columns, refs):
+            assert_same_poly(col, ref)
+        h = model.hamiltonian
+        solution = _solve_exact(columns, h)
+        if solution is not None:
+            off = solution[:-1] + [solution[-1] + 1]
+            for sol in (solution, off):
+                assert _residual_is_zero(h, sol, columns) == reference_residual_is_zero(h, sol, refs)
+
+    candidates = list(_probe_candidates(model))
+    refs = reference_probe_candidates(model)
+    assert [c[:3] + c[4:] for c in candidates] == [r[:3] + r[4:] for r in refs]
+    for cand, ref in zip(candidates, refs):
+        assert_same_poly(cand[3], ref[3])

@@ -65,9 +65,10 @@ def test_convergence_study_rejects_bad_input_with_one_error_line(args):
 
 
 def test_bench_tracer_targets_resolve(tmp_path, monkeypatch):
-    """Every name in perfbench/tracing.TARGETS resolves in its module, and
-    a traced build and verify counts brackets through `num_terms`, so a
-    refactor cannot silently break a traced bench run."""
+    """Every name in perfbench/tracing.TARGETS resolves in its module, a
+    traced build and verify counts brackets through `num_terms`, and the
+    wrapped cmd_* functions are the ones `main` calls, so a refactor
+    cannot silently break or darken a traced bench run."""
     spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, "tracing", tracing)  # for its dataclass
@@ -82,6 +83,7 @@ def test_bench_tracer_targets_resolve(tmp_path, monkeypatch):
 
     cli = modules["magneflow.cli"]
     family, report = str(tmp_path / "family.json"), str(tmp_path / "report.json")
+    cli.build_parser()  # built before tracing, as when untraced passes come first
     tracer = tracing.Tracer()
     tracer.install(modules)
     try:
@@ -92,6 +94,6 @@ def test_bench_tracer_targets_resolve(tmp_path, monkeypatch):
         tracer.restore()
     spans = {span[0] for span in tracer.spans}
     assert {"exactpoly.poisson_bracket", "verify.functional_independence",
-            "verify.superintegrability_probe"} <= spans
+            "verify.superintegrability_probe", "cli.cmd_build", "cli.cmd_verify"} <= spans
     assert tracer.counters["exactpoly.bracket_in_terms"] > 0
     assert tracer.counters["verify.rank_tests"] == 1
