@@ -149,7 +149,7 @@ class PhasePoly:
 
     def __init__(self, n: int, terms: Mapping | Iterable | None = None):
         items = terms.items() if isinstance(terms, Mapping) else (terms or ())
-        _build(self, n, items, _coerce_coeff)
+        _build(self, n, ((tuple(map(int, e)), c) for e, c in items), _coerce_coeff)
 
     def __setattr__(self, name, value):
         raise AttributeError("PhasePoly is immutable")
@@ -286,13 +286,18 @@ class PhasePoly:
         if not isinstance(raw, list):
             raise InputError("malformed polynomial record: 'terms' must be a list")
         terms = []
+        literals = {}  # each distinct literal is parsed once
         for item in raw:
             try:
-                expo, coeff = item["e"], _parse_literal(item["c"])
+                expo, text = item["e"], item["c"]
+                # only str keys: True == 1, but the literal True is rejected
+                coeff = literals.get(text) if type(text) is str else None
+                if coeff is None:
+                    coeff = literals[text] = _parse_literal(text)
             except (KeyError, TypeError, ValueError) as exc:
                 raise InputError(f"malformed polynomial term: {exc}") from None
-            # int() would read 1.5, "2" and true as exponents; _build
-            # rejects negative ones
+            # int() would read 1.5, "2" and true as exponents, and bytes()
+            # reads true; _build rejects negative ones
             if not (isinstance(expo, list) and set(map(type, expo)) <= {int}):
                 raise InputError(
                     f"malformed polynomial term: exponents must be a list of "
@@ -331,26 +336,36 @@ class PhasePoly:
 
 
 def _build(poly: PhasePoly, n: int, items, coerce):
-    """Check n and the (exponent tuple, coefficient) items, and make poly
-    their sum over Q; `coerce` turns a coefficient into (p, q), q > 0."""
+    """Check n and the (exponent sequence of ints, coefficient) items, and
+    make poly their sum over Q; `coerce` turns a coefficient into (p, q),
+    q > 0.  bytes() packs an exponent sequence and rejects any exponent
+    outside 0..255 in the same call."""
     if not isinstance(n, int) or n < 1:
         raise InputError(f"ambient sphere dimension must be an integer >= 1, got {n!r}")
     width = 2 * (n + 1)
     checked = []
     for expo, coeff in items:
-        expo = tuple(map(int, expo))
-        if len(expo) != width:
-            raise InputError(
-                f"exponent tuple has length {len(expo)}, expected {width} for n={n}"
-            )
-        if min(expo) < 0:
-            raise InputError(f"negative exponent in {expo}")
-        if sum(expo) > MAX_TERM_DEGREE:
-            raise InputError(f"term {expo} has degree above {MAX_TERM_DEGREE}")
+        try:
+            packed = bytes(expo)
+        except ValueError:
+            packed = b""
+        if len(packed) != width or sum(packed) > MAX_TERM_DEGREE:
+            _reject_exponents(tuple(expo), n)
         num, den = coerce(coeff)
         if num:
-            checked.append((int.from_bytes(bytes(expo), "big"), num, den))
+            checked.append((int.from_bytes(packed, "big"), num, den))
     _assign(poly, n, *_lowest_terms(*_sum_items(checked)))
+
+
+def _reject_exponents(expo: tuple, n: int):
+    """Raise the InputError that names what is wrong with an exponent
+    tuple that _build could not pack or whose degree is too high."""
+    width = 2 * (n + 1)
+    if len(expo) != width:
+        raise InputError(f"exponent tuple has length {len(expo)}, expected {width} for n={n}")
+    if min(expo) < 0:
+        raise InputError(f"negative exponent in {expo}")
+    raise InputError(f"term {expo} has degree above {MAX_TERM_DEGREE}")
 
 
 def _assign(poly: PhasePoly, n: int, terms: dict, den: int):

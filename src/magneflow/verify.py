@@ -4,7 +4,12 @@ The primary criterion everywhere is exactness: a bracket counts as zero
 only when the polynomial is identically zero over Q.  A bracket that
 merely vanishes numerically on the constraint set is classified as
 `zero_on_constraints`; that tier exists to make failures informative and
-is still a failure.
+is still a failure.  A member's bracket with H is derived rather than
+taken when H's membership holds (H = sum c_k F_k + sum d_l L_l^2 +
+c_s |X|^2 + c_0 over Q, each L_l a member) and the member's brackets
+with every other member and with |X|^2 are the zero polynomial: by
+bilinearity and the Leibniz rule {F, L^2} = 2 L {F, L}, {F, H} is then
+the zero polynomial over Q too.
 
 Functional independence is certified exactly too.  At a seeded rational
 point of the constraint set, the member gradients and the two constraint
@@ -84,30 +89,63 @@ def _classify_nonzero(f, g, bracket, points) -> str:
     return "nonzero"
 
 
-def check_commutation(family: IntegralFamily, seed: int = 0) -> list:
+def _sphere_square(n: int) -> PhasePoly:
+    """|X|^2 = X1^2 + ... + X{n+1}^2."""
+    return _from_monomials(n, _x_square_terms(n, [1] * (n + 1)))
+
+
+def check_commutation(
+    family: IntegralFamily, seed: int = 0, membership: MembershipResult | None = None
+) -> list:
     """Exact brackets of all member pairs and of each member with the
     Hamiltonian, in the order (F_i, F_i), (F_i, F_j) for j > i, (F_i, H).
     A self pair is reported as the zero polynomial without a bracket: the
     canonical bracket is antisymmetric, so {F, F} = 0 over Q for every F.
-    The float points that classify a nonzero bracket are drawn on the
-    first one, so a family whose brackets all vanish draws none."""
-    members = family.members() + [hamiltonian_pert(family.model)]
-    labels = family.labels() + ["H"]
+
+    (F_i, H) is derived rather than bracketed when `membership` (H's
+    membership in the family, solved here when None) holds, every
+    {F_i, F_j} with j != i is the zero polynomial and so is {F_i, |X|^2}.
+    Then H = sum c_k F_k + sum d_l L_l^2 + c_s |X|^2 + c_0 with every
+    L_l a member, and bilinearity and the Leibniz rule
+    {F_i, L^2} = 2 L {F_i, L} make {F_i, H} the zero polynomial over Q.
+    When a premise fails, (F_i, H) is bracketed directly.  The float
+    points that classify a nonzero bracket are drawn on the first one, so
+    a family whose brackets all vanish draws none."""
+    n = family.model.n
+    members = family.members()
+    labels = family.labels()
+    if membership is None:
+        membership = hamiltonian_membership(family)
+    h = None  # built by the first row that brackets with it
+    x_square = _sphere_square(n)
+    # derivable[i]: whether the premises of the rule hold for row i so far
+    derivable = [membership.ok] * len(members)
     points = None
 
+    def result(i, right, g, bracket):
+        nonlocal points
+        if bracket.is_zero:
+            return PairResult(labels[i], right, "zero_polynomial", 0)
+        if points is None:
+            rng = sampling.generator(seed, sampling.STREAM_COMMUTATION)
+            points = sampling.constrained_points(rng, n, COMMUTATION_POINTS)
+        status = _classify_nonzero(members[i], g, bracket, points)
+        return PairResult(labels[i], right, status, bracket.num_terms)
+
     results = []
-    for i in range(len(members) - 1):  # no (H, H) self pair
+    for i, f in enumerate(members):
         results.append(PairResult(labels[i], labels[i], "zero_polynomial", 0))
         for j in range(i + 1, len(members)):
-            bracket = poisson_bracket(members[i], members[j])
-            if bracket.is_zero:
-                results.append(PairResult(labels[i], labels[j], "zero_polynomial", 0))
-                continue
-            if points is None:
-                rng = sampling.generator(seed, sampling.STREAM_COMMUTATION)
-                points = sampling.constrained_points(rng, family.model.n, COMMUTATION_POINTS)
-            status = _classify_nonzero(members[i], members[j], bracket, points)
-            results.append(PairResult(labels[i], labels[j], status, bracket.num_terms))
+            bracket = poisson_bracket(f, members[j])
+            if not bracket.is_zero:
+                derivable[i] = derivable[j] = False
+            results.append(result(i, labels[j], members[j], bracket))
+        if derivable[i] and poisson_bracket(f, x_square).is_zero:
+            results.append(PairResult(labels[i], "H", "zero_polynomial", 0))
+        else:
+            if h is None:
+                h = hamiltonian_pert(family.model)
+            results.append(result(i, "H", h, poisson_bracket(f, h)))
     return results
 
 
@@ -304,7 +342,7 @@ def _membership_columns(family: IntegralFamily) -> tuple:
     columns = (
         family.members()
         + [poly * poly for poly in family.linears]
-        + [_from_monomials(n, _x_square_terms(n, [1] * (n + 1))), _from_monomials(n, [(0, 1, 1)])]
+        + [_sphere_square(n), _from_monomials(n, [(0, 1, 1)])]
     )
     return names, columns
 
@@ -456,7 +494,8 @@ def run_verification(
     independence at up to `samples` rational points, exact membership of
     H, and the extra-integral probe, which reuses the certificate."""
     model = family.model
-    pair_results = check_commutation(family, seed=seed)
+    membership = hamiltonian_membership(family)
+    pair_results = check_commutation(family, seed=seed, membership=membership)
     independence = functional_independence(family.members(), model.n, samples=samples, seed=seed)
     return VerificationReport(
         model=model,
@@ -464,6 +503,6 @@ def run_verification(
         samples=samples,
         pair_results=pair_results,
         independence=independence,
-        membership=hamiltonian_membership(family),
+        membership=membership,
         probe_results=superintegrability_probe(family, independence),
     )

@@ -14,6 +14,9 @@
   arithmetic, as `src` built them before it listed their terms: the
   references of the term builders, down to the insertion order of the
   terms.
+- `reference_commutation`: the pair results of `check_commutation` with
+  every member bracketed with H, as `verify` took them before it derived
+  those brackets from H's membership.
 - `fd_bracket_oracle`: a central-difference estimate of a Poisson
   bracket, the independent cross-check of the exact bracket engine.
 - `potential_compatibility`: the exact mixed-degree commutation test
@@ -39,11 +42,13 @@ from magneflow import (
     InputError,
     PhasePoly,
     compiled_evaluator,
+    hamiltonian_pert,
     p_var,
     poisson_bracket,
     sampling,
     x_var,
 )
+from magneflow.verify import COMMUTATION_POINTS, PairResult, _classify_nonzero
 
 RANK_THRESHOLD_REL = 1e-8
 FULL_RANK_QUOTA = 0.95
@@ -304,6 +309,32 @@ def reference_probe_candidates(model) -> list:
                 out.append((block, "pair_diff", f"M({a},{d})-M({b},{c})",
                             reference_killing(a, d, n) - reference_killing(b, c, n), True))
     return out
+
+
+# -- commutation with every bracket taken ------------------------------------
+
+
+def reference_commutation(family, seed: int = 0) -> list:
+    """The pair results of `check_commutation` with every (F_i, H) pair
+    bracketed directly: the reference of the rule that derives {F_i, H}
+    from H's membership and the member pairs."""
+    members = family.members() + [hamiltonian_pert(family.model)]
+    labels = family.labels() + ["H"]
+    points = None
+    results = []
+    for i in range(len(members) - 1):
+        results.append(PairResult(labels[i], labels[i], "zero_polynomial", 0))
+        for j in range(i + 1, len(members)):
+            bracket = poisson_bracket(members[i], members[j])
+            if bracket.is_zero:
+                results.append(PairResult(labels[i], labels[j], "zero_polynomial", 0))
+                continue
+            if points is None:
+                rng = sampling.generator(seed, sampling.STREAM_COMMUTATION)
+                points = sampling.constrained_points(rng, family.model.n, COMMUTATION_POINTS)
+            status = _classify_nonzero(members[i], members[j], bracket, points)
+            results.append(PairResult(labels[i], labels[j], status, bracket.num_terms))
+    return results
 
 
 # -- finite-difference oracle -------------------------------------------------

@@ -631,6 +631,52 @@ def test_from_dict_rejects_literals_as_the_fraction_reference_does(c):
     assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("expo, message", [
+    ([-1, 0, 0, 0, 0, 0], "negative exponent in (-1, 0, 0, 0, 0, 0)"),
+    ([0, 0, 0, 0, 0, -10**30], "negative exponent in (0, 0, 0, 0, 0, -1000000000000000000000000000000)"),
+    ([256, 0, 0, 0, 0, 0], "term (256, 0, 0, 0, 0, 0) has degree above 64"),
+    ([300, -1, 0, 0, 0, 0], "negative exponent in (300, -1, 0, 0, 0, 0)"),
+    ([65, 0, 0, 0, 0, 0], "term (65, 0, 0, 0, 0, 0) has degree above 64"),
+    ([33, 0, 0, 32, 0, 0], "term (33, 0, 0, 32, 0, 0) has degree above 64"),
+    ([-1, 0, 0], "exponent tuple has length 3, expected 6 for n=2"),
+    ([256] * 7, "exponent tuple has length 7, expected 6 for n=2"),
+])
+def test_out_of_range_exponents_are_named(expo, message):
+    # the JSON reader and the constructor give the same message
+    with pytest.raises(InputError) as got:
+        PhasePoly.from_dict({"n": 2, "terms": [{"c": "1", "e": expo}]})
+    assert str(got.value) == message
+    with pytest.raises(InputError) as got:
+        PhasePoly(2, [(expo, 1)])
+    assert str(got.value) == message
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, 1.5, "2", None])
+def test_from_dict_names_exponents_that_are_not_ints(bad):
+    expo = [0, 0, bad, 0, 0, 0]
+    with pytest.raises(InputError) as got:
+        PhasePoly.from_dict({"n": 2, "terms": [{"c": "1", "e": expo}]})
+    assert str(got.value) == (
+        f"malformed polynomial term: exponents must be a list of integers, got {expo!r}")
+
+
+def test_from_dict_accepts_the_largest_term_degree():
+    poly = PhasePoly.from_dict({"n": 2, "terms": [{"c": "1", "e": [0, 0, 64, 0, 0, 0]}]})
+    assert poly == x_var(3, 2) ** 64 and poly.degree() == 64
+
+
+def test_from_dict_parses_each_literal_by_its_type():
+    # a parsed literal is reused for an equal string only: True == 1,
+    # but the literal true is rejected after a JSON int 1 is read
+    terms = [{"c": 1, "e": [1, 0, 0, 0]}, {"c": True, "e": [0, 1, 0, 0]}]
+    with pytest.raises(InputError, match="not an exact fraction literal: True"):
+        PhasePoly.from_dict({"n": 1, "terms": terms})
+    terms = [{"c": c, "e": e} for c, e in [("1/2", [1, 0, 0, 0]), (1, [0, 1, 0, 0]),
+                                            ("1/2", [0, 0, 1, 0]), ("1/2", [1, 0, 0, 0])]]
+    assert PhasePoly.from_dict({"n": 1, "terms": terms}) == PhasePoly(
+        1, {(1, 0, 0, 0): 1, (0, 1, 0, 0): 1, (0, 0, 1, 0): F(1, 2)})
+
+
 def test_from_dict_rejects_garbage():
     with pytest.raises(InputError):
         PhasePoly.from_dict({"n": 2})

@@ -42,7 +42,14 @@ from oracles import (
     potential_compatibility,
     projected_ranks,
     rank_points,
+    reference_commutation,
 )
+
+
+CI_MATRIX = [
+    (2, "1"), (3, "1,2"), (3, "1,1"), (4, "1,2"), (4, "1,1"), (5, "1,2,3"),
+    (5, "1,1,2"), (5, "1,1,1"), (6, "1,1,1"), (7, "1,2,3,4"), (7, "1,1,2,2"),
+]
 
 
 def model_of(n, *alphas):
@@ -117,20 +124,39 @@ def test_self_pairs_are_zero_by_antisymmetry(monkeypatch):
                 assert r.status == "zero_polynomial" and r.witness_terms == 0
 
 
+def family_of(model, quads, linears):
+    return IntegralFamily(
+        model=model,
+        quads=tuple(quads),
+        quad_provenance=tuple({"kind": "test"} for _ in quads),
+        linears=tuple(linears),
+        linear_provenance=tuple({"kind": "test"} for _ in linears),
+    )
+
+
+def tampered_family():
+    """The family of (2; 1) with X1*P1 for its linear member, for which
+    {X1*P1, |X|^2} = -2 X1^2."""
+    fam = commuting_basis(model_of(2, 1))
+    return family_of(fam.model, fam.quads, [x_var(1, 2) * p_var(1, 2)])
+
+
+def three_tier_family():
+    defect = sphere_poly(2) - PhasePoly.constant(2, 1)
+    return family_of(model_of(2, 1), [defect * defect], [dilation(2)])
+
+
+def perturbed_member_family():
+    fam = commuting_basis(model_of(4, 1, 2))
+    bent = fam.quads[0] + x_var(1, 4) * p_var(2, 4)
+    return family_of(fam.model, (bent,) + fam.quads[1:], fam.linears)
+
+
 def test_commutation_distinguishes_all_three_tiers():
     # hand-built family: the squared sphere defect commutes with nothing
     # except on the constraint set, and the dilation function fails
     # against the potential term of H outright
-    model = model_of(2, 1)
-    defect = sphere_poly(2) - PhasePoly.constant(2, 1)
-    fam = IntegralFamily(
-        model=model,
-        quads=(defect * defect,),
-        quad_provenance=({"kind": "test"},),
-        linears=(dilation(2),),
-        linear_provenance=({"kind": "test"},),
-    )
-    results = {(r.left, r.right): r for r in check_commutation(fam, seed=3)}
+    results = {(r.left, r.right): r for r in check_commutation(three_tier_family(), seed=3)}
     assert results[("F1", "F1")].status == "zero_polynomial"
     assert results[("F1", "F2")].status == "zero_on_constraints"
     assert results[("F1", "F2")].witness_terms > 0
@@ -139,16 +165,77 @@ def test_commutation_distinguishes_all_three_tiers():
 
 
 def test_tampered_family_detected():
-    fam = commuting_basis(model_of(2, 1))
-    bad = IntegralFamily(
-        model=fam.model,
-        quads=fam.quads,
-        quad_provenance=fam.quad_provenance,
-        linears=(x_var(1, 2) * p_var(1, 2),),
-        linear_provenance=fam.linear_provenance,
-    )
-    results = check_commutation(bad, seed=0)
+    results = check_commutation(tampered_family(), seed=0)
     assert any(r.status == "nonzero" for r in results)
+
+
+RULE_MODELS = CI_MATRIX + [(9, "1,1,1,1,1"), (11, "1,2,3,4,5,6"), (15, "1,2,3,4,5,6,7,8")]
+
+
+@pytest.mark.parametrize("n, alpha", RULE_MODELS)
+def test_derived_hamiltonian_pairs_match_bracketing_every_pair(n, alpha):
+    # every premise holds, so each (F_i, H) is derived from H's membership
+    fam = commuting_basis(model_of(n, *alpha.split(",")))
+    assert hamiltonian_membership(fam).ok
+    results = check_commutation(fam, seed=0)
+    assert all(r.status == "zero_polynomial" for r in results)
+    assert results == reference_commutation(fam, seed=0)
+
+
+@pytest.mark.parametrize("make", [tampered_family, three_tier_family, perturbed_member_family])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_commutation_matches_bracketing_every_pair_when_membership_fails(make, seed):
+    fam = make()
+    assert not hamiltonian_membership(fam).ok
+    results = check_commutation(fam, seed=seed)
+    assert any(r.right == "H" and r.status == "nonzero" for r in results)
+    assert results == reference_commutation(fam, seed=seed)
+
+
+CLAIMED = verify.MembershipResult(ok=True, coefficients={})
+
+
+@pytest.mark.parametrize("quads, linears, membership", [
+    # only membership fails: functions of X commute with each other and with |X|^2
+    ([x_var(1, 2) ** 2], [x_var(2, 2) ** 2], None),
+    # only a member pair fails: M_13 commutes with |X|^2 but not with F1
+    (commuting_basis(model_of(2, 1)).quads, [killing(1, 3, 2)], CLAIMED),
+    # only {F, |X|^2} fails: X2*P2 and X1*P1 commute with each other
+    ([x_var(2, 2) * p_var(2, 2)], [x_var(1, 2) * p_var(1, 2)], CLAIMED),
+])
+def test_each_premise_of_the_derived_pair_rule_blocks_it_alone(quads, linears, membership):
+    """A family in which exactly one premise of the rule fails; where that
+    is not membership, membership is claimed instead of solved.  The rule
+    must not derive (F2, H), whose bracket is nonzero."""
+    fam = family_of(model_of(2, 1), quads, linears)
+    results = check_commutation(fam, seed=0, membership=membership)
+    assert [r.status for r in results if r.right == "H"][-1] == "nonzero"
+    assert results == reference_commutation(fam, seed=0)
+
+
+def test_passing_family_brackets_no_member_with_the_hamiltonian(monkeypatch):
+    fam = commuting_basis(model_of(7, 1, 2, 3, 4))
+    h = hamiltonian_pert(fam.model)
+    brackets, memberships = [], []
+    solve = verify.hamiltonian_membership
+
+    def bracket(f, g):
+        brackets.append((f, g))
+        return poisson_bracket(f, g)
+
+    def membership(*args, **kwargs):
+        memberships.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "poisson_bracket", bracket)
+    monkeypatch.setattr(verify, "hamiltonian_membership", membership)
+    results = check_commutation(fam, seed=0)
+    assert brackets and not any(h in pair for pair in brackets)
+    assert len(memberships) == 1  # solved here, since none was passed
+    memberships.clear()
+    report = run_verification(fam, samples=20, seed=0)
+    assert report.passed and report.pair_results == results
+    assert len(memberships) == 1
 
 
 # -- potential compatibility ------------------------------------------------------
@@ -303,12 +390,6 @@ def projected_rank_oracle(grad, x, p):
 def oracle_ranks(grads, points):
     d = points.shape[1] // 2
     return [projected_rank_oracle(g, z[:d], z[d:]) for g, z in zip(grads, points)]
-
-
-CI_MATRIX = [
-    (2, "1"), (3, "1,2"), (3, "1,1"), (4, "1,2"), (4, "1,1"), (5, "1,2,3"),
-    (5, "1,1,2"), (5, "1,1,1"), (6, "1,1,1"), (7, "1,2,3,4"), (7, "1,1,2,2"),
-]
 
 
 @pytest.mark.parametrize("n, alpha", CI_MATRIX)
@@ -625,15 +706,7 @@ def test_full_verification_passes_for_healthy_model():
 
 
 def test_full_verification_fails_for_tampered_family():
-    fam = commuting_basis(model_of(2, 1))
-    bad = IntegralFamily(
-        model=fam.model,
-        quads=fam.quads,
-        quad_provenance=fam.quad_provenance,
-        linears=(x_var(1, 2) * p_var(1, 2),),
-        linear_provenance=fam.linear_provenance,
-    )
-    report = run_verification(bad, samples=50, seed=42)
+    report = run_verification(tampered_family(), samples=50, seed=42)
     assert not report.passed
 
 
