@@ -11,19 +11,26 @@ potential part subject to |X| = 1 and <X, P> = 0.  The composition is
 symmetric, so it is time reversible and second order, and both
 constraints are enforced at every step rather than drifting.
 
-`step` works on Python floats, one operation at a time in a fixed order.
-At d = 5 a numpy step spends nearly all its time in per-call overhead,
-and its `@` dot products round as the BLAS kernel chosen at run time does
-(an FMA chain on some CPUs, a plain sum on others); the scalar step's
-orbit does not depend on the BLAS build.  For each (rates, dt) the steps
-are generated as one function on local floats that loops over steps
-itself: its body is straight-line code, with the plane turns' cos/sin
-and the constants of dt written as literals, and it is compiled once.
-`integrate` runs a whole orbit in one call of it and packs the rows it
-yields into one block of doubles; `step` runs it for a single step.  At
-d = 5, recording every step, a step takes about 4.5 us inside the
-kernel and about 8 us through a loop of `step` calls, measured side by
-side (Python 3.11, one core).
+The potential, the kinetic term and both constraints are invariant under
+the plane turns, so rattle commutes with rotate: a step equals
+rotate(dt) . rattle(dt), and k steps equal rotate(k dt) . rattle(dt)^k
+(the equivariance of symmetric splittings, Hairer, Lubich and Wanner,
+Geometric Numerical Integration, ch. IV).  The integrator uses exactly
+that.  Its RATTLE steps work on Python floats, one operation at a time in
+a fixed order: at d = 5 a numpy step spends nearly all its time in
+per-call overhead, and its `@` dot products round as the BLAS kernel
+chosen at run time does (an FMA chain on some CPUs, a plain sum on
+others); the scalar steps do not depend on the BLAS build.  For each
+(potential, dt) they are generated as one function on local floats that
+loops over steps itself: its body is straight-line code, with the
+constants of dt folded per coordinate and written as literals, and it is
+compiled once.  `integrate` runs the RATTLE steps of a whole orbit in one
+call of it, packs the rows it yields into one block of doubles, and then
+turns each recorded row once, by the angle of its step, with numpy.
+`step` runs one kernel step and the turn of one step.  At d = 5,
+recording every step, a step takes about 2.5 us inside `integrate`; a
+loop of `step` calls takes about 40 us per step, most of it numpy's
+per-call cost of the turn (Python 3.11, one core).
 
 `write_csv` prints every number as `%.17g` does, byte for byte, but with
 numpy instead of one `%` per value.  The 17 digits of a value come from
@@ -108,57 +115,45 @@ def _literal(v: float) -> str:
 
 
 @functools.lru_cache(maxsize=16)
-def _step_kernel(alpha_floats: tuple, two_a_floats: tuple, dt: float):
-    """Steps of size dt for these rates, as one generated function
-    kernel(x, p, steps, every) on local Python floats.
+def _step_kernel(two_a_floats: tuple, dt: float):
+    """RATTLE steps of size dt for these potential coefficients, as one
+    generated function kernel(x, p, steps, every) on local Python floats.
 
     The kernel is a generator.  It unpacks x and p once, runs steps
     1..steps, and yields the row (k * dt, x0.., p0..) after each step k
     with k % every == 0 or k == steps, so the last row is the final
     state.  A failed step raises StepError(message, k).  The body of a
-    step is straight-line code, generated once per key.  Every constant
-    that depends only on the rates and dt (the cos/sin of the plane
-    turns, 0.5*dt*dt, -2.0*dt*dt, 4.0*dt**4, dt*dt, 0.5*dt) is computed
-    here, in the order the step's formulas give, and written as an exact
-    literal.  The dot products run left to right from 0.0, one `+=`
-    statement per term.
+    step is straight-line code, generated once per key, and turns no
+    plane: see `_turn_rows`.  Every constant that depends only on the
+    coefficients and dt is computed here and written as an exact
+    literal, folded per coordinate: with a = two_a / 2,
+
+        w = (1 - dt*dt*a) * x + dt * p
+        y = w - dt*dt*lam * x
+        q = p - (dt*a + dt*lam) * x - dt*a * y
+        p' = q - (<y, q> / <y, y>) * y
+
+    and zero-coefficient coordinates drop their zero terms.  Each dot
+    product is one expression, summed left to right.
     """
     d = len(two_a_floats)
-    dt_, tau = _literal(dt), dt / 2.0
-    turns = []  # (first index, cos, sin, -sin) of each rotating plane
-    for k, alpha in enumerate(alpha_floats):
-        if alpha != 0.0:
-            c, s = math.cos(alpha * tau / 2.0), math.sin(alpha * tau / 2.0)
-            turns.append((2 * k, _literal(c), _literal(s), _literal(-s)))
+    dt_ = _literal(dt)
 
     def names(u):
         return ", ".join(f"{u}{k}" for k in range(d))
 
-    def rotate(positions):
-        # plane k turns by -alpha_k * dt / 4, alike for positions and momenta
-        return [
-            f"{u}{i}, {u}{i + 1} = {c} * {u}{i} + {s} * {u}{i + 1}, "
-            f"{ms} * {u}{i} + {c} * {u}{i + 1}"
-            for i, c, s, ms in turns
-            for u in (positions, "p")
-        ]
+    def dot(name, u, v):
+        return f"{name} = " + " + ".join(f"{u}{k} * {v}{k}" for k in range(d))
 
-    def dot(name, terms):
-        return [f"{name} = 0.0"] + [f"{name} += {term}" for term in terms]
-
-    half_dt_sq, half_dt = _literal(0.5 * dt * dt), _literal(0.5 * dt)
-    body = rotate("x")
-    # RATTLE, in the association of the vectorised reference step in
-    # tests/test_flow.py, so that only the dot products may round
-    # differently from it.
-    for k, ak in enumerate(two_a_floats):
-        body += [
-            f"g{k} = {_literal(ak)} * x{k}",
-            f"w{k} = x{k} + {dt_} * p{k} - {half_dt_sq} * g{k}",
-        ]
-    body += dot("wx", [f"w{k} * x{k}" for k in range(d)])
-    body += dot("ww", [f"w{k} * w{k}" for k in range(d)])
+    halves = [0.5 * two_a for two_a in two_a_floats]
+    body = [
+        f"w{k} = x{k} + {dt_} * p{k}" if a == 0.0
+        else f"w{k} = {_literal(1.0 - dt * dt * a)} * x{k} + {dt_} * p{k}"
+        for k, a in enumerate(halves)
+    ]
     body += [
+        dot("wx", "w", "x"),
+        dot("ww", "w", "w"),
         f"b = {_literal(-2.0 * dt * dt)} * wx",
         "defect = ww - 1.0",
         f"disc = b * b - {_literal(4.0 * dt ** 4)} * defect",
@@ -166,19 +161,17 @@ def _step_kernel(alpha_floats: tuple, two_a_floats: tuple, dt: float):
         f"    raise StepError({f'constraint projection lost the sphere (dt={dt:g})'!r}, k)",
         "lam = 0.0 if defect == 0.0 else 2.0 * defect / (-b + sqrt(disc))",
         f"shift = {_literal(dt * dt)} * lam",
-        "two_lam = 2.0 * lam",
+        f"dt_lam = {dt_} * lam",
     ]
-    for k, ak in enumerate(two_a_floats):
-        body += [
-            f"y{k} = w{k} - shift * x{k}",
-            f"q{k} = p{k} - {half_dt} * (g{k} + two_lam * x{k})"
-            f" - {half_dt} * ({_literal(ak)} * y{k})",
-        ]
-    body += dot("xq", [f"y{k} * q{k}" for k in range(d)])
-    body += dot("xx", [f"y{k} * y{k}" for k in range(d)])
-    body.append(f"dt_mu = {dt_} * (xq / ({dt_} * xx))")
-    body += [f"p{k} = q{k} - dt_mu * y{k}" for k in range(d)]
-    body += rotate("y")
+    for k, a in enumerate(halves):
+        body.append(f"y{k} = w{k} - shift * x{k}")
+        if a == 0.0:
+            body.append(f"q{k} = p{k} - dt_lam * x{k}")
+        else:
+            dt_a = _literal(dt * a)
+            body.append(f"q{k} = p{k} - ({dt_a} + dt_lam) * x{k} - {dt_a} * y{k}")
+    body += [dot("yq", "y", "q"), dot("yy", "y", "y"), "mu = yq / yy"]
+    body += [f"p{k} = q{k} - mu * y{k}" for k in range(d)]
     body += [
         f"{names('x')} = {names('y')}",
         "if k % every == 0 or k == steps:",
@@ -196,39 +189,67 @@ def _step_kernel(alpha_floats: tuple, two_a_floats: tuple, dt: float):
     return namespace["kernel"]
 
 
+def _turn_rows(xs, ps, ks, alpha_floats: tuple, dt: float):
+    """Turn the rows of xs and ps in place by the rotational flow of
+    ks[r] steps: plane i of row r turns by -phi, phi = ks[r] * alpha_i * dt / 2,
+
+        (u, v) -> (c*u + s*v, c*v - s*u),  c = cos(phi), s = sin(phi),
+
+    alike for positions and momenta.  Zero-rate planes and the unpaired
+    last coordinate are left as they are.  The temporaries are those of
+    one plane at a time.
+    """
+    for i, alpha in enumerate(alpha_floats):
+        if alpha == 0.0:
+            continue
+        phi = ks * (0.5 * alpha * dt)
+        c, s = np.cos(phi), np.sin(phi)
+        del phi
+        for vec in (xs, ps):
+            u, v = vec[:, 2 * i], vec[:, 2 * i + 1]
+            turned = c * u
+            turned += s * v
+            v *= c
+            v -= s * u
+            u[...] = turned
+
+
 def step(x, p, model: MagneticModel, dt: float):
     """One full symmetric step of size dt (dt may be negative).
 
     x and p are sequences of d = n + 1 numbers; the new state comes back
-    as two lists of Python floats.  The step is
+    as two lists of Python floats.  The step is the Strang splitting
 
-    - rotate(dt/2): plane k turns by -alpha_k * dt / 4, applied alike to
-      positions and momenta.  Zero-rate planes and the unpaired last
-      coordinate are left as they are.
-    - rattle(dt): one RATTLE step for 0.5|P|^2 + U(X), with the gradient
-      2a*X, on the unit cotangent set.  The position multiplier solves a
-      scalar quadratic through its subtraction-free root, so it stays
-      O(dt^0) accurate.  A negative discriminant means the step cannot
-      reach the sphere and is reported as a StepError.
-    - rotate(dt/2) again.
+        rotate(dt/2) . rattle(dt) . rotate(dt/2)
 
-    The work is done by one step of the kernel of (rates, dt), see
-    `_step_kernel`, the generator that `integrate` runs over a whole
-    orbit.  Every product and sum is a Python float operation in a fixed
-    order, dot products included, so the orbit does not depend on the
-    BLAS.
+    where rotate(tau) turns plane i by -alpha_i * tau / 2, alike for
+    positions and momenta, and rattle(dt) is one RATTLE step for
+    0.5|P|^2 + U(X), with the gradient 2a*X, on the unit cotangent set.
+    The position multiplier solves a scalar quadratic through its
+    subtraction-free root, so it stays O(dt^0) accurate.  A negative
+    discriminant means the step cannot reach the sphere and is reported
+    as a StepError.
+
+    U, the kinetic term and both constraints are invariant under the
+    plane turns, so rattle commutes with rotate and the step equals
+    rotate(dt) . rattle(dt): one step of the kernel of (potential, dt),
+    see `_step_kernel`, then `_turn_rows` with one step.  It is the last
+    row of `integrate` with steps=1, bit for bit; a loop of `step` calls
+    turns at every step and agrees with `integrate` to rounding only.
     """
     d = model.n + 1
     if len(x) != d or len(p) != d:
         raise InputError(f"state vectors have lengths {len(x)} and {len(p)}, model needs {d}")
     if dt == 0.0:
         return list(map(float, x)), list(map(float, p))
-    kernel = _step_kernel(model.alpha_floats, model.two_a_floats, float(dt))
+    kernel = _step_kernel(model.two_a_floats, float(dt))
     try:
         row = next(kernel(x, p, 1, 1))  # (t, x, p) after the step
     except StepError as exc:
         raise StepError(exc.args[0]) from None
-    return list(row[1 : d + 1]), list(row[d + 1 :])
+    xs, ps = np.array([row[1 : d + 1]]), np.array([row[d + 1 :]])
+    _turn_rows(xs, ps, np.ones(1), model.alpha_floats, float(dt))
+    return xs[0].tolist(), ps[0].tolist()
 
 
 @dataclass
@@ -270,12 +291,17 @@ def integrate(
     """Integrate from (x0, p0) and evaluate conserved quantities.
 
     The initial state is projected (within tolerance) before the run.
-    The whole run is one call of the step kernel of (rates, dt), see
-    `_step_kernel`, so its orbit has the bits of a loop of `step` calls.
-    The rows of step 0, of every record_every-th step and of the last
-    step fill one (rows, 1 + 2d) block of doubles, allocated once, from
-    which the record's times, xs and ps are copied; a block that cannot
-    be allocated raises InputError.  A failed step k raises StepError
+    The RATTLE steps of the whole run are one call of the kernel of
+    (potential, dt), see `_step_kernel`.  The rows of step 0, of every
+    record_every-th step and of the last step fill one (rows, 1 + 2d)
+    block of doubles, allocated once, from which the record's times, xs
+    and ps are copied; a block that cannot be allocated raises
+    InputError.  Then each recorded row of step k > 0 is turned once by
+    the rotational flow of k steps (`_turn_rows`): the step
+    rotate(dt/2) . rattle . rotate(dt/2) equals rotate(dt) . rattle, and
+    k of them equal rotate(k dt) . rattle^k, because rattle commutes with
+    the plane turns.  So row k has the bits of the last row of a run with
+    steps=k.  Row 0 is not turned.  A failed step k raises StepError
     with the prefix "step k: ".  If a family is given, every member is
     evaluated along the recorded states together with the Hamiltonian.
     """
@@ -296,7 +322,7 @@ def integrate(
 
     d = x.size
     x, p = x.tolist(), p.tolist()
-    kernel = _step_kernel(model.alpha_floats, model.two_a_floats, float(dt))
+    kernel = _step_kernel(model.two_a_floats, float(dt))
     rows = chain([(0.0, *x, *p)], kernel(x, p, steps, record_every))
     count = steps // record_every + 1 + (steps % record_every != 0)
     too_long = InputError(
@@ -323,6 +349,9 @@ def integrate(
         np.ascontiguousarray(a) for a in (block[:, 0], block[:, 1 : 1 + d], block[:, 1 + d :])
     )
     del values, block
+    steps_of_rows = np.minimum(np.arange(1.0, count) * record_every, steps)
+    _turn_rows(xs[1:], ps[1:], steps_of_rows, model.alpha_floats, float(dt))
+    del steps_of_rows
     states = np.hstack([xs, ps])
 
     diagnostics = {}

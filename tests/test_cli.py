@@ -818,15 +818,16 @@ def test_simulate_outputs_are_deterministic(tmp_path, capsys):
 
 
 # sha256 of `simulate --check-picture` outputs (dt 1e-3, 2000 steps, seed 42),
-# taken when `step` became a fixed-order Python-float computation.  A refactor
-# keeps these bytes or changes a digest on purpose and says why.
+# taken when the kernel began to run only RATTLE and `integrate` to turn each
+# recorded row once.  A refactor keeps these bytes or changes a digest on
+# purpose and says why.
 SIMULATE_DIGESTS = (
     (4, "1,2", 1,
-     "8775b0b7bb4addc82ac99226b41c6d598b6f13d75a6160cd49236b8f08f0c7db",
-     "0412dc117b31e6dcd93d3feeaed4432530fe0d68ca2ee7f22aad583bc286276e"),
+     "55b9c6fdb5dfe13190c577f48c5e94f2c97d2e43bd08dd58b6374ca9c6384dba",
+     "eaffa9c895e317eada01c33d7cacb34cdb301c3b5f988c8acedd5b1f2be5700c"),
     (5, "1,1,2", 7,
-     "c17ad0aac9bb4171ae78a78730af02f707cfa7900b05a5b36f9f8357f60759d8",
-     "a5645928c9872441bc76090cb534d475467674dbb9f2796a933e0a4a290f5374"),
+     "81aebf9b5ae3e7d52b8ccae1d2f91fd082d80bf1f49c618ec813c055cfd86942",
+     "78812e5cb7e71208fa0d8ec279342ae7d240a2c9708b19256df443a27c987947"),
 )
 
 

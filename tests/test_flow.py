@@ -66,26 +66,31 @@ def test_project_initial_rejects_overflowing_squares():
 # -- the numpy reference step ------------------------------------------------------
 #
 # `step` runs on Python floats.  The vectorised step below is the oracle it
-# is checked against: the same splitting, with numpy element-wise arithmetic
-# and `@` dot products.
+# is checked against: the Strang splitting, with numpy element-wise
+# arithmetic and `@` dot products.
 
 
-def reference_rotate(x, p, model, tau):
-    """Exact flow of the rotational part for time tau: plane k turns by
-    -alpha_k * tau / 2, alike for positions and momenta."""
+def reference_turn(x, p, angles):
+    """Plane k (coordinates 2k, 2k + 1) turned by angles[k], alike for
+    positions and momenta; a zero angle leaves its plane as it is."""
     x = np.array(x, dtype=float)
     p = np.array(p, dtype=float)
-    for k, alpha in enumerate(float(a) for a in model.alphas):
-        if alpha == 0.0:
+    for k, phi in enumerate(angles):
+        if phi == 0.0:
             continue
         i, j = 2 * k, 2 * k + 1
-        phi = alpha * tau / 2.0
         c, s = math.cos(phi), math.sin(phi)
         for vec in (x, p):
             u, v = vec[i], vec[j]
             vec[i] = c * u + s * v
             vec[j] = -s * u + c * v
     return x, p
+
+
+def reference_rotate(x, p, model, tau):
+    """Exact flow of the rotational part for time tau: plane k turns by
+    -alpha_k * tau / 2, alike for positions and momenta."""
+    return reference_turn(x, p, [float(a) * tau / 2.0 for a in model.alphas])
 
 
 def reference_rattle(x0, p0, model, dt):
@@ -134,6 +139,24 @@ REFERENCE_MODELS = [
 
 
 @pytest.mark.parametrize("n, alphas", REFERENCE_MODELS)
+def test_rattle_commutes_with_plane_turns(n, alphas):
+    """The premise of the kernel: U, the kinetic term and both constraints
+    are invariant under the turns of the coordinate planes, so a RATTLE
+    step of a turned state is the turned RATTLE step."""
+    model = model_of(n, *alphas)
+    rng = np.random.default_rng(n)
+    for _ in range(200):
+        x, p = sampling.constrained_point(rng, n)
+        p = p * 10.0 ** rng.uniform(-3, 0.5)
+        dt = float(rng.choice([1e-2, -1e-2, 0.1, -0.1, 1e-5, -1e-5]))
+        angles = rng.uniform(-math.pi, math.pi, (n + 1) // 2)
+        got_x, got_p = reference_rattle(*reference_turn(x, p, angles), model, dt)
+        want_x, want_p = reference_turn(*reference_rattle(x, p, model, dt), angles)
+        assert_close_in_ulps(got_x, want_x, 4)
+        assert_close_in_ulps(got_p, want_p, 4)
+
+
+@pytest.mark.parametrize("n, alphas", REFERENCE_MODELS)
 def test_step_matches_numpy_reference(n, alphas):
     model = model_of(n, *alphas)
     rng = np.random.default_rng(n)
@@ -150,13 +173,17 @@ def test_step_matches_numpy_reference(n, alphas):
 
 @pytest.mark.parametrize("n, alphas", [(4, ("1", "2")), (5, ("1", "1", "2"))])
 def test_orbit_matches_numpy_reference(n, alphas):
+    """The orbit is rattle^steps turned once by the rotational flow of the
+    whole run.  (A loop of Strang steps accumulates the rounding of two
+    turns per step: 1.1e-11 and 2.1e-11 from this orbit.)"""
     model = model_of(n, *alphas)
     x0, p0 = seeded_state(n)
     steps = 10_000
     rec = integrate(model, x0, p0, dt=1e-2, steps=steps, record_every=steps)
     x, p = project_initial(x0, p0)
     for _ in range(steps):
-        x, p = reference_step(x, p, model, 1e-2)
+        x, p = reference_rattle(x, p, model, 1e-2)
+    x, p = reference_rotate(x, p, model, steps * 1e-2)
     assert np.max(np.abs(rec.xs[-1] - x)) < 1e-11
     assert np.max(np.abs(rec.ps[-1] - p)) < 1e-11
 
@@ -206,15 +233,15 @@ def test_integrate_makes_one_kernel_call_per_run(monkeypatch):
 def test_one_kernel_per_rates_and_dt():
     model = model_of(4, 1, 2)
     x0, p0 = seeded_state(4)
-    kernel = flow._step_kernel(model.alpha_floats, model.two_a_floats, 1e-2)
+    kernel = flow._step_kernel(model.two_a_floats, 1e-2)
     before = flow._step_kernel.cache_info()
     integrate(model, x0, p0, dt=1e-2, steps=20)
     integrate(model_of(4, 1, 2), x0, p0, dt=1e-2, steps=20)
     after = flow._step_kernel.cache_info()
     assert after.misses == before.misses
     assert after.hits == before.hits + 2
-    assert flow._step_kernel(model.alpha_floats, model.two_a_floats, 1e-2) is kernel
-    assert flow._step_kernel(model.alpha_floats, model.two_a_floats, -1e-2) is not kernel
+    assert flow._step_kernel(model.two_a_floats, 1e-2) is kernel
+    assert flow._step_kernel(model.two_a_floats, -1e-2) is not kernel
 
 
 # -- geometry of single flows ---------------------------------------------------
@@ -234,17 +261,17 @@ def test_zero_rate_flow_stays_on_great_circle():
 
 
 def test_rotation_subflow_closed_form():
-    """One step is the closed-form turn of each plane by alpha*dt/4 on
-    both sides of the RATTLE step; the unpaired last coordinate does not
+    """One step is the RATTLE step followed by the closed-form turn of
+    each plane by alpha*dt/2; the unpaired last coordinate does not
     turn."""
     model = model_of(2, 2)
     rng = np.random.default_rng(1)
     x, p = sampling.constrained_point(rng, 2)
     dt = 0.37
-    phi = 2.0 * (dt / 2.0) / 2.0  # alpha * tau / 2 with tau = dt / 2
+    phi = 2.0 * dt / 2.0  # alpha * tau / 2 with tau = dt
     c, s = math.cos(phi), math.sin(phi)
     turn = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
-    x1, p1 = reference_rattle(turn @ x, turn @ p, model, dt)
+    x1, p1 = reference_rattle(x, p, model, dt)
     got_x, got_p = step(x, p, model, dt)
     assert_close_in_ulps(got_x, turn @ x1, 4)
     assert_close_in_ulps(got_p, turn @ p1, 4)
@@ -257,6 +284,19 @@ def test_single_step_reversibility():
     x2, p2 = step(x1, p1, model, -1e-3)
     assert np.max(np.abs(x2 - x0)) < 1e-12
     assert np.max(np.abs(p2 - p0)) < 1e-12
+
+
+def test_backward_run_returns_to_the_start():
+    """A run with -dt from the last row of a run with dt retraces it: the
+    rows are turned by k * alpha * dt / 2, so backwards by the opposite
+    angle."""
+    model = model_of(4, 1, 2)
+    x0, p0 = project_initial(*seeded_state(4))
+    fwd = integrate(model, x0, p0, dt=1e-2, steps=200)
+    assert np.max(np.abs(fwd.xs[-1] - x0)) > 0.1
+    back = integrate(model, fwd.xs[-1], fwd.ps[-1], dt=-1e-2, steps=200)
+    assert np.max(np.abs(back.xs[-1] - x0)) < 1e-12
+    assert np.max(np.abs(back.ps[-1] - p0)) < 1e-12
 
 
 def test_many_step_reversibility():
@@ -307,6 +347,26 @@ def test_halving_dt_quarters_energy_drift():
 
     ratio = h_drift(2e-3, 1000) / h_drift(1e-3, 2000)
     assert 3.0 <= ratio <= 5.0
+
+
+def test_plane_momenta_drift_stays_below_the_per_step_turns():
+    """The plane momenta F3 = M_12 and F4 = M_34 are invariant under the
+    plane turns.  Turning every row once, instead of twice per step by
+    rounded cos/sin literals whose c^2 + s^2 - 1 is about 1e-16, removes
+    most of their drift: over this 1e5-step orbit their max |drift| was
+    3.6e-12 and 3.9e-12 with the per-step turns, and is 5.9e-13 and
+    9.4e-13 now.  The rest still grows with the run length; it comes from
+    the rounding of the kernel's folded constants."""
+    model = model_of(4, 1, 2)
+    x0 = np.array([0.5, 0.3, -0.4, 0.6, 0.37])
+    x0 /= np.linalg.norm(x0)
+    p0 = np.array([0.1, 0.7, 0.5, -0.2, 0.4])
+    p0 -= (x0 @ p0) * x0
+    p0 /= np.linalg.norm(p0)
+    rec = integrate(model, x0, p0, dt=1e-3, steps=100_000, family=commuting_basis(model))
+    for label in ("F3", "F4"):
+        series = rec.diagnostics[label]
+        assert np.max(np.abs(series - series[0])) < 2e-12, label
 
 
 @pytest.mark.slow
@@ -394,42 +454,42 @@ def test_recording_stride_includes_last_step():
     assert rec.times.shape == (12,)  # 0, 10, ..., 100, 105
 
 
+def assert_rows_are_single_runs(model, x0, p0, steps, every):
+    """Each recorded row of a run is, bit for bit, the last row of a run
+    that stops at that row's step, and the first row is the projected
+    initial state."""
+    rec = integrate(model, x0, p0, dt=1e-2, steps=steps, record_every=every)
+    ks = sorted({0, steps, *range(0, steps + 1, every)})
+    assert rec.times.tolist() == [k * 1e-2 for k in ks]
+    d = model.n + 1
+    assert rec.xs.shape == rec.ps.shape == (len(ks), d)
+    x, p = project_initial(x0, p0)
+    assert rec.xs[0].tolist() == x.tolist() and rec.ps[0].tolist() == p.tolist()
+    for row, k in enumerate(ks[1:], start=1):
+        single = integrate(model, x0, p0, dt=1e-2, steps=k, record_every=k)
+        assert single.times.shape == (2,)
+        assert np.array_equal(rec.xs[row], single.xs[-1])
+        assert np.array_equal(rec.ps[row], single.ps[-1])
+
+
 @pytest.mark.parametrize("steps, every", [(0, 1), (6, 1), (10, 5), (11, 5), (3, 7), (7, 7)])
 def test_recorded_rows_match_the_stride(steps, every):
     model = model_of(2, 1)
     x0, p0 = seeded_state(2)
-    rec = integrate(model, x0, p0, dt=1e-2, steps=steps, record_every=every)
-    ks = sorted({0, steps, *range(0, steps + 1, every)})
-    assert rec.times.tolist() == [k * 1e-2 for k in ks]
-    assert rec.xs.shape == rec.ps.shape == (len(ks), 3)
-    x, p = project_initial(x0, p0)
-    rows = [(x, p)]
-    for k in range(1, steps + 1):
-        x, p = step(x, p, model, 1e-2)
-        rows.append((x, p))
-    assert np.array_equal(rec.xs, [rows[k][0] for k in ks])
-    assert np.array_equal(rec.ps, [rows[k][1] for k in ks])
+    assert_rows_are_single_runs(model, x0, p0, steps, every)
 
 
-def test_orbit_is_bit_identical_to_a_step_loop_at_n61():
-    """The kernel's loop over steps and its strided recording give the
-    bits of one `step` call per step, here at d = 62 with a stride that
-    does not divide the number of steps."""
+def test_orbit_rows_are_bit_identical_to_single_runs_at_n61():
+    """At d = 62, with a stride that does not divide the number of steps,
+    each recorded row is the last row of a run that stops there, and
+    `step` is the run with steps=1."""
     model = model_of(61, *(("0", "1", "3/2", "0", "5")[k % 5] for k in range(31)))
     x0, p0 = seeded_state(61)
-    steps, every = 200, 9
-    rec = integrate(model, x0, p0, dt=1e-2, steps=steps, record_every=every)
+    assert_rows_are_single_runs(model, x0, p0, 200, 9)
     x, p = project_initial(x0, p0)
-    ks = [0]
-    rows = [(x, p)]
-    for k in range(1, steps + 1):
-        x, p = step(x, p, model, 1e-2)
-        if k % every == 0 or k == steps:
-            ks.append(k)
-            rows.append((x, p))
-    assert rec.times.tolist() == [k * 1e-2 for k in ks]
-    assert np.array_equal(rec.xs, [x for x, _ in rows])
-    assert np.array_equal(rec.ps, [p for _, p in rows])
+    one = integrate(model, x0, p0, dt=1e-2, steps=1)
+    got_x, got_p = step(x, p, model, 1e-2)
+    assert got_x == one.xs[-1].tolist() and got_p == one.ps[-1].tolist()
 
 
 def test_integrate_memory_is_the_recorded_rows():
