@@ -290,8 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="verify a family file")
     verify.add_argument("--family", required=True, metavar="FILE")
-    verify.add_argument("--samples", type=int, default=100)
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--samples", type=int, default=100,
+                        help="most rational points the independence certificate tries (>= 1)")
+    verify.add_argument("--seed", type=int, default=0,
+                        help="seed of the certificate's rational points (>= 0)")
     verify.add_argument("--report", required=True, metavar="FILE")
 
     sim = sub.add_parser("simulate", help="integrate one trajectory")

@@ -492,11 +492,11 @@ def compiled_evaluator(poly: PhasePoly):
     """Vectorized float evaluator: maps an (R, 2(n+1)) point array to (R,).
 
     The exact layer stays exact; this is the one float evaluator
-    (trajectory diagnostics, bracket classification, and the tests' float
-    rank and finite-difference oracles).  Each term's factor slots in
-    ascending order (X1^2 gives [0, 0]) are padded to a common length with
-    a sentinel slot that reads a column of ones; a term's value is the
-    product of its gathered factors.  Each coefficient is its numerator
+    (trajectory diagnostics, and the tests' float rank, bracket
+    classification and finite-difference oracles).  Each term's factor
+    slots in ascending order (X1^2 gives [0, 0]) are padded to a common
+    length with a sentinel slot that reads a column of ones; a term's
+    value is the product of its gathered factors.  Each coefficient is its numerator
     divided by the denominator, an int division that rounds correctly.
     Rows are evaluated in chunks of at most EVAL_CHUNK_BYTES of gathered
     factors, so the working memory does not grow with R.

@@ -1,8 +1,8 @@
 """Deterministic sampling of constrained phase points.
 
 All randomness flows from one integer seed through a counter-based
-Philox generator; named substreams keep each check's draws independent
-of which other checks ran before it.
+Philox generator; named substreams keep each draw independent of which
+other draws ran before it.  `verify` draws only exact `rational_point`s.
 """
 
 from __future__ import annotations
@@ -11,13 +11,12 @@ from fractions import Fraction
 
 import numpy as np
 
-__all__ = ["STREAM_COMMUTATION", "STREAM_INDEPENDENCE", "STREAM_SIMULATE",
+__all__ = ["STREAM_INDEPENDENCE", "STREAM_SIMULATE",
            "generator", "constrained_point", "constrained_points", "rational_point"]
 
-# Substream ids: the bracket classification points of `verify`, the
-# rational points of its independence certificate (shared by the probe),
-# and the initial state of `simulate`.
-STREAM_COMMUTATION = 1
+# Substream ids, fixed because reports and orbits depend on them: the
+# rational points of `verify`'s independence certificate (shared by the
+# probe) and the initial state of `simulate`.
 STREAM_INDEPENDENCE = 2
 STREAM_SIMULATE = 4
 

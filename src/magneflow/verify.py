@@ -1,15 +1,21 @@
 """Verification of the integral family: exact brackets, independence, membership.
 
-The primary criterion everywhere is exactness: a bracket counts as zero
-only when the polynomial is identically zero over Q.  A bracket that
-merely vanishes numerically on the constraint set is classified as
-`zero_on_constraints`; that tier exists to make failures informative and
-is still a failure.  A member's bracket with H is derived rather than
-taken when H's membership holds (H = sum c_k F_k + sum d_l L_l^2 +
-c_s |X|^2 + c_0 over Q, each L_l a member) and the member's brackets
-with every other member and with |X|^2 are the zero polynomial: by
-bilinearity and the Leibniz rule {F, L^2} = 2 L {F, L}, {F, H} is then
-the zero polynomial over Q too.
+The criterion everywhere is exactness: a bracket counts as zero only
+when the polynomial is identically zero over Q.  A nonzero bracket that
+vanishes on the constraint set T*S^n is classified as
+`zero_on_constraints`, which is still a failure.  That is decided by its
+remainder modulo G = {|X|^2 - 1, <X,P>}: in lex order with P{n+1} > X1 >
+the rest, the leading monomials X1^2 and X{n+1}P{n+1} are coprime, so G
+is a Groebner basis (Buchberger's first criterion; Cox, Little and
+O'Shea, *Ideals, Varieties, and Algorithms*, ch. 2), the remainder is
+unique, and as the ideal is prime with Zariski-dense real points, it is
+zero exactly when the bracket vanishes on T*S^n.
+A member's bracket with H is derived rather than taken when H's
+membership holds (H = sum c_k F_k + sum d_l L_l^2 + c_s |X|^2 + c_0
+over Q, each L_l a member) and the member's brackets with every other
+member and with |X|^2 are the zero polynomial: by bilinearity and the
+Leibniz rule {F, L^2} = 2 L {F, L}, {F, H} is then the zero polynomial
+over Q too.
 
 Functional independence is certified exactly too.  At a seeded rational
 point of the constraint set, the member gradients and the two constraint
@@ -18,9 +24,9 @@ form; full rank there implies a nonzero minor over Q, which proves
 independence (Schwartz 1980 and Zippel 1979 bound the chance that a
 random point misses it; for modular rank see von zur Gathen and Gerhard,
 *Modern Computer Algebra*, ch. 5).  The probe reduces each candidate's
-gradient against the same echelon form.  All randomness comes from one
-seed through the named substreams of `sampling`, so reports are
-reproducible from the seed alone.
+gradient against the same echelon form.  Its points, drawn from the seed
+through a substream of `sampling`, are the only randomness, and verify
+evaluates no float.
 """
 
 from __future__ import annotations
@@ -29,8 +35,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from . import sampling
 from .errors import InputError
 from .exactpoly import (
@@ -38,7 +42,9 @@ from .exactpoly import (
     _from_monomials,
     _mul_into,
     _partials,
-    compiled_evaluator,
+    _raw,
+    _unit,
+    compiled_evaluator,  # not called here; the bench tracer wraps verify.compiled_evaluator
     format_rational,
     poisson_bracket,
 )
@@ -58,9 +64,6 @@ __all__ = [
     "run_verification",
 ]
 
-ON_CONSTRAINT_RTOL = 1e-10
-# Float points at which a nonzero bracket is classified.
-COMMUTATION_POINTS = 50
 # The modulus of the independence certificate, 2^61 - 1.
 PRIME = (1 << 61) - 1
 
@@ -80,13 +83,26 @@ class PairResult:
         return dict(vars(self))
 
 
-def _classify_nonzero(f, g, bracket, points) -> str:
-    def peak(poly):
-        return float(np.max(np.abs(compiled_evaluator(poly)(points))))
-
-    if peak(bracket) <= ON_CONSTRAINT_RTOL * max(1.0, peak(f), peak(g)):
-        return "zero_on_constraints"
-    return "nonzero"
+def _constraint_remainder(poly: PhasePoly) -> PhasePoly:
+    """The remainder of poly modulo the Groebner basis G of the module
+    docstring: X1^2 -> 1 - sum_{i>=2} Xi^2 and X{n+1}P{n+1} ->
+    -sum_{i<=n} XiPi rewrite terms, each into lex-smaller ones, until
+    none is divisible by X1^2 or X{n+1}P{n+1}."""
+    n, width = poly.n, poly.width
+    top = 8 * (width - 1)  # the shift of X1, the most significant byte
+    sphere = [(0, 1)] + [(2 * _unit(width, s), -1) for s in range(1, n + 1)]
+    dilation = [(_unit(width, s) + _unit(width, n + 1 + s), -1) for s in range(n)]
+    xp = _unit(width, n) + 1  # X{n+1}P{n+1}; P{n+1} is the lowest byte
+    pending, out = dict(poly.terms), {}
+    while pending:
+        mono, c = pending.popitem()
+        if mono >> top >= 2:
+            _mul_into(pending, ((mono - (2 << top), c),), sphere)
+        elif mono & 255 and (mono >> 8 * (n + 1)) & 255:
+            _mul_into(pending, ((mono - xp, c),), dilation)
+        else:
+            _mul_into(out, ((mono, c),), ((0, 1),))
+    return _raw(n, out, poly.den)
 
 
 def _sphere_square(n: int) -> PhasePoly:
@@ -94,13 +110,13 @@ def _sphere_square(n: int) -> PhasePoly:
     return _from_monomials(n, _x_square_terms(n, [1] * (n + 1)))
 
 
-def check_commutation(
-    family: IntegralFamily, seed: int = 0, membership: MembershipResult | None = None
-) -> list:
+def check_commutation(family: IntegralFamily, membership: MembershipResult | None = None) -> list:
     """Exact brackets of all member pairs and of each member with the
     Hamiltonian, in the order (F_i, F_i), (F_i, F_j) for j > i, (F_i, H).
     A self pair is reported as the zero polynomial without a bracket: the
     canonical bracket is antisymmetric, so {F, F} = 0 over Q for every F.
+    A nonzero bracket is `zero_on_constraints` when its remainder modulo
+    {|X|^2 - 1, <X,P>} is zero and `nonzero` otherwise.
 
     (F_i, H) is derived rather than bracketed when `membership` (H's
     membership in the family, solved here when None) holds, every
@@ -108,28 +124,21 @@ def check_commutation(
     Then H = sum c_k F_k + sum d_l L_l^2 + c_s |X|^2 + c_0 with every
     L_l a member, and bilinearity and the Leibniz rule
     {F_i, L^2} = 2 L {F_i, L} make {F_i, H} the zero polynomial over Q.
-    When a premise fails, (F_i, H) is bracketed directly.  The float
-    points that classify a nonzero bracket are drawn on the first one, so
-    a family whose brackets all vanish draws none."""
-    n = family.model.n
+    When a premise fails, (F_i, H) is bracketed directly."""
     members = family.members()
     labels = family.labels()
     if membership is None:
         membership = hamiltonian_membership(family)
     h = None  # built by the first row that brackets with it
-    x_square = _sphere_square(n)
+    x_square = _sphere_square(family.model.n)
     # derivable[i]: whether the premises of the rule hold for row i so far
     derivable = [membership.ok] * len(members)
-    points = None
 
-    def result(i, right, g, bracket):
-        nonlocal points
+    def result(i, right, bracket):
         if bracket.is_zero:
             return PairResult(labels[i], right, "zero_polynomial", 0)
-        if points is None:
-            rng = sampling.generator(seed, sampling.STREAM_COMMUTATION)
-            points = sampling.constrained_points(rng, n, COMMUTATION_POINTS)
-        status = _classify_nonzero(members[i], g, bracket, points)
+        on_constraints = _constraint_remainder(bracket).is_zero
+        status = "zero_on_constraints" if on_constraints else "nonzero"
         return PairResult(labels[i], right, status, bracket.num_terms)
 
     results = []
@@ -139,13 +148,13 @@ def check_commutation(
             bracket = poisson_bracket(f, members[j])
             if not bracket.is_zero:
                 derivable[i] = derivable[j] = False
-            results.append(result(i, labels[j], members[j], bracket))
+            results.append(result(i, labels[j], bracket))
         if derivable[i] and poisson_bracket(f, x_square).is_zero:
             results.append(PairResult(labels[i], "H", "zero_polynomial", 0))
         else:
             if h is None:
                 h = hamiltonian_pert(family.model)
-            results.append(result(i, "H", h, poisson_bracket(f, h)))
+            results.append(result(i, "H", poisson_bracket(f, h)))
     return results
 
 
@@ -495,7 +504,7 @@ def run_verification(
     H, and the extra-integral probe, which reuses the certificate."""
     model = family.model
     membership = hamiltonian_membership(family)
-    pair_results = check_commutation(family, seed=seed, membership=membership)
+    pair_results = check_commutation(family, membership=membership)
     independence = functional_independence(family.members(), model.n, samples=samples, seed=seed)
     return VerificationReport(
         model=model,

@@ -16,7 +16,10 @@
   terms.
 - `reference_commutation`: the pair results of `check_commutation` with
   every member bracketed with H, as `verify` took them before it derived
-  those brackets from H's membership.
+  those brackets from H's membership, and with each nonzero bracket
+  classified by `float_classify_nonzero`, the float test that `verify`
+  used before its exact remainder: peaks at COMMUTATION_POINTS seeded
+  points of the |P| = 1 shell against ON_CONSTRAINT_RTOL.
 - `fd_bracket_oracle`: a central-difference estimate of a Poisson
   bracket, the independent cross-check of the exact bracket engine.
 - `potential_compatibility`: the exact mixed-degree commutation test
@@ -48,14 +51,20 @@ from magneflow import (
     sampling,
     x_var,
 )
-from magneflow.verify import COMMUTATION_POINTS, PairResult, _classify_nonzero
+from magneflow.verify import PairResult
 
 RANK_THRESHOLD_REL = 1e-8
 FULL_RANK_QUOTA = 0.95
 FD_STEP = 1e-5
 
-# The substream the float probe drew its points from.
+# The substreams the float bracket classification and the float probe
+# drew their points from.
+STREAM_COMMUTATION = 1
 STREAM_FLOAT_PROBE = 3
+
+ON_CONSTRAINT_RTOL = 1e-10
+# Float points at which a nonzero bracket is classified.
+COMMUTATION_POINTS = 50
 
 
 # -- exact PhasePoly operations ------------------------------------------------
@@ -314,10 +323,29 @@ def reference_probe_candidates(model) -> list:
 # -- commutation with every bracket taken ------------------------------------
 
 
+def float_classify_nonzero(f, g, bracket, points) -> str:
+    """`zero_on_constraints` when the bracket's peak at the float points
+    is at most ON_CONSTRAINT_RTOL times the larger of 1 and the peaks of
+    f and g, `nonzero` otherwise."""
+    def peak(poly):
+        return float(np.max(np.abs(compiled_evaluator(poly)(points))))
+
+    if peak(bracket) <= ON_CONSTRAINT_RTOL * max(1.0, peak(f), peak(g)):
+        return "zero_on_constraints"
+    return "nonzero"
+
+
+def commutation_points(n: int, seed: int = 0) -> np.ndarray:
+    """The float points at which `float_classify_nonzero` was applied."""
+    rng = sampling.generator(seed, STREAM_COMMUTATION)
+    return sampling.constrained_points(rng, n, COMMUTATION_POINTS)
+
+
 def reference_commutation(family, seed: int = 0) -> list:
     """The pair results of `check_commutation` with every (F_i, H) pair
-    bracketed directly: the reference of the rule that derives {F_i, H}
-    from H's membership and the member pairs."""
+    bracketed directly and each nonzero bracket classified on floats: the
+    reference of the rule that derives {F_i, H} from H's membership and
+    the member pairs, and the float cross-check of the exact remainder."""
     members = family.members() + [hamiltonian_pert(family.model)]
     labels = family.labels() + ["H"]
     points = None
@@ -330,9 +358,8 @@ def reference_commutation(family, seed: int = 0) -> list:
                 results.append(PairResult(labels[i], labels[j], "zero_polynomial", 0))
                 continue
             if points is None:
-                rng = sampling.generator(seed, sampling.STREAM_COMMUTATION)
-                points = sampling.constrained_points(rng, family.model.n, COMMUTATION_POINTS)
-            status = _classify_nonzero(members[i], members[j], bracket, points)
+                points = commutation_points(family.model.n, seed)
+            status = float_classify_nonzero(members[i], members[j], bracket, points)
             results.append(PairResult(labels[i], labels[j], status, bracket.num_terms))
     return results
 

@@ -28,6 +28,7 @@ from magneflow.magnetic_model import (
     sigma_sharp,
     sigma_sharp_polys,
 )
+from magneflow.verify import _constraint_remainder
 from oracles import bidegree_profile, evaluate_exact, substitute_linear
 
 
@@ -253,7 +254,10 @@ def test_gauge_shift_preserves_tangency():
 def test_kinetic_energy_composed_with_shift():
     # K(x, p + s(x)) = K + S|X|^2 + U|X|^2 as an exact identity; on the
     # sphere this is the conserved quantity carried to the other picture.
-    for n, alphas in [(2, (1,)), (3, (1, 2))]:
+    # Modulo the constraints it is H + 2S and not H - 2S: an exact oracle
+    # of --check-picture.
+    for n, alphas in [(2, (1,)), (3, (1, 2)), (4, (1, 2)), (5, (1, 1, 2)),
+                      (7, (1, F(3, 2), 3, 4)), (6, (0, 1, 1))]:
         model = MagneticModel(n=n, alphas=tuple(F(a) for a in alphas))
         k = kinetic_energy(n)
         sphere = PhasePoly(n)
@@ -263,6 +267,9 @@ def test_kinetic_energy_composed_with_shift():
         composed = substitute_linear(k, ident, p_shift=sigma_sharp_polys(model))
         expected = k + sigma_linear(model) * sphere + potential(model) * sphere
         assert (composed - expected).is_zero
+        h, s = hamiltonian_pert(model), sigma_linear(model)
+        assert _constraint_remainder(composed - h - 2 * s).is_zero
+        assert not _constraint_remainder(composed - h + 2 * s).is_zero
 
 
 # -- skew normal form ---------------------------------------------------------

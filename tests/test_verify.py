@@ -30,10 +30,19 @@ from magneflow import (
     p_var,
 )
 from magneflow import sampling, verify
-from magneflow.verify import PRIME, _echelon, _probe_candidates, _solve_exact
+from magneflow.verify import (
+    PRIME,
+    _constraint_remainder,
+    _echelon,
+    _probe_candidates,
+    _solve_exact,
+)
 from oracles import (
     RANK_THRESHOLD_REL,
+    commutation_points,
+    evaluate_exact,
     fd_bracket_oracle,
+    float_classify_nonzero,
     float_independence,
     float_probe_verdicts,
     fraction_rank,
@@ -92,7 +101,7 @@ def test_oracle_rotation_invariance():
 
 def test_family_pairs_all_identically_zero():
     fam = commuting_basis(model_of(2, 1))
-    results = check_commutation(fam, seed=0)
+    results = check_commutation(fam)
     # 3 member pairs (self pairs included) + 2 Hamiltonian pairs
     assert len(results) == 5
     assert all(r.status == "zero_polynomial" for r in results)
@@ -114,7 +123,7 @@ def test_self_pairs_are_zero_by_antisymmetry(monkeypatch):
         for member in fam.members():
             assert poisson_bracket(member, member).is_zero
         calls.clear()
-        results = check_commutation(fam, seed=0)
+        results = check_commutation(fam)
         assert not any(f is g for f, g in calls)
         labels = fam.labels() + ["H"]
         expected = [(a, b) for i, a in enumerate(labels[:-1]) for b in labels[i:]]
@@ -156,7 +165,7 @@ def test_commutation_distinguishes_all_three_tiers():
     # hand-built family: the squared sphere defect commutes with nothing
     # except on the constraint set, and the dilation function fails
     # against the potential term of H outright
-    results = {(r.left, r.right): r for r in check_commutation(three_tier_family(), seed=3)}
+    results = {(r.left, r.right): r for r in check_commutation(three_tier_family())}
     assert results[("F1", "F1")].status == "zero_polynomial"
     assert results[("F1", "F2")].status == "zero_on_constraints"
     assert results[("F1", "F2")].witness_terms > 0
@@ -165,8 +174,84 @@ def test_commutation_distinguishes_all_three_tiers():
 
 
 def test_tampered_family_detected():
-    results = check_commutation(tampered_family(), seed=0)
+    results = check_commutation(tampered_family())
     assert any(r.status == "nonzero" for r in results)
+
+
+def test_verify_evaluates_no_float(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify evaluated a float")
+
+    monkeypatch.setattr(verify, "compiled_evaluator", refuse)
+    monkeypatch.setattr(sampling, "constrained_points", refuse)
+    monkeypatch.setattr(sampling, "constrained_point", refuse)
+    three_tier = run_verification(three_tier_family(), samples=20)
+    tampered = run_verification(tampered_family(), samples=20)
+    assert [r.status for r in three_tier.pair_results] == [
+        "zero_polynomial", "zero_on_constraints", "zero_polynomial", "zero_polynomial", "nonzero"]
+    assert any(r.status == "nonzero" for r in tampered.pair_results)
+    assert not three_tier.passed and not tampered.passed
+
+
+def p_square(n):
+    total = PhasePoly(n)
+    for i in range(1, n + 2):
+        total = total + p_var(i, n) ** 2
+    return total
+
+
+@pytest.mark.parametrize("f1, f2", [
+    ((sphere_poly(2) - PhasePoly.constant(2, 1)) ** 2 + F(1, 10**12) * x_var(1, 2) ** 2,
+     dilation(2)),
+    ((p_square(2) - PhasePoly.constant(2, 1)) ** 2, x_var(1, 2)),
+], ids=["sphere-defect-plus-1e-12", "momentum-shell-defect"])
+def test_float_tier_misses_are_nonzero(f1, f2):
+    """Two brackets that the float tier called zero_on_constraints: one is
+    2e-12 X1^2 on the constraint set, the other -4 P1 (|P|^2 - 1), which
+    vanishes on the |P| = 1 shell of the float points but not on T*S^n."""
+    fam = family_of(model_of(2, 1), [f1], [f2])
+    results = {(r.left, r.right): r for r in check_commutation(fam)}
+    assert results[("F1", "F2")].status == "nonzero"
+    bracket = poisson_bracket(f1, f2)
+    verdict = float_classify_nonzero(f1, f2, bracket, commutation_points(2))
+    assert verdict == "zero_on_constraints"
+
+
+# -- remainder modulo the constraints ---------------------------------------------
+
+
+@st.composite
+def remainder_cases(draw):
+    """A polynomial with n = 2..4 and small rational coefficients, and a
+    seed for the rational constraint points it is evaluated at."""
+    n = draw(st.integers(2, 4))
+    coeffs = st.fractions(min_value=F(-3), max_value=F(3), max_denominator=4)
+    term = st.tuples(st.lists(st.integers(0, 2 * n + 1), max_size=5), coeffs)
+    return _poly_from_slots(n, draw(st.lists(term, max_size=6))), draw(st.integers(0, 2**32))
+
+
+@given(remainder_cases())
+@settings(max_examples=100, deadline=None)
+def test_constraint_remainder_is_the_normal_form(case):
+    poly, seed = case
+    n = poly.n
+    remainder = _constraint_remainder(poly)
+    assert _constraint_remainder(remainder) == remainder
+    for expo, _ in remainder.sorted_terms():
+        assert expo[0] < 2 and not (expo[n] and expo[2 * n + 1]), expo
+    rng = sampling.generator(seed)
+    for _ in range(3):
+        x, p = sampling.rational_point(rng, n)
+        assert evaluate_exact(remainder, x + p) == evaluate_exact(poly, x + p)
+
+
+def test_constraint_remainder_fixed_cases():
+    three_tier = three_tier_family()
+    assert _constraint_remainder(poisson_bracket(*three_tier.members())).is_zero
+    for n in (2, 5, 9):
+        assert _constraint_remainder(kinetic_energy(n) - F(1, 2) * p_square(n)).is_zero
+    h = hamiltonian_pert(model_of(2, 1))
+    assert _constraint_remainder(poisson_bracket(dilation(2), h)).num_terms == 2
 
 
 RULE_MODELS = CI_MATRIX + [(9, "1,1,1,1,1"), (11, "1,2,3,4,5,6"), (15, "1,2,3,4,5,6,7,8")]
@@ -177,7 +262,7 @@ def test_derived_hamiltonian_pairs_match_bracketing_every_pair(n, alpha):
     # every premise holds, so each (F_i, H) is derived from H's membership
     fam = commuting_basis(model_of(n, *alpha.split(",")))
     assert hamiltonian_membership(fam).ok
-    results = check_commutation(fam, seed=0)
+    results = check_commutation(fam)
     assert all(r.status == "zero_polynomial" for r in results)
     assert results == reference_commutation(fam, seed=0)
 
@@ -187,7 +272,7 @@ def test_derived_hamiltonian_pairs_match_bracketing_every_pair(n, alpha):
 def test_commutation_matches_bracketing_every_pair_when_membership_fails(make, seed):
     fam = make()
     assert not hamiltonian_membership(fam).ok
-    results = check_commutation(fam, seed=seed)
+    results = check_commutation(fam)
     assert any(r.right == "H" and r.status == "nonzero" for r in results)
     assert results == reference_commutation(fam, seed=seed)
 
@@ -208,7 +293,7 @@ def test_each_premise_of_the_derived_pair_rule_blocks_it_alone(quads, linears, m
     is not membership, membership is claimed instead of solved.  The rule
     must not derive (F2, H), whose bracket is nonzero."""
     fam = family_of(model_of(2, 1), quads, linears)
-    results = check_commutation(fam, seed=0, membership=membership)
+    results = check_commutation(fam, membership=membership)
     assert [r.status for r in results if r.right == "H"][-1] == "nonzero"
     assert results == reference_commutation(fam, seed=0)
 
@@ -229,7 +314,7 @@ def test_passing_family_brackets_no_member_with_the_hamiltonian(monkeypatch):
 
     monkeypatch.setattr(verify, "poisson_bracket", bracket)
     monkeypatch.setattr(verify, "hamiltonian_membership", membership)
-    results = check_commutation(fam, seed=0)
+    results = check_commutation(fam)
     assert brackets and not any(h in pair for pair in brackets)
     assert len(memberships) == 1  # solved here, since none was passed
     memberships.clear()
