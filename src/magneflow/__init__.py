@@ -45,7 +45,6 @@ from .magnetic_model import (
     gauge_shift,
     hamiltonian_pert,
     kinetic_energy,
-    omega_matrix,
     potential,
     sigma_linear,
     skew_normal_form,
@@ -82,7 +81,6 @@ __all__ = [
     "potential",
     "hamiltonian_pert",
     "gauge_shift",
-    "omega_matrix",
     "IntegralFamily",
     "commuting_basis",
     "killing",

@@ -56,9 +56,10 @@ __all__ = [
     "format_rational",
 ]
 
-# Byte budget of the gathered factors that one chunk of rows of
-# compiled_evaluator holds at a time.
-EVAL_CHUNK_BYTES = 4 << 20
+# Byte budget of the block of points that compiled_evaluator transposes
+# into columns at a time: 16 384 rows at n = 4.  Smaller blocks pay
+# numpy's per-call cost more often, and whole arrays fall out of cache.
+EVAL_CHUNK_BYTES = 5 << 18
 
 # Largest exponent that one 8-bit field of a packed monomial holds, and
 # so the largest total degree of a product.
@@ -491,37 +492,55 @@ def poisson_bracket(f: PhasePoly, g: PhasePoly) -> PhasePoly:
 def compiled_evaluator(poly: PhasePoly):
     """Vectorized float evaluator: maps an (R, 2(n+1)) point array to (R,).
 
-    The exact layer stays exact; this is the one float evaluator
-    (trajectory diagnostics, and the tests' float rank, bracket
-    classification and finite-difference oracles).  Each term's factor
-    slots in ascending order (X1^2 gives [0, 0]) are padded to a common
-    length with a sentinel slot that reads a column of ones; a term's
-    value is the product of its gathered factors.  Each coefficient is its numerator
-    divided by the denominator, an int division that rounds correctly.
-    Rows are evaluated in chunks of at most EVAL_CHUNK_BYTES of gathered
-    factors, so the working memory does not grow with R.
+    The exact layer stays exact; this is the one float evaluator (the
+    trajectory diagnostics of `flow`, and the tests' float oracles).  Each
+    term's value is its coefficient times its factors, multiplied left to
+    right in slot order (X1^2*P2 is c * X1 * X1 * P2), and the terms are
+    added into the output in the insertion order of `poly.terms`.  The
+    coefficient is its numerator divided by the denominator, an int
+    division that rounds correctly.  Rows are taken in blocks of at most
+    EVAL_CHUNK_BYTES of points, each transposed once into contiguous
+    columns, and every operation is an elementwise IEEE multiply or add on
+    those columns: no gathered tensor, no reduction and no BLAS.  So each
+    value depends on its own row only, bit for bit, and not on the block
+    size, on the other rows of the call or on the BLAS build; a loop over
+    Python floats in the same order gives the same bits.
     """
     import numpy as np
 
     width = poly.width
-    coeffs = np.array([c / poly.den for c in poly.terms.values()])
-    factors = [[slot for slot, k in _fields(m, width) for _ in range(k)] for m in poly.terms]
-    depth = max(poly.degree(), 0)
-    padded_factors = [f + [width] * (depth - len(f)) for f in factors]
-    slots = np.array(padded_factors, dtype=np.intp).reshape(len(factors), depth)
-    chunk = max(1, EVAL_CHUNK_BYTES // max(1, 8 * len(factors) * max(depth, 1)))
+    terms = [
+        (c / poly.den, [slot for slot, k in _fields(m, width) for _ in range(k)])
+        for m, c in poly.terms.items()
+    ]
+    block_rows = max(1, EVAL_CHUNK_BYTES // (8 * width))
 
     def evaluate(points):
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != width:
             raise InputError(f"expected points of shape (R, {width})")
         rows = points.shape[0]
-        out = np.empty(rows)
-        padded = np.ones((min(chunk, rows), width + 1))
-        for s in range(0, rows, chunk):
-            block = padded[: min(chunk, rows - s)]
-            block[:, :width] = points[s : s + chunk]
-            out[s : s + chunk] = block[:, slots].prod(axis=2) @ coeffs
+        out = np.zeros(rows)
+        if not terms or not rows:
+            return out
+        cols = np.empty((width, min(block_rows, rows)))
+        term = np.empty(cols.shape[1])
+        for s in range(0, rows, block_rows):
+            acc = out[s : s + block_rows]
+            size = acc.size
+            block, value = cols[:, :size], term[:size]
+            block[...] = points[s : s + size].T
+            columns = list(block)
+            for k, (coeff, factors) in enumerate(terms):
+                target = value if k else acc
+                if factors:
+                    np.multiply(columns[factors[0]], coeff, out=target)
+                    for slot in factors[1:]:
+                        np.multiply(target, columns[slot], out=target)
+                else:
+                    target.fill(coeff)
+                if k:
+                    acc += value
         return out
 
     return evaluate

@@ -32,6 +32,13 @@ recording every step, a step takes about 2.5 us inside `integrate`; a
 loop of `step` calls takes about 40 us per step, most of it numpy's
 per-call cost of the turn (Python 3.11, one core).
 
+The diagnostics of a record (the family members and H, and H_kin in the
+picture) come from `compiled_evaluator`, the constraint residuals from
+`_row_dot`, and the picture's momentum shift from `sigma_sharp`.  Each
+value is elementwise products and sums over its own row in a fixed
+order, so it depends on no other row, on no block size and on no BLAS
+kernel, and a loop over Python floats in the same order gives its bits.
+
 `write_csv` prints every number as `%.17g` does, byte for byte, but with
 numpy instead of one `%` per value.  The 17 digits of a value come from
 Dekker's exact product with 10**K held as a double-double (Loitsch's
@@ -357,8 +364,9 @@ def integrate(
     diagnostics = {}
     for label, poly in _diagnostic_polys(model, family):
         diagnostics[label] = compiled_evaluator(poly)(states)
-    sphere = np.einsum("ij,ij->i", xs, xs) - 1.0
-    tangency = np.einsum("ij,ij->i", xs, ps)
+    sphere = _row_dot(xs, xs)
+    sphere -= 1.0
+    tangency = _row_dot(xs, ps)
     meta = {
         "model": model.to_dict(),
         "dt": dt,
@@ -366,6 +374,16 @@ def integrate(
         "record_every": record_every,
     }
     return TrajectoryRecord(times, xs, ps, diagnostics, sphere, tangency, meta)
+
+
+def _row_dot(u, v):
+    """<u_r, v_r> of every row r of two (R, d) arrays, one column at a time
+    and summed left to right, u_r0*v_r0 + u_r1*v_r1 + ...: each value
+    depends on its own row only, as in a loop over Python floats."""
+    out = u[:, 0] * v[:, 0]
+    for k in range(1, u.shape[1]):
+        out += u[:, k] * v[:, k]
+    return out
 
 
 def picture_map(record: TrajectoryRecord, model: MagneticModel) -> TrajectoryRecord:
@@ -388,7 +406,7 @@ def picture_map(record: TrajectoryRecord, model: MagneticModel) -> TrajectoryRec
         ps=shifted_p,
         diagnostics={"H_kin": h_kin},
         sphere_residual=record.sphere_residual.copy(),
-        tangency_residual=np.einsum("ij,ij->i", shifted_x, shifted_p),
+        tangency_residual=_row_dot(shifted_x, shifted_p),
         meta=meta,
     )
 

@@ -35,7 +35,6 @@ from .exactpoly import (
     _unit,
     format_rational,
     parse_rational,
-    x_var,
 )
 
 __all__ = [
@@ -45,11 +44,8 @@ __all__ = [
     "potential",
     "kinetic_energy",
     "hamiltonian_pert",
-    "sigma_sharp_polys",
     "sigma_sharp",
     "gauge_shift",
-    "omega_matrix",
-    "sigma_coefficient_matrix",
     "SkewNormalForm",
     "skew_normal_form",
 ]
@@ -253,32 +249,21 @@ def _plane_block(alphas: Sequence, d: int) -> list:
     return mat
 
 
-def omega_matrix(model: MagneticModel) -> list:
-    """Exact matrix of the magnetic 2-form: Omega[2i-1][2i] = alpha_i."""
-    return _plane_block(model.alphas, model.n + 1)
-
-
-def sigma_coefficient_matrix(model: MagneticModel) -> list:
-    """Exact matrix C = -Omega/2 with sigma_a = sum_b C[a][b] X_b
-    (0-based rows/cols)."""
-    return [[-v / 2 for v in row] for row in omega_matrix(model)]
-
-
-def sigma_sharp_polys(model: MagneticModel) -> list:
-    """Components sigma_a = sum_b C[a][b] X_b of the magnetic covector
-    field as polynomials in X."""
-    n = model.n
-    return [
-        sum((c * x_var(b + 1, n) for b, c in enumerate(row) if c), PhasePoly(n))
-        for row in sigma_coefficient_matrix(model)
-    ]
-
-
 def sigma_sharp(model: MagneticModel, x: np.ndarray) -> np.ndarray:
-    """Float evaluation of the magnetic covector field, x @ (Omega/2); x may
-    be one point (d,) or a stack of points (R, d)."""
-    half_omega = np.array(_plane_block(model.alpha_floats, model.n + 1)) / 2
-    return np.asarray(x, dtype=float) @ half_omega
+    """Float evaluation of the magnetic covector field x @ (Omega/2); x may
+    be one point (d,) or a stack of points (R, d).  Each component is one
+    product: plane k of rate alpha_k gives -alpha_k/2 * x_{2k+1} in column
+    2k and alpha_k/2 * x_{2k} in column 2k+1 (0-based), and zero-rate
+    planes and the unpaired last coordinate give 0.  So no value depends
+    on a BLAS kernel or on the other points."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    for k, alpha in enumerate(model.alpha_floats):
+        if alpha:
+            half = 0.5 * alpha
+            np.multiply(x[..., 2 * k + 1], -half, out=out[..., 2 * k])
+            np.multiply(x[..., 2 * k], half, out=out[..., 2 * k + 1])
+    return out
 
 
 def gauge_shift(x: np.ndarray, p: np.ndarray, direction: int, model: MagneticModel):

@@ -292,39 +292,45 @@ def _solve_exact(columns, target: PhasePoly):
     column are not touched.  The pivot of a column is the first remaining
     row with a nonzero in it, and free unknowns are 0.  The reduced
     row-echelon form is unique, so the solution is the one that rational
-    Gauss-Jordan elimination gives.
+    Gauss-Jordan elimination gives.  A row is a sparse dict from column
+    (the target is column len(columns)) to its nonzero entry, combined by
+    `_mul_into`: a monomial sits in only a few of the columns, so a
+    combination touches only the nonzeros of the two rows.
     """
     polys = list(columns) + [target]
-    monos = set()
-    for poly in polys:
-        monos.update(poly.terms)
-    rows = [[poly.terms.get(m, 0) for poly in polys] for m in sorted(monos)]
+    by_mono: dict = {}
+    for k, poly in enumerate(polys):
+        for mono, c in poly.terms.items():
+            by_mono.setdefault(mono, {})[k] = c
+    rows = [by_mono[m] for m in sorted(by_mono)]
     ncols = len(columns)
 
     pivot_cols = []
     rank = 0
     for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        hits = [r for r, row in enumerate(rows) if col in row]
+        pivot = next((r for r in hits if r >= rank), None)
         if pivot is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pivot_row = rows[rank]
+        pivot_row = rows[pivot]
         lead = pivot_row[col]
-        for r, row in enumerate(rows):
-            entry = row[col]
-            if entry and r != rank:
-                g = math.gcd(lead, entry)
-                a, b = lead // g, entry // g
-                row = [a * u - b * v for u, v in zip(row, pivot_row)]
-                content = math.gcd(*row)
-                rows[r] = [u // content for u in row] if content > 1 else row
+        for r in hits:
+            if r == pivot:
+                continue
+            entry = rows[r][col]
+            g = math.gcd(lead, entry)
+            a, b = lead // g, entry // g
+            row = _mul_into({k: a * u for k, u in rows[r].items()}, pivot_row.items(), ((0, -b),))
+            content = math.gcd(*row.values())
+            rows[r] = {k: u // content for k, u in row.items()} if content > 1 else row
+        rows[rank], rows[pivot] = pivot_row, rows[rank]
         pivot_cols.append(col)
         rank += 1
-    if any(row[ncols] for row in rows[rank:]):
+    if any(ncols in row for row in rows[rank:]):
         return None
     solution = [Fraction(0)] * ncols
     for row, col in zip(rows, pivot_cols):
-        solution[col] = Fraction(row[ncols] * columns[col].den, row[col] * target.den)
+        solution[col] = Fraction(row.get(ncols, 0) * columns[col].den, row[col] * target.den)
     return solution
 
 

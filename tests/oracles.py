@@ -5,6 +5,13 @@
   the bidegree profile and (linear) substitution.  They are written on
   `sorted_terms()` and the public constructor, so they do not depend on
   how `PhasePoly` keys its monomials.
+- Scalar float oracles of the fixed-order float paths:
+  `scalar_evaluate` (`compiled_evaluator` on one row), `scalar_dot` (the
+  per-row sums of `flow`) and `scalar_sigma_sharp` (`sigma_sharp` at one
+  point), each a loop over Python floats in the order of the vectorized
+  code, so the two agree bit for bit.
+- The magnetic covector field as exact data: `omega_matrix`,
+  `sigma_coefficient_matrix` and `sigma_sharp_polys`.
 - `reference_to_dict` and `reference_from_dict`: the JSON form of a
   `PhasePoly` as it was written on `Fraction` coefficients, the reference
   of the int path of `PhasePoly.to_dict` and `from_dict`.
@@ -51,6 +58,7 @@ from magneflow import (
     sampling,
     x_var,
 )
+from magneflow.magnetic_model import _plane_block
 from magneflow.verify import PairResult
 
 RANK_THRESHOLD_REL = 1e-8
@@ -154,6 +162,71 @@ def substitute_linear(poly: PhasePoly, q, p_shift=None) -> PhasePoly:
     if p_shift is not None:
         ps = [img + shift for img, shift in zip(ps, p_shift)]
     return substitute(poly, xs + ps)
+
+
+# -- scalar float oracles --------------------------------------------------------
+
+
+def scalar_evaluate(poly: PhasePoly, row) -> float:
+    """Value of poly at one float row, on Python floats in the order of
+    `compiled_evaluator`: each term is its coefficient (numerator /
+    denominator) times its factors, left to right in slot order, and the
+    terms are added in the insertion order of `poly.terms`, starting
+    from the first term's value; the zero polynomial is 0.0."""
+    width = poly.width
+    row = [float(v) for v in row]
+    total = None
+    for mono, c in poly.terms.items():
+        value = c / poly.den
+        for slot, k in enumerate(mono.to_bytes(width, "big")):
+            for _ in range(k):
+                value = value * row[slot]
+        total = value if total is None else total + value
+    return 0.0 if total is None else total
+
+
+def scalar_dot(u, v) -> float:
+    """u0*v0 + u1*v1 + ... on Python floats, left to right."""
+    total = float(u[0]) * float(v[0])
+    for a, b in zip(u[1:], v[1:]):
+        total = total + float(a) * float(b)
+    return total
+
+
+def scalar_sigma_sharp(model, x) -> list:
+    """sigma(x) = x @ (Omega/2) at one point, a Python-float loop over the
+    planes: plane k of rate alpha gives -alpha/2 * x[2k+1] and
+    alpha/2 * x[2k]."""
+    out = [0.0] * len(x)
+    for k, alpha in enumerate(model.alpha_floats):
+        if alpha:
+            out[2 * k] = float(x[2 * k + 1]) * -(alpha / 2)
+            out[2 * k + 1] = float(x[2 * k]) * (alpha / 2)
+    return out
+
+
+# -- the magnetic covector field as exact data -------------------------------------
+
+
+def omega_matrix(model) -> list:
+    """Exact matrix of the magnetic 2-form: Omega[2i-1][2i] = alpha_i."""
+    return _plane_block(model.alphas, model.n + 1)
+
+
+def sigma_coefficient_matrix(model) -> list:
+    """Exact matrix C = -Omega/2 with sigma_a = sum_b C[a][b] X_b
+    (0-based rows/cols)."""
+    return [[-v / 2 for v in row] for row in omega_matrix(model)]
+
+
+def sigma_sharp_polys(model) -> list:
+    """Components sigma_a = sum_b C[a][b] X_b of the magnetic covector
+    field as polynomials in X."""
+    n = model.n
+    return [
+        sum((c * x_var(b + 1, n) for b, c in enumerate(row) if c), PhasePoly(n))
+        for row in sigma_coefficient_matrix(model)
+    ]
 
 
 # -- the Fraction-based JSON form ----------------------------------------------

@@ -818,16 +818,16 @@ def test_simulate_outputs_are_deterministic(tmp_path, capsys):
 
 
 # sha256 of `simulate --check-picture` outputs (dt 1e-3, 2000 steps, seed 42),
-# taken when the kernel began to run only RATTLE and `integrate` to turn each
-# recorded row once.  A refactor keeps these bytes or changes a digest on
-# purpose and says why.
+# taken when the diagnostics and the constraint residuals began to be summed
+# row by row in a fixed order (the orbit columns t, X*, P* kept their bytes).
+# A refactor keeps these bytes or changes a digest on purpose and says why.
 SIMULATE_DIGESTS = (
     (4, "1,2", 1,
-     "55b9c6fdb5dfe13190c577f48c5e94f2c97d2e43bd08dd58b6374ca9c6384dba",
-     "eaffa9c895e317eada01c33d7cacb34cdb301c3b5f988c8acedd5b1f2be5700c"),
+     "c8ce16e3ead73364ae8ec27833476b5ff9c10714b387acad965eaa1d03d01318",
+     "1fe7c3996dbe0c732ca9fa095c55b8d8639a6e120722cf5f4aeee8688ebfdc92"),
     (5, "1,1,2", 7,
-     "81aebf9b5ae3e7d52b8ccae1d2f91fd082d80bf1f49c618ec813c055cfd86942",
-     "78812e5cb7e71208fa0d8ec279342ae7d240a2c9708b19256df443a27c987947"),
+     "798ce0d897a08803cb30a1b3ca4310226c82b5861890ea4f8cab31f89c9d24c3",
+     "4ac98016198a4fb7673cab410c56f14dca59c5c7b5ef24a867f779e92f17fe70"),
 )
 
 

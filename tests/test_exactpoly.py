@@ -14,9 +14,11 @@ from magneflow import (
     InputError,
     MagneticModel,
     PhasePoly,
+    commuting_basis,
     compiled_evaluator,
     format_rational,
     hamiltonian_pert,
+    kinetic_energy,
     parse_rational,
     poisson_bracket,
     p_var,
@@ -32,6 +34,7 @@ from oracles import (
     partial_x,
     reference_from_dict,
     reference_to_dict,
+    scalar_evaluate,
     substitute_linear,
 )
 
@@ -463,9 +466,8 @@ def test_compiled_evaluator_rejects_bad_shapes_and_takes_no_rows():
 def test_compiled_evaluator_chunks_are_invariant(monkeypatch):
     rng = random.Random(9)
     poly = random_poly(rng, 3, 10)
-    depth = poly.degree()
     chunk = 7
-    monkeypatch.setattr(exactpoly, "EVAL_CHUNK_BYTES", 8 * poly.num_terms * depth * chunk)
+    monkeypatch.setattr(exactpoly, "EVAL_CHUNK_BYTES", 8 * poly.width * chunk)
     f = compiled_evaluator(poly)
     rational = dyadic_points(rng, 5 * chunk + 3, poly.width)  # ragged last chunk
     assert_matches_exact(poly, rational)
@@ -473,6 +475,64 @@ def test_compiled_evaluator_chunks_are_invariant(monkeypatch):
     whole = f(pts)
     pieces = np.concatenate([f(pts[s : s + chunk]) for s in range(0, len(pts), chunk)])
     assert whole.tobytes() == pieces.tobytes()
+
+
+def simulate_polys():
+    """F1..F4, H and H_kin at (4; 1,2): the series `simulate` evaluates."""
+    model = MagneticModel(n=4, alphas=(F(1), F(2)))
+    return commuting_basis(model).members() + [hamiltonian_pert(model), kinetic_energy(4)]
+
+
+def test_compiled_evaluator_values_depend_on_their_row_only(monkeypatch):
+    """On standard normal rows, where products and sums round, the whole
+    array, slices of 256 and 7 rows, single rows (every tenth row, for
+    time) and blocks of 37 rows give the same bits."""
+    pts = np.random.default_rng(20).standard_normal((20_001, 10))
+    polys = simulate_polys()
+
+    def by_slices(f, rows, size):
+        return np.concatenate([f(rows[s : s + size]) for s in range(0, len(rows), size)])
+
+    whole = []
+    for poly in polys:
+        f = compiled_evaluator(poly)
+        values = f(pts)
+        for size in (256, 7):
+            assert by_slices(f, pts, size).tobytes() == values.tobytes()
+        assert by_slices(f, pts[::10], 1).tobytes() == values[::10].tobytes()
+        whole.append(values)
+    monkeypatch.setattr(exactpoly, "EVAL_CHUNK_BYTES", 8 * 10 * 37)
+    for poly, values in zip(polys, whole):
+        assert compiled_evaluator(poly)(pts).tobytes() == values.tobytes()
+
+
+FLOATS = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-1e3, 1e3)
+
+
+@st.composite
+def polys_and_rows(draw):
+    """A polynomial with n = 1..5 (constant terms, exponents up to 3 in a
+    slot, denominators above 1) and a few rows that hold signed zeros."""
+    n = draw(st.integers(1, 5))
+    width = 2 * (n + 1)
+    terms = []
+    for slots in draw(st.lists(st.lists(st.integers(0, width - 1), max_size=3), max_size=10)):
+        expo = [0] * width
+        for slot in slots:
+            expo[slot] += 1
+        terms.append((expo, F(draw(st.integers(-10**6, 10**6)), draw(st.integers(1, 10**4)))))
+    rows = draw(st.lists(st.lists(FLOATS, min_size=width, max_size=width),
+                         min_size=1, max_size=6))
+    return PhasePoly(n, terms), rows
+
+
+@given(polys_and_rows())
+@settings(max_examples=200, deadline=None)
+def test_compiled_evaluator_matches_scalar_oracle_bit_for_bit(case):
+    poly, rows = case
+    got = compiled_evaluator(poly)(np.array(rows, dtype=float))
+    want = np.array([scalar_evaluate(poly, row) for row in rows])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_compiled_evaluator_memory_is_bounded():

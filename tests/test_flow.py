@@ -17,6 +17,7 @@ from magneflow import (
     commuting_basis,
     drift_report,
     integrate,
+    kinetic_energy,
     picture_map,
     project_initial,
     step,
@@ -24,6 +25,7 @@ from magneflow import (
 )
 from magneflow import flow, sampling
 from magneflow.flow import CSV_CHUNK_ROWS, CSV_FORMAT, MIN_ABS_DT, TrajectoryRecord, _csv_bytes
+from oracles import scalar_dot, scalar_evaluate
 
 
 def model_of(n, *alphas):
@@ -409,6 +411,29 @@ def test_picture_map_conserves_kinetic_energy():
     assert shifted.meta["picture"] == "kinetic"
     # tangency survives the shift because the field is orthogonal to X
     assert np.max(np.abs(shifted.tangency_residual)) < 1e-10
+
+
+@pytest.mark.parametrize("n, alphas", [(4, (1, 2)), (5, (1, 0, 2))])
+def test_diagnostics_and_residuals_match_scalar_loops(n, alphas):
+    """Every diagnostic and residual of a row is the scalar loop over
+    that row's floats, bit for bit, in the record and in the picture."""
+    model = model_of(n, *alphas)
+    family = commuting_basis(model)
+    x0, p0 = seeded_state(n)
+    rec = integrate(model, x0, p0, dt=1e-3, steps=300, record_every=7, family=family)
+    shifted = picture_map(rec, model)
+    polys = dict(flow._diagnostic_polys(model, family))
+    polys["H_kin"] = kinetic_energy(n)
+
+    def same(got, want):
+        assert np.asarray(got).tobytes() == np.array(want, dtype=float).tobytes()
+
+    for r in (rec, shifted):
+        same(r.tangency_residual, [scalar_dot(x, p) for x, p in zip(r.xs, r.ps)])
+        states = np.hstack([r.xs, r.ps])
+        for label, series in r.diagnostics.items():
+            same(series, [scalar_evaluate(polys[label], row) for row in states])
+    same(rec.sphere_residual, [scalar_dot(x, x) - 1.0 for x in rec.xs])
 
 
 def test_picture_map_zero_rates_is_identity():

@@ -14,7 +14,6 @@ from magneflow import (
     gauge_shift,
     hamiltonian_pert,
     kinetic_energy,
-    omega_matrix,
     poisson_bracket,
     potential,
     sigma_linear,
@@ -22,14 +21,17 @@ from magneflow import (
     x_var,
     p_var,
 )
-from magneflow.magnetic_model import (
-    ambient_units,
-    sigma_coefficient_matrix,
-    sigma_sharp,
-    sigma_sharp_polys,
-)
+from magneflow.magnetic_model import ambient_units, sigma_sharp
 from magneflow.verify import _constraint_remainder
-from oracles import bidegree_profile, evaluate_exact, substitute_linear
+from oracles import (
+    bidegree_profile,
+    evaluate_exact,
+    omega_matrix,
+    scalar_sigma_sharp,
+    sigma_coefficient_matrix,
+    sigma_sharp_polys,
+    substitute_linear,
+)
 
 
 def model_of(n, *alphas):
@@ -216,6 +218,23 @@ def test_gauge_shift_round_trip():
         for r in range(xs.shape[0]):
             _, row = gauge_shift(xs[r], ps[r], direction, model)
             assert np.array_equal(ps_out[r], row)
+
+
+@pytest.mark.parametrize("n, alphas", [(2, (1,)), (4, ("7/3", 0)), (5, (1, 0, "1/3"))])
+def test_sigma_sharp_matches_scalar_loop(n, alphas):
+    """sigma_sharp of a stack and of each point is the per-plane scalar
+    loop, bit for bit, signed zeros included, and it agrees with
+    x @ (Omega/2) of the exact matrix."""
+    model = model_of(n, *alphas)
+    xs = np.random.default_rng(4).standard_normal((9, n + 1))
+    xs[0] = 0.0
+    xs[1] = -0.0
+    want = np.array([scalar_sigma_sharp(model, x) for x in xs])
+    assert sigma_sharp(model, xs).tobytes() == want.tobytes()
+    for x, row in zip(xs, want):
+        assert sigma_sharp(model, x).tobytes() == row.tobytes()
+    half_omega = np.array(omega_matrix(model), dtype=float) / 2
+    assert np.array_equal(want, xs @ half_omega)
 
 
 def test_gauge_shift_point_value():
