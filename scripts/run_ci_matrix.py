@@ -2,9 +2,12 @@
 
 Prints one row per model with the commutation statuses, the certified
 rank mod 2^61-1 over the expected rank, the membership flag, and the
-wall time, then exits nonzero if any model fails.
+wall time.
 
 Usage: python3 scripts/run_ci_matrix.py [--samples N] [--seed S]
+
+Exits 0 when every model verifies, 1 when one fails, and 2 with one
+"error:" line on bad input.
 """
 
 import argparse
@@ -12,7 +15,7 @@ import sys
 import time
 from fractions import Fraction
 
-from magneflow import MagneticModel, commuting_basis, run_verification
+from magneflow import InputError, MagneticModel, commuting_basis, run_verification
 
 MATRIX = (
     (2, "1"),
@@ -34,7 +37,18 @@ def main() -> int:
     parser.add_argument("--samples", type=int, default=100)
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args()
+    try:
+        return run_matrix(args)
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+
+def run_matrix(args) -> int:
+    if args.samples < 1:
+        raise InputError(f"--samples must be at least 1, got {args.samples}")
+    if args.seed < 0:
+        raise InputError(f"--seed must be non-negative, got {args.seed}")
     print(f"{'model':<16} {'pairs':>5} {'exact':>5} {'rank':>6} "
           f"{'member':>6} {'probe':>5} {'time':>8}")
     failures = 0

@@ -19,7 +19,6 @@ import functools
 import json
 import math
 import sys
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -60,57 +59,10 @@ def _artifact(kind: str, config: dict, seed: int, payload: dict) -> dict:
     return out
 
 
-def _json_key(key) -> str:
-    """A dict key as json converts it: a str as it is, a number, bool or
-    None as its JSON text."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, (int, float)) or key is None:
-        return _json_text(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-def _json_text(obj, newline: str = "\n") -> str:
-    """The text of `json.dumps(obj, sort_keys=True, indent=2,
-    allow_nan=False)`, built in one recursive pass with json's type
-    dispatch.  With `indent`, json itself falls back to its pure-Python
-    encoder, which yields one chunk per token."""
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        if math.isfinite(obj):
-            return float.__repr__(obj)
-        raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
-    inner = newline + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if set(map(type, obj)) == {int}:  # exponent lists; bools recurse
-            items = map(int.__repr__, obj)
-        else:
-            items = [_json_text(v, inner) for v in obj]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [encode_basestring_ascii(_json_key(k)) + ": " + _json_text(v, inner)
-                 for k, v in sorted(obj.items())]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
 def _write_json(path: str, obj: dict):
     # The text is complete before the file is opened, so a non-finite
     # number leaves no partial artifact.
-    text = _json_text(obj) + "\n"
+    text = json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
     with open(path, "w") as fh:
         fh.write(text)
 

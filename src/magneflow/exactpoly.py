@@ -498,21 +498,25 @@ def compiled_evaluator(poly: PhasePoly):
     right in slot order (X1^2*P2 is c * X1 * X1 * P2), and the terms are
     added into the output in the insertion order of `poly.terms`.  The
     coefficient is its numerator divided by the denominator, an int
-    division that rounds correctly.  Rows are taken in blocks of at most
-    EVAL_CHUNK_BYTES of points, each transposed once into contiguous
-    columns, and every operation is an elementwise IEEE multiply or add on
-    those columns: no gathered tensor, no reduction and no BLAS.  So each
-    value depends on its own row only, bit for bit, and not on the block
-    size, on the other rows of the call or on the BLAS build; a loop over
-    Python floats in the same order gives the same bits.
+    division that rounds correctly; one beyond the float range raises
+    InputError.  Rows are taken in blocks of at most EVAL_CHUNK_BYTES of
+    points, each transposed once into contiguous columns, and every
+    operation is an elementwise IEEE multiply or add on those columns: no
+    gathered tensor, no reduction and no BLAS.  So each value depends on
+    its own row only, bit for bit, and not on the block size, on the other
+    rows of the call or on the BLAS build; a loop over Python floats in
+    the same order gives the same bits.
     """
     import numpy as np
 
     width = poly.width
-    terms = [
-        (c / poly.den, [slot for slot, k in _fields(m, width) for _ in range(k)])
-        for m, c in poly.terms.items()
-    ]
+    try:
+        terms = [
+            (c / poly.den, [slot for slot, k in _fields(m, width) for _ in range(k)])
+            for m, c in poly.terms.items()
+        ]
+    except OverflowError:
+        raise InputError("a polynomial coefficient is beyond the float range") from None
     block_rows = max(1, EVAL_CHUNK_BYTES // (8 * width))
 
     def evaluate(points):

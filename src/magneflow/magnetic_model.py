@@ -51,6 +51,15 @@ __all__ = [
 ]
 
 
+def _floats(values: Sequence, what: str) -> tuple:
+    """Exact rationals as correctly rounded floats; one beyond the float
+    range is an InputError that names `what`."""
+    try:
+        return tuple(float(v) for v in values)
+    except OverflowError:
+        raise InputError(f"a {what} is beyond the float range") from None
+
+
 def level_blocks(values: Sequence, start: int = 0) -> tuple:
     """Indices (counted from `start`) grouped by equal value, as tuples
     ordered by their smallest index."""
@@ -133,12 +142,12 @@ class MagneticModel:
 
     @cached_property
     def alpha_floats(self) -> tuple:
-        return tuple(float(a) for a in self.alphas)
+        return _floats(self.alphas, "rotation rate")
 
     @cached_property
     def two_a_floats(self) -> tuple:
         """Float coefficients 2a of the potential gradient 2a*X."""
-        return tuple(2.0 * float(a) for a in self.a)
+        return _floats([2 * a for a in self.a], "potential coefficient alpha^2/4")
 
     def to_dict(self) -> dict:
         return {"n": self.n, "alphas": [format_rational(a) for a in self.alphas]}

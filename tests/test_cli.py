@@ -5,6 +5,7 @@ status lines, and artifact files.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -15,12 +16,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magneflow import IntegralFamily, __version__
-from magneflow.cli import _json_text, _write_json, build_parser, main
+from magneflow.cli import _write_json, build_parser, main
 from magneflow.flow import MAX_ABS_DT, MIN_ABS_DT
+from magneflow.magnetic_model import skew_normal_form
 
 
 def run(capsys, *argv):
@@ -193,13 +195,13 @@ def test_verify_rejects_malformed_input(tmp_path, capsys):
 # literal shares: the report fails and holds no coefficient, so the family
 # digest shows the value read.
 LITERAL_DIGESTS = (
-    ("2/4", "f4a1b51fe2d0719329c59930ab56040745eedf8205d3c7e280d2b00375ddcfa6"),
-    (" 1/2 ", "f4a1b51fe2d0719329c59930ab56040745eedf8205d3c7e280d2b00375ddcfa6"),
-    ("+3", "fc1953b6c2035ee4cd94b1749e6ebfe4173b7ecfb9f801ea8d303590cc228d8f"),
-    (3, "fc1953b6c2035ee4cd94b1749e6ebfe4173b7ecfb9f801ea8d303590cc228d8f"),
-    ("-0", "887fd22f45a54c9a62e609e876e798fdfe78aac6b0a7b0d1c6f588d8e0c07606"),
+    ("2/4", "557a2fb007bf8828f76a13164ff09d21d16845550bba015a356d1a1ec6c7c76a"),
+    (" 1/2 ", "557a2fb007bf8828f76a13164ff09d21d16845550bba015a356d1a1ec6c7c76a"),
+    ("+3", "edd4d4d5785cf133a774cb0d66d5abf11ea39725fda36745bbe1e79f9d5e7dbf"),
+    (3, "edd4d4d5785cf133a774cb0d66d5abf11ea39725fda36745bbe1e79f9d5e7dbf"),
+    ("-0", "5c5983c70a5cb320aa6e3ccb4e19f4b555873fda24b4cac727fa2e3007c4d44a"),
 )
-LITERAL_REPORT_DIGEST = "ed93c2a4ac9f049cbb2ef51bc98b45f5ad2acb50e6a67b601d04489be1e2dece"
+LITERAL_REPORT_DIGEST = "89b0a0b166aabaa223b1f79c624691ff380b2eb66fc9c4e25bc0d02274b4b3b3"
 
 
 def verify_with_literal(tmp_path, capsys, monkeypatch, literal):
@@ -211,13 +213,14 @@ def verify_with_literal(tmp_path, capsys, monkeypatch, literal):
     return code, err, data["family"]
 
 
-@pytest.mark.parametrize("literal, family_digest", LITERAL_DIGESTS)
+@pytest.mark.parametrize("literal, family_digest", LITERAL_DIGESTS,
+                         ids=[str(literal) for literal, _ in LITERAL_DIGESTS])
 def test_verify_reads_coefficient_literals(tmp_path, capsys, monkeypatch, literal, family_digest):
     code, err, family = verify_with_literal(tmp_path, capsys, monkeypatch, literal)
     assert code == 1 and err == ""
     report = hashlib.sha256(Path("r.json").read_bytes()).hexdigest()
     assert report == LITERAL_REPORT_DIGEST
-    text = _json_text(IntegralFamily.from_dict(family).to_dict())
+    text = json.dumps(IntegralFamily.from_dict(family).to_dict(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == family_digest
 
 
@@ -461,43 +464,6 @@ def test_normal_form_matrix_boundary_property(case):
         assert code == 2 and one_error_line(err.getvalue()) and not written
 
 
-def json_values():
-    """Nested JSON-able values, with the types json dispatches on: str
-    (escape-heavy and non-ASCII too), None, bools, ints, floats (-0.0,
-    1e308, np.float64), lists, tuples and dicts with str, int or float
-    keys, empty containers included.  Lists and tuples of ints, which
-    the writer prints in one join, come with a bool or another scalar
-    mixed in now and then."""
-    text = st.text() | st.text(alphabet='"\\/\n\r\t\b\f\x00\x1f\x7f\u2028\ud800é€😀')
-    finite = st.floats(allow_nan=False, allow_infinity=False)
-    scalars = st.one_of(
-        st.none(), st.booleans(), st.integers(-10**30, 10**30), text,
-        finite, finite.map(np.float64), st.sampled_from([-0.0, 1e308, -1e308, 5e-324]),
-    )
-    ints = st.integers(-10**30, 10**30) | st.integers(0, 255)
-    int_lists = st.lists(ints, max_size=8) | st.lists(ints | st.just(True) | scalars, max_size=6)
-    return st.recursive(scalars | int_lists | int_lists.map(tuple), lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.lists(children, max_size=4).map(tuple),
-        st.dictionaries(text, children, max_size=4),
-        st.dictionaries(st.integers(-5, 5) | st.booleans(), children, max_size=3),
-        st.dictionaries(finite, children, max_size=3),
-    ), max_leaves=20)
-
-
-@given(json_values())
-@example([1, True, 2])
-@example((False, 0))
-@example({"e": [3, 1], "f": [[0], [True]]})
-@settings(max_examples=200, deadline=None)
-def test_json_writer_matches_json_dumps(obj):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "out.json"
-        _write_json(str(path), obj)
-        want = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
-        assert path.read_bytes() == want.encode()
-
-
 def test_artifacts_are_strict_json(tmp_path):
     path = tmp_path / "out.json"
     for value in (float("nan"), float("inf"), -float("inf")):
@@ -507,7 +473,46 @@ def test_artifacts_are_strict_json(tmp_path):
             _write_json(str(path), {"e": [0, 1], "x": [1, 2, value]})
         assert not path.exists()
     _write_json(str(path), {"b": [1.0], "a": 2})
-    assert path.read_text() == '{\n  "a": 2,\n  "b": [\n    1.0\n  ]\n}\n'
+    assert path.read_text() == '{"a": 2, "b": [1.0]}\n'
+
+
+def strict_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+ARTIFACT_RUNS = {
+    "normal-form": ["--in", "m.json", "--out", "a.json"],
+    "build": ["--n", "3", "--alpha", "1,2", "--out", "a.json"],
+    "verify": ["--family", "f.json", "--samples", "10", "--report", "a.json"],
+    "simulate": ["--n", "2", "--alpha", "1", "--dt", "1e-2", "--steps", "50",
+                 "--check-picture", "--out", "a"],
+}
+
+
+@pytest.mark.parametrize("command", ARTIFACT_RUNS)
+def test_artifacts_are_one_line_of_sorted_strict_json(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    Path("m.json").write_text(json.dumps({"omega": [[0, 1.5, 0], [-1.5, 0, 0], [0, 0, 0]]}))
+    build_family(tmp_path, capsys, name="f.json")
+    assert run(capsys, command, *ARTIFACT_RUNS[command])[0] == 0
+    text = Path("a.drift.json" if command == "simulate" else "a.json").read_text()
+    assert len(text.splitlines()) == 1 and text.endswith("\n")
+    obj = json.loads(text, parse_constant=strict_constant)
+    assert text == json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
+
+
+def test_non_finite_artifact_is_a_defect(tmp_path, capsys, monkeypatch):
+    """Every input boundary rejects non-finite values, so an artifact that
+    would hold one is a defect: exit 3, and no file."""
+    infile, out = tmp_path / "omega.json", tmp_path / "form.json"
+    infile.write_text(json.dumps({"omega": [[0, 1], [-1, 0]]}))
+    monkeypatch.setattr("magneflow.cli.skew_normal_form", lambda omega: dataclasses.replace(
+        skew_normal_form(omega), alphas=np.array([math.nan])))
+    code, _, err = run(capsys, "normal-form", "--in", str(infile), "--out", str(out))
+    assert code == 3 and not out.exists()
+    defects = [line for line in err.splitlines() if line.startswith("internal error:")]
+    assert len(defects) == 1 and defects[0].startswith(
+        "internal error: ValueError: Out of range float values are not JSON compliant")
 
 
 # -- simulate -----------------------------------------------------------------
@@ -817,17 +822,19 @@ def test_simulate_outputs_are_deterministic(tmp_path, capsys):
         assert one == two
 
 
-# sha256 of `simulate --check-picture` outputs (dt 1e-3, 2000 steps, seed 42),
-# taken when the diagnostics and the constraint residuals began to be summed
-# row by row in a fixed order (the orbit columns t, X*, P* kept their bytes).
+# sha256 of `simulate --check-picture` outputs (dt 1e-3, 2000 steps, seed 42).
+# The CSV digests were taken when the diagnostics and the constraint
+# residuals began to be summed row by row in a fixed order (the orbit
+# columns t, X*, P* kept their bytes), the drift digests when the JSON
+# artifacts became one line.
 # A refactor keeps these bytes or changes a digest on purpose and says why.
 SIMULATE_DIGESTS = (
     (4, "1,2", 1,
      "c8ce16e3ead73364ae8ec27833476b5ff9c10714b387acad965eaa1d03d01318",
-     "1fe7c3996dbe0c732ca9fa095c55b8d8639a6e120722cf5f4aeee8688ebfdc92"),
+     "c98abfc7cc8391425a2d2774923e09fbf7845fbc8b5bce6f638781b9fb8294ed"),
     (5, "1,1,2", 7,
      "798ce0d897a08803cb30a1b3ca4310226c82b5861890ea4f8cab31f89c9d24c3",
-     "4ac98016198a4fb7673cab410c56f14dca59c5c7b5ef24a867f779e92f17fe70"),
+     "9406f03b3895e5cdc6dad7cc9db793f98d9c0bfa3adf4a7b0688fb8e089d01c2"),
 )
 
 
@@ -842,6 +849,19 @@ def test_simulate_matches_golden_digest(tmp_path, capsys, monkeypatch,
     assert code == 0
     for name, digest in (("sim.csv", csv_digest), ("sim.drift.json", drift_digest)):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("alpha, message", [
+    ("1/1" + "0" * 400, "a polynomial coefficient is beyond the float range"),
+    ("1" + "0" * 400, "a potential coefficient alpha^2/4 is beyond the float range"),
+], ids=["1/10^400", "10^400"])
+def test_simulate_rejects_rates_beyond_the_float_range(tmp_path, capsys, alpha, message):
+    """The exact engine takes any rate; simulate's floats cannot."""
+    code, _, err = run(capsys, "simulate", "--n", "2", "--alpha", alpha, "--dt", "1e-3",
+                       "--steps", "10", "--out", str(tmp_path / "s"))
+    assert code == 2 and err == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
+    build_family(tmp_path, capsys, n=2, alpha=alpha)
 
 
 # -- parser-level behaviour -----------------------------------------------------

@@ -45,6 +45,18 @@ def test_ci_matrix_prints_certified_rank_per_model():
         assert rank == f"{n}/{n}", row
 
 
+def assert_rejected_with_one_error_line(script, args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ")
+
+
 @pytest.mark.parametrize("args", [
     ["--alpha", "1/0"],
     ["--alpha", "1,,2"],
@@ -53,15 +65,12 @@ def test_ci_matrix_prints_certified_rank_per_model():
     ["--n", "0"],
 ])
 def test_convergence_study_rejects_bad_input_with_one_error_line(args):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "convergence_study.py"), *args],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stdout == ""
-    assert len(proc.stderr.splitlines()) == 1
-    assert proc.stderr.startswith("error: ")
+    assert_rejected_with_one_error_line("convergence_study.py", args)
+
+
+@pytest.mark.parametrize("args", [["--samples", "0"], ["--seed", "-1"]])
+def test_ci_matrix_rejects_bad_input_with_one_error_line(args):
+    assert_rejected_with_one_error_line("run_ci_matrix.py", args)
 
 
 def test_bench_tracer_targets_resolve(tmp_path, monkeypatch):
