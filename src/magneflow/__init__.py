@@ -32,6 +32,7 @@ from .flow import (
     write_csv,
 )
 from .integral_family import (
+    Integral,
     IntegralFamily,
     commuting_basis,
     degenerate_integral,
@@ -81,6 +82,7 @@ __all__ = [
     "potential",
     "hamiltonian_pert",
     "gauge_shift",
+    "Integral",
     "IntegralFamily",
     "commuting_basis",
     "killing",

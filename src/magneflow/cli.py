@@ -48,12 +48,14 @@ def _parse_alphas(text: str):
     return tuple(parse_rational(part) for part in parts)
 
 
-def _artifact(kind: str, config: dict, seed: int, payload: dict) -> dict:
+def _artifact(kind: str, args, seed: int, payload: dict) -> dict:
+    """The artifact record: its kind, the tool version, the seed, every
+    option the command parsed as its config, and the payload."""
     out = {
         "artifact": kind,
         "version": __version__,
         "seed": seed,
-        "config": config,
+        "config": vars(args),
     }
     out.update(payload)
     return out
@@ -69,11 +71,13 @@ def _write_json(path: str, obj: dict):
 
 def _load_json(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad JSON syntax, bytes that are not UTF-8, or an int
+        # beyond the digit limit; RecursionError: nesting too deep.
         raise InputError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -96,13 +100,13 @@ def _float_array(value, depth: int, bad: str) -> np.ndarray:
 
 
 def cmd_normal_form(args) -> int:
-    data = _load_json(args.infile)
+    infile = vars(args)["in"]
+    data = _load_json(infile)
     if not isinstance(data, dict) or "omega" not in data:
-        raise InputError(f"{args.infile} must contain an 'omega' matrix")
-    omega = _float_array(data["omega"], 2, f"{args.infile} does not contain a numeric matrix")
+        raise InputError(f"{infile} must contain an 'omega' matrix")
+    omega = _float_array(data["omega"], 2, f"{infile} does not contain a numeric matrix")
     form = skew_normal_form(omega)
-    config = {"command": "normal-form", "in": args.infile, "out": args.out}
-    _write_json(args.out, _artifact("skew-normal-form", config, 0, {"normal_form": form.to_dict()}))
+    _write_json(args.out, _artifact("skew-normal-form", args, 0, {"normal_form": form.to_dict()}))
     return 0
 
 
@@ -110,8 +114,7 @@ def cmd_build(args) -> int:
     alphas = _parse_alphas(args.alpha)
     model = MagneticModel(n=args.n, alphas=alphas)
     family = commuting_basis(model)
-    config = {"command": "build", "n": args.n, "alpha": args.alpha, "out": args.out}
-    _write_json(args.out, _artifact("integral-family", config, 0, {"family": family.to_dict()}))
+    _write_json(args.out, _artifact("integral-family", args, 0, {"family": family.to_dict()}))
     return 0
 
 
@@ -126,16 +129,9 @@ def cmd_verify(args) -> int:
         raise InputError(f"{args.family} does not contain a family")
     family = IntegralFamily.from_dict(payload)
     report = run_verification(family, samples=args.samples, seed=args.seed)
-    config = {
-        "command": "verify",
-        "family": args.family,
-        "samples": args.samples,
-        "seed": args.seed,
-        "report": args.report,
-    }
     _write_json(
         args.report,
-        _artifact("verification-report", config, args.seed, {"report": report.to_dict()}),
+        _artifact("verification-report", args, args.seed, {"report": report.to_dict()}),
     )
     status = "PASS" if report.passed else "FAIL"
     print(f"verification {status} (report: {args.report})")
@@ -178,19 +174,6 @@ def cmd_simulate(args) -> int:
     model = MagneticModel(n=args.n, alphas=alphas)
     family = commuting_basis(model)
     x0, p0 = _initial_state(args, model)
-
-    config = {
-        "command": "simulate",
-        "n": args.n,
-        "alpha": args.alpha,
-        "dt": args.dt,
-        "steps": args.steps,
-        "record_every": args.record_every,
-        "tol": args.tol,
-        "init": args.init,
-        "check_picture": args.check_picture,
-        "out": args.out,
-    }
     record = integrate(
         model, x0, p0, dt=args.dt, steps=args.steps,
         record_every=args.record_every, family=family,
@@ -201,14 +184,14 @@ def cmd_simulate(args) -> int:
 
     csv_path = f"{args.out}.csv"
     write_csv(record, csv_path, extra_meta={
-        "version": __version__, "seed": args.seed, "config": config,
+        "version": __version__, "seed": args.seed, "config": vars(args),
     })
     drift_path = f"{args.out}.drift.json"
     rel_drifts = [entry["max_rel_drift"] for entry in drift["series"].values()]
     if args.check_picture:
         rel_drifts += [entry["max_rel_drift"] for entry in drift["picture"]["series"].values()]
     passed = all(d <= args.tol for d in rel_drifts)
-    _write_json(drift_path, _artifact("drift-report", config, args.seed, {
+    _write_json(drift_path, _artifact("drift-report", args, args.seed, {
         "drift": drift,
         "tol": args.tol,
         "passed": passed,
@@ -231,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     nf = sub.add_parser("normal-form", help="block-diagonalize a skew matrix")
-    nf.add_argument("--in", dest="infile", required=True, metavar="FILE")
+    nf.add_argument("--in", required=True, metavar="FILE")
     nf.add_argument("--out", required=True, metavar="FILE")
 
     build = sub.add_parser("build", help="construct the commuting family")
@@ -281,15 +264,12 @@ def main(argv=None) -> int:
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return handler(args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except StepError as exc:
         print(f"integration failed: {exc}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:
         # Every bad input raises InputError, so anything else is a defect:
         # keep its traceback for the report.  Imported here, because a

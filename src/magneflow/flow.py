@@ -33,11 +33,12 @@ loop of `step` calls takes about 40 us per step, most of it numpy's
 per-call cost of the turn (Python 3.11, one core).
 
 The diagnostics of a record (the family members and H, and H_kin in the
-picture) come from `compiled_evaluator`, the constraint residuals from
-`_row_dot`, and the picture's momentum shift from `sigma_sharp`.  Each
-value is elementwise products and sums over its own row in a fixed
-order, so it depends on no other row, on no block size and on no BLAS
-kernel, and a loop over Python floats in the same order gives its bits.
+picture) and its constraint residuals (the polynomials |X|^2 - 1 and
+<X, P>, see `_residual_polys`) come from `compiled_evaluator`, and the
+picture's momentum shift from `sigma_sharp`.  Each value is elementwise
+products and sums over its own row in a fixed order, so it depends on no
+other row, on no block size and on no BLAS kernel, and a loop over
+Python floats in the same order gives its bits.
 
 `write_csv` prints every number as `%.17g` does, byte for byte, but with
 numpy instead of one `%` per value.  The 17 digits of a value come from
@@ -60,9 +61,15 @@ from itertools import chain
 import numpy as np
 
 from .errors import InputError, StepError
-from .exactpoly import compiled_evaluator
+from .exactpoly import _from_monomials, _unit, compiled_evaluator
 from .integral_family import IntegralFamily
-from .magnetic_model import MagneticModel, gauge_shift, hamiltonian_pert, kinetic_energy
+from .magnetic_model import (
+    MagneticModel,
+    _x_square_terms,
+    gauge_shift,
+    hamiltonian_pert,
+    kinetic_energy,
+)
 
 __all__ = [
     "project_initial",
@@ -286,6 +293,16 @@ def _diagnostic_polys(model: MagneticModel, family: IntegralFamily | None):
     return polys
 
 
+def _residual_polys(n: int) -> tuple:
+    """The constraint residuals c1 = |X|^2 - 1, with the terms X1^2 ..
+    X{n+1}^2 and then -1, and c2 = <X, P>, with the terms X1P1 ..
+    X{n+1}P{n+1}: `compiled_evaluator` adds them in that order."""
+    width = 2 * (n + 1)
+    sphere = _x_square_terms(n, [1] * (n + 1)) + [(0, -1, 1)]
+    tangency = [(_unit(width, k) + _unit(width, n + 1 + k), 1, 1) for k in range(n + 1)]
+    return _from_monomials(n, sphere), _from_monomials(n, tangency)
+
+
 def integrate(
     model: MagneticModel,
     x0,
@@ -364,9 +381,7 @@ def integrate(
     diagnostics = {}
     for label, poly in _diagnostic_polys(model, family):
         diagnostics[label] = compiled_evaluator(poly)(states)
-    sphere = _row_dot(xs, xs)
-    sphere -= 1.0
-    tangency = _row_dot(xs, ps)
+    sphere, tangency = (compiled_evaluator(poly)(states) for poly in _residual_polys(model.n))
     meta = {
         "model": model.to_dict(),
         "dt": dt,
@@ -374,16 +389,6 @@ def integrate(
         "record_every": record_every,
     }
     return TrajectoryRecord(times, xs, ps, diagnostics, sphere, tangency, meta)
-
-
-def _row_dot(u, v):
-    """<u_r, v_r> of every row r of two (R, d) arrays, one column at a time
-    and summed left to right, u_r0*v_r0 + u_r1*v_r1 + ...: each value
-    depends on its own row only, as in a loop over Python floats."""
-    out = u[:, 0] * v[:, 0]
-    for k in range(1, u.shape[1]):
-        out += u[:, k] * v[:, k]
-    return out
 
 
 def picture_map(record: TrajectoryRecord, model: MagneticModel) -> TrajectoryRecord:
@@ -398,6 +403,7 @@ def picture_map(record: TrajectoryRecord, model: MagneticModel) -> TrajectoryRec
     shifted_x, shifted_p = gauge_shift(record.xs, record.ps, +1, model)
     states = np.hstack([shifted_x, shifted_p])
     h_kin = compiled_evaluator(kinetic_energy(model.n))(states)
+    tangency = compiled_evaluator(_residual_polys(model.n)[1])(states)
     meta = dict(record.meta)
     meta["picture"] = "kinetic"
     return TrajectoryRecord(
@@ -406,7 +412,7 @@ def picture_map(record: TrajectoryRecord, model: MagneticModel) -> TrajectoryRec
         ps=shifted_p,
         diagnostics={"H_kin": h_kin},
         sphere_residual=record.sphere_residual.copy(),
-        tangency_residual=_row_dot(shifted_x, shifted_p),
+        tangency_residual=tangency,
         meta=meta,
     )
 

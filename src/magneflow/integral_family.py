@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import InputError
 from .exactpoly import PhasePoly, _from_monomials, format_rational
@@ -39,6 +39,7 @@ __all__ = [
     "uhlenbeck_integral",
     "degenerate_integral",
     "limit_integral",
+    "Integral",
     "IntegralFamily",
     "commuting_basis",
 ]
@@ -158,29 +159,33 @@ def limit_integral(n: int, group: Sequence[int], lam: Mapping, mu: Mapping) -> P
     return _from_monomials(n, _neumann_quadratic(n, lam_v, mu_v))
 
 
+class Integral(NamedTuple):
+    """One member of a family: its tag ("quad" or "linear"), the record of
+    how it was built, and its polynomial."""
+
+    tag: str
+    provenance: dict
+    poly: PhasePoly
+
+
 @dataclass
 class IntegralFamily:
     """The n candidate integrals for a model: quadratics first, then the
     plane rotation momenta."""
 
     model: MagneticModel
-    quads: tuple
-    quad_provenance: tuple
-    linears: tuple
-    linear_provenance: tuple
+    integrals: tuple
 
     def members(self) -> list:
-        return list(self.quads) + list(self.linears)
+        return [item.poly for item in self.integrals]
 
     def labels(self) -> list:
-        return [f"F{k + 1}" for k in range(len(self.quads) + len(self.linears))]
+        return [f"F{k + 1}" for k in range(len(self.integrals))]
 
     def to_dict(self) -> dict:
         integrals = []
-        for poly, prov in zip(self.quads, self.quad_provenance):
-            integrals.append({"tag": "quad", "provenance": prov, "poly": poly.to_dict()})
-        for poly, prov in zip(self.linears, self.linear_provenance):
-            integrals.append({"tag": "linear", "provenance": prov, "poly": poly.to_dict()})
+        for tag, prov, poly in self.integrals:
+            integrals.append({"tag": tag, "provenance": prov, "poly": poly.to_dict()})
         return {"model": self.model.to_dict(), "integrals": integrals}
 
     @classmethod
@@ -192,7 +197,7 @@ class IntegralFamily:
             raise InputError(f"malformed family record: {exc}") from None
         if not isinstance(raw, list):
             raise InputError("malformed family record: 'integrals' must be a list")
-        quads, qprov, linears, lprov = [], [], [], []
+        integrals = []
         for item in raw:
             try:
                 tag = item["tag"]
@@ -204,25 +209,15 @@ class IntegralFamily:
                 raise InputError("malformed integral record: 'provenance' must be an object")
             if poly.n != model.n:
                 raise InputError("integral polynomial does not match the model dimension")
-            if tag == "quad":
-                quads.append(poly)
-                qprov.append(prov)
-            elif tag == "linear":
-                linears.append(poly)
-                lprov.append(prov)
-            else:
+            if tag not in ("quad", "linear"):
                 raise InputError(f"unknown integral tag {tag!r}")
-        if len(quads) + len(linears) != model.n:
+            integrals.append(Integral(tag, prov, poly))
+        if len(integrals) != model.n:
             raise InputError(
-                f"a family on S^{model.n} has {model.n} integrals, got {len(quads) + len(linears)}"
+                f"a family on S^{model.n} has {model.n} integrals, got {len(integrals)}"
             )
-        return cls(
-            model=model,
-            quads=tuple(quads),
-            quad_provenance=tuple(qprov),
-            linears=tuple(linears),
-            linear_provenance=tuple(lprov),
-        )
+        integrals.sort(key=lambda item: item.tag != "quad")  # stable: quadratics first
+        return cls(model=model, integrals=tuple(integrals))
 
 
 def _indicator(block: Sequence[int], n: int) -> list:
@@ -244,17 +239,15 @@ def commuting_basis(model: MagneticModel) -> IntegralFamily:
     rates.
     """
     n = model.n
-    quads: list = []
-    qprov: list = []
+    integrals: list = []
     blocks = model.partition
     for block in blocks[:-1]:
         b = _indicator(block, n)
-        quads.append(degenerate_integral(model.a, b))
-        qprov.append({
+        integrals.append(Integral("quad", {
             "kind": "indicator",
             "block": list(block),
             "b": [format_rational(v) for v in b],
-        })
+        }, degenerate_integral(model.a, b)))
     for block in blocks:
         units = model.block_units(block)
         if len(units) < 2:
@@ -265,26 +258,16 @@ def commuting_basis(model: MagneticModel) -> IntegralFamily:
                 lam[idx] = Fraction(ordinal)
         for lead in units[:-1]:
             mu = {idx: Fraction(1) if idx in lead else Fraction(0) for idx in block}
-            quads.append(limit_integral(n, block, lam, mu))
-            qprov.append({
+            integrals.append(Integral("quad", {
                 "kind": "limit",
                 "group": list(block),
                 "lam": {str(i): format_rational(v) for i, v in sorted(lam.items())},
                 "mu": {str(i): format_rational(v) for i, v in sorted(mu.items())},
-            })
-    if len(quads) != n // 2:
+            }, limit_integral(n, block, lam, mu)))
+    if len(integrals) != n // 2:
         raise AssertionError(
-            f"family construction is inconsistent: {len(quads)} quadratics, expected {n // 2}"
+            f"family construction is inconsistent: {len(integrals)} quadratics, expected {n // 2}"
         )
-    linears = []
-    lprov = []
     for i, j in model.pairs:
-        linears.append(killing(i, j, n))
-        lprov.append({"kind": "killing", "pair": [i, j]})
-    return IntegralFamily(
-        model=model,
-        quads=tuple(quads),
-        quad_provenance=tuple(qprov),
-        linears=tuple(linears),
-        linear_provenance=tuple(lprov),
-    )
+        integrals.append(Integral("linear", {"kind": "killing", "pair": [i, j]}, killing(i, j, n)))
+    return IntegralFamily(model=model, integrals=tuple(integrals))

@@ -353,18 +353,18 @@ def _membership_columns(family: IntegralFamily) -> tuple:
     with itself; the other columns are listed from their terms."""
     n = family.model.n
     labels = family.labels()
-    names = labels + [f"{label}^2" for label in labels[len(family.quads):]] + ["|X|^2", "1"]
+    linears = [(label, item.poly) for label, item in zip(labels, family.integrals)
+               if item.tag == "linear"]
+    names = labels + [f"{label}^2" for label, _ in linears] + ["|X|^2", "1"]
     columns = (
         family.members()
-        + [poly * poly for poly in family.linears]
+        + [poly * poly for _, poly in linears]
         + [_sphere_square(n), _from_monomials(n, [(0, 1, 1)])]
     )
     return names, columns
 
 
-def hamiltonian_membership(
-    family: IntegralFamily, hamiltonian: PhasePoly | None = None
-) -> MembershipResult:
+def hamiltonian_membership(family: IntegralFamily) -> MembershipResult:
     """Express H exactly in the family.
 
     Solves H = sum c_k F_k + sum d_i L_i^2 + c_s |X|^2 + c_0 over Q, where
@@ -376,7 +376,7 @@ def hamiltonian_membership(
     set.  The residual must be the empty polynomial; anything else is
     reported as not representable.
     """
-    h = hamiltonian if hamiltonian is not None else hamiltonian_pert(family.model)
+    h = hamiltonian_pert(family.model)
     names, columns = _membership_columns(family)
     solution = _solve_exact(columns, h)
     if solution is None or not _residual_is_zero(h, solution, columns):
@@ -449,8 +449,8 @@ def superintegrability_probe(
         return []
     h = hamiltonian_pert(family.model)
     indicator_quads = [
-        q for q, prov in zip(family.quads, family.quad_provenance)
-        if prov.get("kind") == "indicator"
+        item.poly for item in family.integrals
+        if item.tag == "quad" and item.provenance.get("kind") == "indicator"
     ]
     results = []
     for block, kind, label, poly, cross in candidates:

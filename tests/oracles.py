@@ -7,9 +7,9 @@
   how `PhasePoly` keys its monomials.
 - Scalar float oracles of the fixed-order float paths:
   `scalar_evaluate` (`compiled_evaluator` on one row), `scalar_dot` (the
-  per-row sums of `flow`) and `scalar_sigma_sharp` (`sigma_sharp` at one
-  point), each a loop over Python floats in the order of the vectorized
-  code, so the two agree bit for bit.
+  constraint residuals of `flow`) and `scalar_sigma_sharp` (`sigma_sharp`
+  at one point), each a loop over Python floats in the order of the
+  vectorized code, so the two agree bit for bit.
 - The magnetic covector field as exact data: `omega_matrix`,
   `sigma_coefficient_matrix` and `sigma_sharp_polys`.
 - `reference_to_dict` and `reference_from_dict`: the JSON form of a
@@ -351,12 +351,17 @@ def reference_degenerate_integral(a, b) -> PhasePoly:
     return quad + _x_squares(n, b)
 
 
+def tagged(family, tag: str) -> list:
+    """The polynomials of the family's members with this tag, in order."""
+    return [item.poly for item in family.integrals if item.tag == tag]
+
+
 def reference_membership_columns(family) -> list:
     """The members, the squares of the linear members, |X|^2 and 1."""
     n = family.model.n
     return (
         family.members()
-        + [poly * poly for poly in family.linears]
+        + [poly * poly for poly in tagged(family, "linear")]
         + [_x_squares(n, [1] * (n + 1)), PhasePoly.constant(n, 1)]
     )
 

@@ -88,8 +88,10 @@ def test_02_family_counts():
     bad = []
     for n, alphas in CI_MATRIX:
         fam = family_for(n, alphas)
-        if len(fam.quads) != n // 2 or len(fam.linears) != n - n // 2:
-            bad.append((n, alphas, len(fam.quads), len(fam.linears)))
+        tags = [item.tag for item in fam.integrals]
+        counts = (tags.count("quad"), tags.count("linear"))
+        if counts != (n // 2, n - n // 2):
+            bad.append((n, alphas, *counts))
     verdict(2, "quadratic and linear member counts", not bad, f"wrong counts {bad}")
 
 
@@ -101,7 +103,7 @@ def test_03_energy_membership():
         if not result.ok:
             bad.append((n, alphas, "not representable"))
             continue
-        q = len(fam.quads)
+        q = [item.tag for item in fam.integrals].count("quad")
         for k, (i, j) in enumerate(fam.model.pairs):
             coeff = result.coefficients[f"F{q + 1 + k}"]
             expected = fam.model.alphas[k] / 2

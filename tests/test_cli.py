@@ -489,16 +489,42 @@ ARTIFACT_RUNS = {
 }
 
 
-@pytest.mark.parametrize("command", ARTIFACT_RUNS)
-def test_artifacts_are_one_line_of_sorted_strict_json(tmp_path, capsys, monkeypatch, command):
+def write_artifact(tmp_path, capsys, monkeypatch, command, *extra):
+    """Run `command` with its ARTIFACT_RUNS arguments and `extra` in
+    tmp_path and return the text of its JSON artifact."""
     monkeypatch.chdir(tmp_path)
     Path("m.json").write_text(json.dumps({"omega": [[0, 1.5, 0], [-1.5, 0, 0], [0, 0, 0]]}))
+    Path("i.json").write_text(json.dumps({"x": [1.0, 0.0, 0.0], "p": [0.0, 2.0, 0.0]}))
     build_family(tmp_path, capsys, name="f.json")
-    assert run(capsys, command, *ARTIFACT_RUNS[command])[0] == 0
-    text = Path("a.drift.json" if command == "simulate" else "a.json").read_text()
+    assert run(capsys, command, *ARTIFACT_RUNS[command], *extra)[0] == 0
+    return Path("a.drift.json" if command == "simulate" else "a.json").read_text()
+
+
+@pytest.mark.parametrize("command", ARTIFACT_RUNS)
+def test_artifacts_are_one_line_of_sorted_strict_json(tmp_path, capsys, monkeypatch, command):
+    text = write_artifact(tmp_path, capsys, monkeypatch, command)
     assert len(text.splitlines()) == 1 and text.endswith("\n")
     obj = json.loads(text, parse_constant=strict_constant)
     assert text == json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("command", ARTIFACT_RUNS)
+def test_config_echoes_every_parsed_option(tmp_path, capsys, monkeypatch, command):
+    """An artifact's config is the parsed namespace: one key per option of
+    the subcommand, and the subcommand.  So two simulate runs that differ
+    only in --no-normalize, whose orbits differ, echo different configs."""
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+    dests = {a.dest for a in subparsers.choices[command]._actions if a.dest != "help"}
+    config = json.loads(write_artifact(tmp_path, capsys, monkeypatch, command))["config"]
+    assert set(config) == dests | {"command"} and config["command"] == command
+    if command == "simulate":
+        configs = []
+        for extra in ([], ["--no-normalize"]):
+            text = write_artifact(tmp_path, capsys, monkeypatch, command, "--init", "i.json", *extra)
+            with open("a.csv") as fh:
+                assert json.loads(fh.readline()[2:])["config"] == json.loads(text)["config"]
+            configs.append(json.loads(text)["config"])
+        assert configs[0] != configs[1]
 
 
 def test_non_finite_artifact_is_a_defect(tmp_path, capsys, monkeypatch):
@@ -823,18 +849,17 @@ def test_simulate_outputs_are_deterministic(tmp_path, capsys):
 
 
 # sha256 of `simulate --check-picture` outputs (dt 1e-3, 2000 steps, seed 42).
-# The CSV digests were taken when the diagnostics and the constraint
-# residuals began to be summed row by row in a fixed order (the orbit
-# columns t, X*, P* kept their bytes), the drift digests when the JSON
-# artifacts became one line.
+# Both were taken when the config echo became every parsed option (CSV
+# line 1 and the drift config gained `no_normalize` and `seed`); the CSV
+# rows below line 1 and the drift values kept their bytes.
 # A refactor keeps these bytes or changes a digest on purpose and says why.
 SIMULATE_DIGESTS = (
     (4, "1,2", 1,
-     "c8ce16e3ead73364ae8ec27833476b5ff9c10714b387acad965eaa1d03d01318",
-     "c98abfc7cc8391425a2d2774923e09fbf7845fbc8b5bce6f638781b9fb8294ed"),
+     "0d5e52d935997a85ba04230fdace59819c210748b5ba55c9cbb19f23bfaa69ff",
+     "2186f1859ee12891cae7011c8d9d4441ad39cb38f3e2af4978f723401490e116"),
     (5, "1,1,2", 7,
-     "798ce0d897a08803cb30a1b3ca4310226c82b5861890ea4f8cab31f89c9d24c3",
-     "9406f03b3895e5cdc6dad7cc9db793f98d9c0bfa3adf4a7b0688fb8e089d01c2"),
+     "e255090c89765167939d632dd16b7149ceb315cf3ddecf2fc178d3aca8d64c25",
+     "d4feb2130a828b62801a5d33a2168751c12e0cc439d9419462e816c673fadbec"),
 )
 
 
@@ -887,6 +912,31 @@ def test_unwritable_output_exits_two_and_defects_exit_three(tmp_path, capsys, mo
     assert code == 3
     assert err.splitlines()[-1] == "internal error: RuntimeError: broken invariant"
     assert "Traceback" in err
+
+
+BAD_JSON_FILES = {
+    "undecodable": b"\xff\xfe\x00garbage",
+    "over-nested": b"[" * 100_000 + b"]" * 100_000,
+    "long-integer": b'{"x": 1' + b"0" * 5000 + b"}",
+}
+BAD_JSON_RUNS = {
+    "verify-family": ["verify", "--family", "bad.json", "--report", "out.json"],
+    "normal-form-in": ["normal-form", "--in", "bad.json", "--out", "out.json"],
+    "simulate-init": ["simulate", "--n", "2", "--alpha", "1", "--dt", "1e-3", "--steps", "5",
+                      "--init", "bad.json", "--out", "out"],
+}
+
+
+@pytest.mark.parametrize("content", BAD_JSON_FILES.values(), ids=BAD_JSON_FILES)
+@pytest.mark.parametrize("argv", BAD_JSON_RUNS.values(), ids=BAD_JSON_RUNS)
+def test_unparseable_json_inputs_exit_two(tmp_path, capsys, monkeypatch, argv, content):
+    """Bytes that are not UTF-8, nesting deeper than the parser's recursion
+    limit and an integer beyond Python's digit limit are bad input."""
+    monkeypatch.chdir(tmp_path)
+    Path("bad.json").write_bytes(content)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and one_error_line(err)
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):

@@ -44,6 +44,7 @@ from oracles import (
     reference_probe_candidates,
     reference_residual_is_zero,
     reference_sigma_linear,
+    tagged,
 )
 
 
@@ -246,27 +247,27 @@ def test_limit_validates_inputs():
 
 def test_family_counts_simple_models():
     fam2 = commuting_basis(model_of(2, 1))
-    assert (len(fam2.quads), len(fam2.linears)) == (1, 1)
-    assert fam2.quad_provenance[0]["kind"] == "indicator"
+    assert [item.tag for item in fam2.integrals] == ["quad", "linear"]
+    assert fam2.integrals[0].provenance["kind"] == "indicator"
 
     fam5 = commuting_basis(model_of(5, 1, 2, 3))
-    assert (len(fam5.quads), len(fam5.linears)) == (2, 3)
-    assert all(p["kind"] == "indicator" for p in fam5.quad_provenance)
+    assert [item.tag for item in fam5.integrals] == ["quad"] * 2 + ["linear"] * 3
+    assert all(item.provenance["kind"] == "indicator" for item in fam5.integrals[:2])
 
 
 def test_family_with_repeated_rates_contains_limit_quadratic():
     fam = commuting_basis(model_of(4, 1, 1))
-    assert (len(fam.quads), len(fam.linears)) == (2, 2)
-    kinds = sorted(p["kind"] for p in fam.quad_provenance)
+    assert [item.tag for item in fam.integrals] == ["quad"] * 2 + ["linear"] * 2
+    kinds = sorted(item.provenance["kind"] for item in fam.integrals[:2])
     assert kinds == ["indicator", "limit"]
 
 
 def test_family_member_degrees():
     fam = commuting_basis(model_of(5, 1, 1, 2))
-    for quad in fam.quads:
+    for quad in tagged(fam, "quad"):
         assert set(p_degree_parts(quad)) <= {0, 2}
         assert 2 in p_degree_parts(quad)
-    for lin in fam.linears:
+    for lin in tagged(fam, "linear"):
         assert set(p_degree_parts(lin)) == {1}
 
 
@@ -283,7 +284,11 @@ def test_family_json_round_trip():
     again = IntegralFamily.from_dict(data)
     assert again.model == fam.model
     assert again.members() == fam.members()
-    assert again.quad_provenance == fam.quad_provenance
+    assert again.integrals == fam.integrals
+    # a file may list the linear members first; they are read after the
+    # quadratics, each tag in file order
+    data["integrals"] = data["integrals"][2:] + data["integrals"][:2]
+    assert IntegralFamily.from_dict(data).integrals == fam.integrals
 
 
 # sha256 of json.dumps(family.to_dict(), sort_keys=True) for the model matrix
@@ -548,7 +553,7 @@ def test_closed_form_builders_match_generic_arithmetic(case):
     assert_same_poly(degenerate_integral(model.a, b), reference_degenerate_integral(model.a, b))
 
     family = commuting_basis(model)
-    for poly, prov in zip(family.quads, family.quad_provenance):
+    for _, prov, poly in [item for item in family.integrals if item.tag == "quad"]:
         if prov["kind"] == "indicator":
             ref = reference_degenerate_integral(model.a, [F(v) for v in prov["b"]])
         else:
@@ -557,7 +562,7 @@ def test_closed_form_builders_match_generic_arithmetic(case):
             ref = reference_neumann_quadratic(n, lam, mu)
             assert_same_poly(limit_integral(n, prov["group"], lam, mu), ref)
         assert_same_poly(poly, ref)
-    for poly, (i, j) in zip(family.linears, model.pairs):
+    for poly, (i, j) in zip(tagged(family, "linear"), model.pairs):
         assert_same_poly(poly, reference_killing(i, j, n))
 
     # A family read from a file lists each member's terms in sorted order.

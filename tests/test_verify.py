@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from magneflow import (
     InputError,
+    Integral,
     IntegralFamily,
     MagneticModel,
     PhasePoly,
@@ -52,6 +53,7 @@ from oracles import (
     projected_ranks,
     rank_points,
     reference_commutation,
+    tagged,
 )
 
 
@@ -134,20 +136,17 @@ def test_self_pairs_are_zero_by_antisymmetry(monkeypatch):
 
 
 def family_of(model, quads, linears):
-    return IntegralFamily(
-        model=model,
-        quads=tuple(quads),
-        quad_provenance=tuple({"kind": "test"} for _ in quads),
-        linears=tuple(linears),
-        linear_provenance=tuple({"kind": "test"} for _ in linears),
-    )
+    return IntegralFamily(model=model, integrals=tuple(
+        [Integral("quad", {"kind": "test"}, poly) for poly in quads]
+        + [Integral("linear", {"kind": "test"}, poly) for poly in linears]
+    ))
 
 
 def tampered_family():
     """The family of (2; 1) with X1*P1 for its linear member, for which
     {X1*P1, |X|^2} = -2 X1^2."""
     fam = commuting_basis(model_of(2, 1))
-    return family_of(fam.model, fam.quads, [x_var(1, 2) * p_var(1, 2)])
+    return family_of(fam.model, tagged(fam, "quad"), [x_var(1, 2) * p_var(1, 2)])
 
 
 def three_tier_family():
@@ -157,8 +156,9 @@ def three_tier_family():
 
 def perturbed_member_family():
     fam = commuting_basis(model_of(4, 1, 2))
-    bent = fam.quads[0] + x_var(1, 4) * p_var(2, 4)
-    return family_of(fam.model, (bent,) + fam.quads[1:], fam.linears)
+    quads = tagged(fam, "quad")
+    bent = quads[0] + x_var(1, 4) * p_var(2, 4)
+    return family_of(fam.model, [bent] + quads[1:], tagged(fam, "linear"))
 
 
 def test_commutation_distinguishes_all_three_tiers():
@@ -284,7 +284,7 @@ CLAIMED = verify.MembershipResult(ok=True, coefficients={})
     # only membership fails: functions of X commute with each other and with |X|^2
     ([x_var(1, 2) ** 2], [x_var(2, 2) ** 2], None),
     # only a member pair fails: M_13 commutes with |X|^2 but not with F1
-    (commuting_basis(model_of(2, 1)).quads, [killing(1, 3, 2)], CLAIMED),
+    (tagged(commuting_basis(model_of(2, 1)), "quad"), [killing(1, 3, 2)], CLAIMED),
     # only {F, |X|^2} fails: X2*P2 and X1*P1 commute with each other
     ([x_var(2, 2) * p_var(2, 2)], [x_var(1, 2) * p_var(1, 2)], CLAIMED),
 ])
@@ -394,7 +394,7 @@ def test_healthy_family_has_full_rank():
 
 def test_repeated_member_drops_rank_everywhere():
     fam = commuting_basis(model_of(2, 1))
-    members = [fam.quads[0], fam.quads[0]]
+    members = [tagged(fam, "quad")[0]] * 2
     cert = functional_independence(members, 2, samples=25, seed=42)
     assert cert.ranks == [1] * 25
     assert not cert.certified
@@ -565,10 +565,11 @@ def test_membership_zero_rates_pure_geodesic():
     assert result.ok
     # recompose and compare exactly
     recomposed = PhasePoly(2)
+    (quad,), (lin,) = tagged(fam, "quad"), tagged(fam, "linear")
     columns = {
-        "F1": fam.quads[0],
-        "F2": fam.linears[0],
-        "F2^2": fam.linears[0] * fam.linears[0],
+        "F1": quad,
+        "F2": lin,
+        "F2^2": lin * lin,
         "|X|^2": sphere_poly(2),
         "1": PhasePoly.constant(2, 1),
     }
@@ -582,15 +583,16 @@ def test_membership_linear_coefficient_magnitude_tracks_rate():
     result = hamiltonian_membership(fam)
     assert result.ok
     labels = fam.labels()
-    lin_labels = labels[len(fam.quads):]
+    lin_labels = labels[len(tagged(fam, "quad")):]
     magnitudes = [abs(result.coefficients[lbl]) for lbl in lin_labels]
     assert magnitudes == [F(1, 2), F(1)]
 
 
-def test_perturbed_hamiltonian_not_representable():
+def test_perturbed_hamiltonian_not_representable(monkeypatch):
     fam = commuting_basis(model_of(2, 1))
     h_bad = hamiltonian_pert(fam.model) + x_var(1, 2) ** 2
-    result = hamiltonian_membership(fam, h_bad)
+    monkeypatch.setattr(verify, "hamiltonian_pert", lambda model: h_bad)
+    result = hamiltonian_membership(fam)
     assert not result.ok
     assert result.coefficients is None
     assert result.to_dict() == {"ok": False, "coefficients": "not representable"}
@@ -670,7 +672,7 @@ def test_solve_exact_matches_fraction_gauss_jordan(system):
 @pytest.mark.parametrize("n, alpha", [(4, "1,1"), (6, "1,1,1"), (7, "1,2,3,4"), (9, "1,1,2,2,3")])
 def test_membership_solution_matches_fraction_gauss_jordan(n, alpha):
     fam = commuting_basis(model_of(n, *alpha.split(",")))
-    columns = fam.members() + [lin * lin for lin in fam.linears]
+    columns = fam.members() + [lin * lin for lin in tagged(fam, "linear")]
     columns += [sphere_poly(n), PhasePoly.constant(n, 1)]
     h = hamiltonian_pert(fam.model)
     solution = _solve_exact(columns, h)
@@ -763,13 +765,9 @@ def test_probe_ranks_match_standalone_independence(n, alpha):
 
 def test_probe_raises_no_rank_without_certified_members():
     fam = commuting_basis(model_of(4, 1, 1))
-    dup = IntegralFamily(
-        model=fam.model,
-        quads=(fam.quads[0], fam.quads[0]),
-        quad_provenance=fam.quad_provenance,
-        linears=fam.linears,
-        linear_provenance=fam.linear_provenance,
-    )
+    first, second, *linears = fam.integrals
+    twin = second._replace(poly=first.poly)
+    dup = IntegralFamily(model=fam.model, integrals=(first, twin, *linears))
     assert not functional_independence(dup.members(), 4, samples=10, seed=0).certified
     results = superintegrability_probe(
         dup, functional_independence(dup.members(), dup.model.n, samples=10, seed=0))
@@ -799,7 +797,7 @@ def test_passed_requires_certified_independence():
     fam = commuting_basis(model_of(3, 1, 2))
     report = run_verification(fam, samples=5, seed=42)
     assert report.passed
-    uncertified = functional_independence([fam.quads[0]] * 3, 3, samples=5, seed=42)
+    uncertified = functional_independence([tagged(fam, "quad")[0]] * 3, 3, samples=5, seed=42)
     assert not uncertified.certified
     data = dataclasses.replace(report, independence=uncertified).to_dict()
     assert data["independence"]["certified"] is False
