@@ -8,8 +8,8 @@ integrates one trajectory and reports conservation drifts.
 Exit codes: 0 success, 1 verification or tolerance failure (including
 integrator step failures), 2 input error (including files that cannot be
 read or written), 3 internal error.  All artifacts are
-deterministic for a fixed config and seed and embed the tool version,
-the config echo, and the seed.
+deterministic for a fixed config and embed their kind, the tool version
+and the config, which holds the seed of `verify` and `simulate`.
 """
 
 from __future__ import annotations
@@ -48,17 +48,11 @@ def _parse_alphas(text: str):
     return tuple(parse_rational(part) for part in parts)
 
 
-def _artifact(kind: str, args, seed: int, payload: dict) -> dict:
-    """The artifact record: its kind, the tool version, the seed, every
-    option the command parsed as its config, and the payload."""
-    out = {
-        "artifact": kind,
-        "version": __version__,
-        "seed": seed,
-        "config": vars(args),
-    }
-    out.update(payload)
-    return out
+def _artifact(kind: str, args, payload: dict) -> dict:
+    """The header of every output, the CSV's '#' line included: its kind,
+    the tool version and, as its config, every option the command parsed;
+    then the payload."""
+    return {"artifact": kind, "version": __version__, "config": vars(args), **payload}
 
 
 def _write_json(path: str, obj: dict):
@@ -106,7 +100,7 @@ def cmd_normal_form(args) -> int:
         raise InputError(f"{infile} must contain an 'omega' matrix")
     omega = _float_array(data["omega"], 2, f"{infile} does not contain a numeric matrix")
     form = skew_normal_form(omega)
-    _write_json(args.out, _artifact("skew-normal-form", args, 0, {"normal_form": form.to_dict()}))
+    _write_json(args.out, _artifact("skew-normal-form", args, {"normal_form": form.to_dict()}))
     return 0
 
 
@@ -114,7 +108,7 @@ def cmd_build(args) -> int:
     alphas = _parse_alphas(args.alpha)
     model = MagneticModel(n=args.n, alphas=alphas)
     family = commuting_basis(model)
-    _write_json(args.out, _artifact("integral-family", args, 0, {"family": family.to_dict()}))
+    _write_json(args.out, _artifact("integral-family", args, {"family": family.to_dict()}))
     return 0
 
 
@@ -129,10 +123,7 @@ def cmd_verify(args) -> int:
         raise InputError(f"{args.family} does not contain a family")
     family = IntegralFamily.from_dict(payload)
     report = run_verification(family, samples=args.samples, seed=args.seed)
-    _write_json(
-        args.report,
-        _artifact("verification-report", args, args.seed, {"report": report.to_dict()}),
-    )
+    _write_json(args.report, _artifact("verification-report", args, {"report": report.to_dict()}))
     status = "PASS" if report.passed else "FAIL"
     print(f"verification {status} (report: {args.report})")
     return 0 if report.passed else 1
@@ -183,17 +174,14 @@ def cmd_simulate(args) -> int:
         drift["picture"] = drift_report(picture_map(record, model))
 
     csv_path = f"{args.out}.csv"
-    write_csv(record, csv_path, extra_meta={
-        "version": __version__, "seed": args.seed, "config": vars(args),
-    })
+    write_csv(record, csv_path, _artifact("trajectory", args, {}))
     drift_path = f"{args.out}.drift.json"
     rel_drifts = [entry["max_rel_drift"] for entry in drift["series"].values()]
     if args.check_picture:
         rel_drifts += [entry["max_rel_drift"] for entry in drift["picture"]["series"].values()]
     passed = all(d <= args.tol for d in rel_drifts)
-    _write_json(drift_path, _artifact("drift-report", args, args.seed, {
+    _write_json(drift_path, _artifact("drift-report", args, {
         "drift": drift,
-        "tol": args.tol,
         "passed": passed,
     }))
     status = "PASS" if passed else "FAIL"

@@ -280,10 +280,11 @@ class PhasePoly:
     @classmethod
     def from_dict(cls, data: Mapping) -> "PhasePoly":
         try:
-            n = int(data["n"])
-            raw = data["terms"]
-        except (KeyError, TypeError, ValueError) as exc:
+            n, raw = data["n"], data["terms"]
+        except (KeyError, TypeError) as exc:
             raise InputError(f"malformed polynomial record: {exc}") from None
+        if type(n) is not int:  # int() would read 4.9 and "4" as 4, and true as 1
+            raise InputError(f"malformed polynomial record: 'n' must be an integer, got {n!r}")
         if not isinstance(raw, list):
             raise InputError("malformed polynomial record: 'terms' must be a list")
         terms = []

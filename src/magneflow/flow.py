@@ -55,7 +55,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -280,7 +280,6 @@ class TrajectoryRecord:
     diagnostics: dict
     sphere_residual: np.ndarray
     tangency_residual: np.ndarray
-    meta: dict = field(default_factory=dict)
 
 
 def _diagnostic_polys(model: MagneticModel, family: IntegralFamily | None):
@@ -382,13 +381,7 @@ def integrate(
     for label, poly in _diagnostic_polys(model, family):
         diagnostics[label] = compiled_evaluator(poly)(states)
     sphere, tangency = (compiled_evaluator(poly)(states) for poly in _residual_polys(model.n))
-    meta = {
-        "model": model.to_dict(),
-        "dt": dt,
-        "steps": steps,
-        "record_every": record_every,
-    }
-    return TrajectoryRecord(times, xs, ps, diagnostics, sphere, tangency, meta)
+    return TrajectoryRecord(times, xs, ps, diagnostics, sphere, tangency)
 
 
 def picture_map(record: TrajectoryRecord, model: MagneticModel) -> TrajectoryRecord:
@@ -398,22 +391,20 @@ def picture_map(record: TrajectoryRecord, model: MagneticModel) -> TrajectoryRec
     picture the relevant conserved quantity is the kinetic energy alone,
     reported as the single diagnostic series H_kin.  Conservation of that
     series is the dynamical form of the equivalence between the two
-    descriptions of the flow.
+    descriptions of the flow.  The shift leaves X as it is, so the image
+    shares the record's times and sphere residual arrays.
     """
     shifted_x, shifted_p = gauge_shift(record.xs, record.ps, +1, model)
     states = np.hstack([shifted_x, shifted_p])
     h_kin = compiled_evaluator(kinetic_energy(model.n))(states)
     tangency = compiled_evaluator(_residual_polys(model.n)[1])(states)
-    meta = dict(record.meta)
-    meta["picture"] = "kinetic"
     return TrajectoryRecord(
-        times=record.times.copy(),
+        times=record.times,
         xs=shifted_x,
         ps=shifted_p,
         diagnostics={"H_kin": h_kin},
-        sphere_residual=record.sphere_residual.copy(),
+        sphere_residual=record.sphere_residual,
         tangency_residual=tangency,
-        meta=meta,
     )
 
 
@@ -596,10 +587,10 @@ def _csv_bytes(block: np.ndarray) -> bytes:
     return out.tobytes().translate(None, b"\0")
 
 
-def write_csv(record: TrajectoryRecord, path, extra_meta: dict | None = None):
+def write_csv(record: TrajectoryRecord, path, header: dict):
     """Write a trajectory as deterministic CSV.
 
-    Line 1 is a '#' comment carrying the run metadata as canonical JSON;
+    Line 1 is a '#' comment carrying `header` as canonical JSON;
     line 2 is the header t, X1.., P1.., diagnostic labels, c1, c2 where
     c1 = |X|^2 - 1 and c2 = <X, P>.  All numbers use repr-exact %.17g,
     byte for byte as CSV_FORMAT prints them: numpy makes each value's 17
@@ -611,10 +602,7 @@ def write_csv(record: TrajectoryRecord, path, extra_meta: dict | None = None):
     with the number of rows.
     """
     d = record.xs.shape[1]
-    meta = dict(record.meta)
-    if extra_meta:
-        meta.update(extra_meta)
-    header = (
+    labels = (
         ["t"]
         + [f"X{i}" for i in range(1, d + 1)]
         + [f"P{i}" for i in range(1, d + 1)]
@@ -624,7 +612,7 @@ def write_csv(record: TrajectoryRecord, path, extra_meta: dict | None = None):
     columns = [record.times, *record.xs.T, *record.ps.T, *record.diagnostics.values(),
                record.sphere_residual, record.tangency_residual]
     with open(path, "wb") as fh:
-        fh.write(("# " + json.dumps(meta, sort_keys=True) + "\n").encode())
-        fh.write((",".join(header) + "\n").encode())
+        fh.write(("# " + json.dumps(header, sort_keys=True) + "\n").encode())
+        fh.write((",".join(labels) + "\n").encode())
         for s in range(0, record.times.size, CSV_CHUNK_ROWS):
             fh.write(_csv_bytes(np.column_stack([c[s : s + CSV_CHUNK_ROWS] for c in columns])))

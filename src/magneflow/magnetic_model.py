@@ -98,11 +98,6 @@ class MagneticModel:
             raise InputError("rotation rates must be nonnegative")
         object.__setattr__(self, "alphas", alphas)
 
-    @property
-    def m(self) -> int:
-        """Number of coordinate planes."""
-        return (self.n + 1) // 2
-
     @cached_property
     def a(self) -> tuple:
         """Neumann coefficient vector: a_{2i-1} = a_{2i} = alpha_i^2/8."""
@@ -155,11 +150,20 @@ class MagneticModel:
     @classmethod
     def from_dict(cls, data) -> "MagneticModel":
         try:
-            n = int(data["n"])
-            alphas = [parse_rational(a) for a in data["alphas"]]
-        except (KeyError, TypeError, ValueError) as exc:
+            n, alphas = data["n"], data["alphas"]
+        except (KeyError, TypeError) as exc:
             raise InputError(f"malformed model record: {exc}") from None
-        return cls(n, tuple(alphas))
+        # int() would read 4.5 and "4" as 4 and true as 1, and a string
+        # would be read as one rate per character
+        if type(n) is not int:
+            raise InputError(f"malformed model record: 'n' must be an integer, got {n!r}")
+        if not isinstance(alphas, list):
+            raise InputError(f"malformed model record: 'alphas' must be a list, got {alphas!r}")
+        try:
+            rates = tuple(parse_rational(a) for a in alphas)
+        except ValueError as exc:
+            raise InputError(f"malformed model record: {exc}") from None
+        return cls(n, rates)
 
 
 # -- exact polynomial builders ----------------------------------------------

@@ -88,7 +88,7 @@ def test_build_then_verify_passes(tmp_path, capsys):
     assert out.strip() == f"verification PASS (report: {report_path})"
     report = json.loads(report_path.read_text())
     assert report["artifact"] == "verification-report"
-    assert report["seed"] == 7
+    assert report["config"]["seed"] == 7
     body = report["report"]
     assert body["passed"] is True
     assert body["membership"]["ok"] is True
@@ -189,11 +189,37 @@ def test_verify_rejects_malformed_input(tmp_path, capsys):
     assert code == 2 and one_error_line(err)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("model.n", 4.5, "'n' must be an integer, got 4.5"),
+    ("model.n", "4", "'n' must be an integer, got '4'"),
+    ("model.n", True, "'n' must be an integer, got True"),
+    ("poly.n", 4.9, "'n' must be an integer, got 4.9"),
+    ("model.alphas", "12", "'alphas' must be a list, got '12'"),
+], ids=["model-n-4.5", "model-n-str", "model-n-true", "every-poly-n-4.9", "alphas-str"])
+def test_verify_rejects_non_integer_dimensions_and_string_rates(tmp_path, capsys,
+                                                                field, value, message):
+    """int() would read each n as 4 (true as 1), and a string of rates as
+    one rate per character, so verify would pass a family it misread."""
+    family = build_family(tmp_path, capsys, n=4, alpha="1,2")
+    data = json.loads(family.read_text())
+    owner, key = field.split(".")
+    records = ([data["family"]["model"]] if owner == "model"
+               else [item["poly"] for item in data["family"]["integrals"]])
+    for record in records:
+        record[key] = value
+    family.write_text(json.dumps(data))
+    report = tmp_path / "report.json"
+    code, _, err = run(capsys, "verify", "--family", str(family), "--report", str(report))
+    assert code == 2 and one_error_line(err) and message in err
+    assert not report.exists()
+
+
 # (literal, sha256 of the family read back) with the first coefficient
 # of F1 of (3, 1,2) replaced by the literal, and the sha256 of the report
 # of `verify --family f.json --report r.json`, which every accepted
 # literal shares: the report fails and holds no coefficient, so the family
-# digest shows the value read.
+# digest shows the value read.  The report digest moved when the
+# artifact's top-level copy of the seed was dropped; the report kept its bytes.
 LITERAL_DIGESTS = (
     ("2/4", "557a2fb007bf8828f76a13164ff09d21d16845550bba015a356d1a1ec6c7c76a"),
     (" 1/2 ", "557a2fb007bf8828f76a13164ff09d21d16845550bba015a356d1a1ec6c7c76a"),
@@ -201,7 +227,7 @@ LITERAL_DIGESTS = (
     (3, "edd4d4d5785cf133a774cb0d66d5abf11ea39725fda36745bbe1e79f9d5e7dbf"),
     ("-0", "5c5983c70a5cb320aa6e3ccb4e19f4b555873fda24b4cac727fa2e3007c4d44a"),
 )
-LITERAL_REPORT_DIGEST = "89b0a0b166aabaa223b1f79c624691ff380b2eb66fc9c4e25bc0d02274b4b3b3"
+LITERAL_REPORT_DIGEST = "4bbb519fb4eeeebef21ac7ca09afb428fc15a6adacf8eecb3e7effbfea49ccd1"
 
 
 def verify_with_literal(tmp_path, capsys, monkeypatch, literal):
@@ -512,18 +538,27 @@ def test_artifacts_are_one_line_of_sorted_strict_json(tmp_path, capsys, monkeypa
 def test_config_echoes_every_parsed_option(tmp_path, capsys, monkeypatch, command):
     """An artifact's config is the parsed namespace: one key per option of
     the subcommand, and the subcommand.  So two simulate runs that differ
-    only in --no-normalize, whose orbits differ, echo different configs."""
+    only in --no-normalize, whose orbits differ, echo different configs.
+    The config is the only echo of the inputs: no top-level seed, no
+    drift tol, and the CSV's '#' line is the header of kind trajectory."""
     subparsers = next(a for a in build_parser()._actions if a.dest == "command")
     dests = {a.dest for a in subparsers.choices[command]._actions if a.dest != "help"}
-    config = json.loads(write_artifact(tmp_path, capsys, monkeypatch, command))["config"]
+    artifact = json.loads(write_artifact(tmp_path, capsys, monkeypatch, command))
+    config = artifact["config"]
     assert set(config) == dests | {"command"} and config["command"] == command
+    assert "seed" not in artifact
     if command == "simulate":
+        assert "tol" not in artifact
         configs = []
         for extra in ([], ["--no-normalize"]):
             text = write_artifact(tmp_path, capsys, monkeypatch, command, "--init", "i.json", *extra)
+            drift = json.loads(text)
             with open("a.csv") as fh:
-                assert json.loads(fh.readline()[2:])["config"] == json.loads(text)["config"]
-            configs.append(json.loads(text)["config"])
+                header = json.loads(fh.readline()[2:])
+            assert header == {
+                "artifact": "trajectory", "version": drift["version"], "config": drift["config"],
+            }
+            configs.append(drift["config"])
         assert configs[0] != configs[1]
 
 
@@ -826,7 +861,7 @@ def test_successive_mains_do_not_share_values(tmp_path, capsys):
         prefix = tmp_path / f"run{len(configs)}"
         assert run(capsys, *common, *extra, "--out", str(prefix))[0] == 0
         drift = json.loads((tmp_path / f"{prefix.name}.drift.json").read_text())
-        configs.append((drift["config"], drift["seed"], "picture" in drift["drift"]))
+        configs.append((drift["config"], drift["config"]["seed"], "picture" in drift["drift"]))
         code, _, _ = run(capsys, "verify", "--family", str(family),
                          "--report", str(tmp_path / "report.json"))
         assert code == 0
@@ -849,17 +884,18 @@ def test_simulate_outputs_are_deterministic(tmp_path, capsys):
 
 
 # sha256 of `simulate --check-picture` outputs (dt 1e-3, 2000 steps, seed 42).
-# Both were taken when the config echo became every parsed option (CSV
-# line 1 and the drift config gained `no_normalize` and `seed`); the CSV
-# rows below line 1 and the drift values kept their bytes.
+# Both were taken when the artifact header became the only echo of the
+# inputs (CSV line 1 became that header, and the drift report lost its
+# top-level `seed` and `tol`); the CSV rows below line 1 and the drift
+# values kept their bytes.
 # A refactor keeps these bytes or changes a digest on purpose and says why.
 SIMULATE_DIGESTS = (
     (4, "1,2", 1,
-     "0d5e52d935997a85ba04230fdace59819c210748b5ba55c9cbb19f23bfaa69ff",
-     "2186f1859ee12891cae7011c8d9d4441ad39cb38f3e2af4978f723401490e116"),
+     "3c6f082114c6f4ea4bc07077c57ebd24c9a517870380beff3021bffdacd0a9fb",
+     "312e3c5592d8173cbab54dc479a65c4cec561337a0588a61a25205577af7a116"),
     (5, "1,1,2", 7,
-     "e255090c89765167939d632dd16b7149ceb315cf3ddecf2fc178d3aca8d64c25",
-     "d4feb2130a828b62801a5d33a2168751c12e0cc439d9419462e816c673fadbec"),
+     "ff569fec6e2d61cde67df18dc12b93dd1a9ceee408b2d6b71b8df15f42a92148",
+     "c394178df36bb13b81c3463894916515e81142a5b4e10ff432ee7b1ea3d334b2"),
 )
 
 

@@ -408,7 +408,6 @@ def test_picture_map_conserves_kinetic_energy():
     shifted = picture_map(rec, model)
     report = drift_report(shifted)
     assert report["series"]["H_kin"]["max_rel_drift"] < 1e-5
-    assert shifted.meta["picture"] == "kinetic"
     # tangency survives the shift because the field is orthogonal to X
     assert np.max(np.abs(shifted.tangency_residual)) < 1e-10
 
@@ -626,12 +625,11 @@ def test_csv_output_round_trips(tmp_path):
     x0, p0 = seeded_state(2)
     rec = integrate(model, x0, p0, dt=1e-3, steps=50, record_every=10, family=fam)
     path = tmp_path / "orbit.csv"
-    write_csv(rec, path, extra_meta={"seed": 42})
+    header = {"model": model.to_dict(), "seed": 42}
+    write_csv(rec, path, header)
     lines = path.read_text().splitlines()
-    meta = json.loads(lines[0][2:])
     assert lines[0].startswith("# ")
-    assert meta["seed"] == 42
-    assert meta["model"] == {"n": 2, "alphas": ["1"]}
+    assert json.loads(lines[0][2:]) == header
     assert lines[1] == "t,X1,X2,X3,P1,P2,P3,F1,F2,H,c1,c2"
     data = np.loadtxt(path, delimiter=",", skiprows=2)
     assert data.shape == (rec.times.size, 12)
@@ -651,10 +649,10 @@ def test_csv_matches_value_by_value_formatting(tmp_path):
         times=np.arange(rows) * 1e-3, xs=xs, ps=rng.standard_normal((rows, 3)),
         diagnostics={"H": rng.standard_normal(rows)},
         sphere_residual=rng.standard_normal(rows) * 1e-16,
-        tangency_residual=np.zeros(rows), meta={"k": 1},
+        tangency_residual=np.zeros(rows),
     )
     path = tmp_path / "rows.csv"
-    write_csv(rec, path)
+    write_csv(rec, path, {"k": 1})
     body = path.read_text().splitlines()[2:]
     table = np.column_stack([rec.times, rec.xs, rec.ps, rec.diagnostics["H"],
                              rec.sphere_residual, rec.tangency_residual])
@@ -724,11 +722,11 @@ def test_write_csv_memory_does_not_grow_with_rows(tmp_path):
             times=np.arange(rows) * 1e-3, xs=rng.standard_normal((rows, 3)),
             ps=rng.standard_normal((rows, 3)), diagnostics={"H": rng.standard_normal(rows)},
             sphere_residual=rng.standard_normal(rows) * 1e-16,
-            tangency_residual=rng.standard_normal(rows) * 1e-16, meta={},
+            tangency_residual=rng.standard_normal(rows) * 1e-16,
         )
         tracemalloc.start()
         try:
-            write_csv(rec, tmp_path / "rows.csv")
+            write_csv(rec, tmp_path / "rows.csv", {})
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

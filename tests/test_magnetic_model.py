@@ -57,7 +57,7 @@ def test_model_validates_shape():
 def test_neumann_coefficients_pairing():
     model = model_of(4, 2, 1)
     assert model.a == (F(1, 2), F(1, 2), F(1, 8), F(1, 8), F(0))
-    assert model.m == 2
+    assert len(model.pairs) == 2
 
 
 def test_partition_groups_equal_coefficients():
