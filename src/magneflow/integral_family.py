@@ -168,7 +168,7 @@ class Integral(NamedTuple):
     poly: PhasePoly
 
 
-@dataclass
+@dataclass(frozen=True)
 class IntegralFamily:
     """The n candidate integrals for a model: quadratics first, then the
     plane rotation momenta."""

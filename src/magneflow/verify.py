@@ -110,25 +110,24 @@ def _sphere_square(n: int) -> PhasePoly:
     return _from_monomials(n, _x_square_terms(n, [1] * (n + 1)))
 
 
-def check_commutation(family: IntegralFamily, membership: MembershipResult | None = None) -> list:
-    """Exact brackets of all member pairs and of each member with the
-    Hamiltonian, in the order (F_i, F_i), (F_i, F_j) for j > i, (F_i, H).
+def check_commutation(membership: MembershipResult) -> list:
+    """Exact brackets of all member pairs of the membership's family and
+    of each member with the Hamiltonian, in the order (F_i, F_i),
+    (F_i, F_j) for j > i, (F_i, H).
     A self pair is reported as the zero polynomial without a bracket: the
     canonical bracket is antisymmetric, so {F, F} = 0 over Q for every F.
     A nonzero bracket is `zero_on_constraints` when its remainder modulo
     {|X|^2 - 1, <X,P>} is zero and `nonzero` otherwise.
 
-    (F_i, H) is derived rather than bracketed when `membership` (H's
-    membership in the family, solved here when None) holds, every
-    {F_i, F_j} with j != i is the zero polynomial and so is {F_i, |X|^2}.
-    Then H = sum c_k F_k + sum d_l L_l^2 + c_s |X|^2 + c_0 with every
-    L_l a member, and bilinearity and the Leibniz rule
+    (F_i, H) is derived rather than bracketed when the membership holds,
+    every {F_i, F_j} with j != i is the zero polynomial and so is
+    {F_i, |X|^2}.  Then H = sum c_k F_k + sum d_l L_l^2 + c_s |X|^2 + c_0
+    with every L_l a member, and bilinearity and the Leibniz rule
     {F_i, L^2} = 2 L {F_i, L} make {F_i, H} the zero polynomial over Q.
     When a premise fails, (F_i, H) is bracketed directly."""
+    family = membership.family
     members = family.members()
     labels = family.labels()
-    if membership is None:
-        membership = hamiltonian_membership(family)
     h = None  # built by the first row that brackets with it
     x_square = _sphere_square(family.model.n)
     # derivable[i]: whether the premises of the rule hold for row i so far
@@ -163,20 +162,25 @@ def check_commutation(family: IntegralFamily, membership: MembershipResult | Non
 
 @dataclass
 class IndependenceCertificate:
-    """The tangential rank mod PRIME of the member differentials at each
-    exact rational point tried, rank[(2X, 0); (P, X); dF_1..dF_k] - 2;
+    """The tangential rank mod PRIME of the differentials of the family's
+    members at each exact rational point tried,
+    rank[(2X, 0); (P, X); dF_1..dF_k] - 2;
     `x` and `p` are the last point tried, `residues` its coordinates mod
     PRIME, and `echelon` the echelon form of the normals and member
     gradients there, against which the probe reduces candidate gradients.
     Rank k at one point certifies independence, a smaller rank proves
     nothing."""
 
-    expected_rank: int
+    family: IntegralFamily = field(repr=False, compare=False)
     ranks: list
     x: list
     p: list
     echelon: list = field(repr=False)
     residues: list = field(repr=False)
+
+    @property
+    def expected_rank(self) -> int:
+        return len(self.family.integrals)
 
     @property
     def certified(self) -> bool:
@@ -239,18 +243,19 @@ def _echelon(rows) -> list:
 
 
 def functional_independence(
-    members, n: int, samples: int = 100, seed: int = 0
+    family: IntegralFamily, samples: int = 100, seed: int = 0
 ) -> IndependenceCertificate:
-    """Exact certificate that the members are functionally independent on
-    the unit cotangent structure: their tangential rank mod PRIME reaches
-    the member count at one of at most `samples` seeded rational points.
+    """Exact certificate that the family's members are functionally
+    independent on the unit cotangent structure: their tangential rank mod
+    PRIME reaches the member count at one of at most `samples` seeded
+    rational points.
 
     Points come from the STREAM_INDEPENDENCE substream of the seed; one
     whose coordinates have a denominator divisible by PRIME is skipped and
     does not count."""
     if samples < 1:
         raise InputError(f"samples must be at least 1, got {samples}")
-    members = list(members)
+    n, members = family.model.n, family.members()
     rng = sampling.generator(seed, sampling.STREAM_INDEPENDENCE)
     ranks = []
     while len(ranks) < samples and (not ranks or ranks[-1] < len(members)):
@@ -262,7 +267,7 @@ def functional_independence(
         normals = [[2 * v % PRIME for v in rx] + [0] * (n + 1), rp + rx]
         echelon = _echelon(normals + [_gradient_row(poly, residues) for poly in members])
         ranks.append(len(echelon) - 2)
-    return IndependenceCertificate(len(members), ranks, x, p, echelon, residues)
+    return IndependenceCertificate(family, ranks, x, p, echelon, residues)
 
 
 # -- membership of the Hamiltonian ---------------------------------------------
@@ -270,6 +275,7 @@ def functional_independence(
 
 @dataclass
 class MembershipResult:
+    family: IntegralFamily = field(repr=False, compare=False)
     ok: bool
     coefficients: dict | None
 
@@ -380,8 +386,8 @@ def hamiltonian_membership(family: IntegralFamily) -> MembershipResult:
     names, columns = _membership_columns(family)
     solution = _solve_exact(columns, h)
     if solution is None or not _residual_is_zero(h, solution, columns):
-        return MembershipResult(ok=False, coefficients=None)
-    return MembershipResult(ok=True, coefficients=dict(zip(names, solution)))
+        return MembershipResult(family, ok=False, coefficients=None)
+    return MembershipResult(family, ok=True, coefficients=dict(zip(names, solution)))
 
 
 # -- superintegrability probe ----------------------------------------------------
@@ -428,9 +434,7 @@ def _probe_candidates(model: MagneticModel):
                        _from_monomials(n, pair_diff), True)
 
 
-def superintegrability_probe(
-    family: IntegralFamily, certificate: IndependenceCertificate
-) -> list:
+def superintegrability_probe(certificate: IndependenceCertificate) -> list:
     """Search blocks with at least two coordinate planes for extra integrals.
 
     Candidates are the single rotation momenta M_lm with l, m in the
@@ -438,12 +442,13 @@ def superintegrability_probe(
     combinations M_ac + M_bd and M_ad - M_bc (planes (a,b) and (c,d)).
     A candidate qualifies when its bracket with H and with every
     indicator quadratic is identically zero and it raises the rank of
-    the family to n+1.  `certificate` is the members' certificate from
+    the family to n+1.  The family is the certificate's, from
     `functional_independence`; each candidate's gradient at its
     certifying point is reduced against the members' echelon form, and a
     nonzero remainder proves that the candidate raises the rank.  When
     the members are not certified, no candidate does.
     """
+    family = certificate.family
     candidates = list(_probe_candidates(family.model))
     if not candidates:
         return []
@@ -476,9 +481,6 @@ def superintegrability_probe(
 
 @dataclass
 class VerificationReport:
-    model: MagneticModel
-    seed: int
-    samples: int
     pair_results: list
     independence: IndependenceCertificate
     membership: MembershipResult
@@ -491,9 +493,7 @@ class VerificationReport:
 
     def to_dict(self) -> dict:
         return {
-            "model": self.model.to_dict(),
-            "seed": self.seed,
-            "samples": self.samples,
+            "model": self.membership.family.model.to_dict(),
             "pair_results": [p.to_dict() for p in self.pair_results],
             "independence": self.independence.to_dict(),
             "membership": self.membership.to_dict(),
@@ -508,16 +508,12 @@ def run_verification(
     """Full verification pass over a family: exact commutation, certified
     independence at up to `samples` rational points, exact membership of
     H, and the extra-integral probe, which reuses the certificate."""
-    model = family.model
     membership = hamiltonian_membership(family)
-    pair_results = check_commutation(family, membership=membership)
-    independence = functional_independence(family.members(), model.n, samples=samples, seed=seed)
+    pair_results = check_commutation(membership)
+    independence = functional_independence(family, samples=samples, seed=seed)
     return VerificationReport(
-        model=model,
-        seed=seed,
-        samples=samples,
         pair_results=pair_results,
         independence=independence,
         membership=membership,
-        probe_results=superintegrability_probe(family, independence),
+        probe_results=superintegrability_probe(independence),
     )

@@ -260,10 +260,11 @@ def reference_from_dict(data) -> PhasePoly:
     """Read the JSON form with one Fraction per term, through the public
     constructor."""
     try:
-        n = int(data["n"])
-        raw = data["terms"]
-    except (KeyError, TypeError, ValueError) as exc:
+        n, raw = data["n"], data["terms"]
+    except (KeyError, TypeError) as exc:
         raise InputError(f"malformed polynomial record: {exc}") from None
+    if type(n) is not int:
+        raise InputError(f"malformed polynomial record: 'n' must be an integer, got {n!r}")
     if not isinstance(raw, list):
         raise InputError("malformed polynomial record: 'terms' must be a list")
     terms = []
@@ -601,17 +602,18 @@ def fraction_rank(rows) -> int:
     return rank
 
 
-def float_report_dict(report, family) -> dict:
-    """`report.to_dict()` as the float rank path wrote it: the independence
-    certificate replaced by the float RankStats of the members, each probe
+def float_report_dict(report, family, samples: int, seed: int) -> dict:
+    """`report.to_dict()` as the float rank path wrote it: with the seed
+    and samples it ran with, the independence certificate replaced by the
+    float RankStats of the members at those points, each probe
     candidate's `raises_rank` by its float full-rank fraction at the probe
     points, and the verdicts `is_additional_integral` and `passed` taken
     with the float quota in place of the certificate."""
     from magneflow.verify import _probe_candidates
 
     n = family.model.n
-    data = report.to_dict()
-    stats = float_independence(family.members(), n, samples=report.samples, seed=report.seed)
+    data = {**report.to_dict(), "seed": seed, "samples": samples}
+    stats = float_independence(family.members(), n, samples=samples, seed=seed)
     del data["independence"]
     data["rank_stats"] = {
         "samples": stats.samples,
@@ -621,7 +623,7 @@ def float_report_dict(report, family) -> dict:
         "threshold_rel": RANK_THRESHOLD_REL,
         "failures": [{"sample": i, "rank": r} for i, r in stats.failures],
     }
-    points = rank_points(n, report.samples, report.seed, STREAM_FLOAT_PROBE)
+    points = rank_points(n, samples, seed, STREAM_FLOAT_PROBE)
     member_grads = gradient_tensor(family.members(), points)
     candidates = [c[3] for c in _probe_candidates(family.model)]
     for probe, poly in zip(data["probe_results"], candidates, strict=True):

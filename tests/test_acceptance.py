@@ -75,7 +75,7 @@ def test_01_pairwise_brackets_vanish_exactly():
     start = time.perf_counter()
     bad = []
     for n, alphas in CI_MATRIX:
-        for pair in check_commutation(family_for(n, alphas)):
+        for pair in check_commutation(hamiltonian_membership(family_for(n, alphas))):
             if pair.status != "zero_polynomial":
                 bad.append((n, alphas, pair.left, pair.right, pair.status))
     elapsed = time.perf_counter() - start
@@ -127,7 +127,7 @@ def test_04_functional_independence_is_certified_exactly():
     bad = []
     for n, alphas in CI_MATRIX:
         fam = family_for(n, alphas)
-        cert = functional_independence(fam.members(), n, samples=100, seed=SEED)
+        cert = functional_independence(fam, samples=100, seed=SEED)
         if not (cert.certified and cert.expected_rank == n):
             bad.append((n, alphas, cert.ranks))
     verdict(4, "rank n mod 2^61-1 at an exact rational point", not bad, f"rank defects {bad}")
@@ -226,8 +226,7 @@ def test_09_single_generator_superintegrability_probe():
         fam = family_for(n, alphas)
         h = hamiltonian_pert(fam.model)
         oracle = cross_pair_brackets(fam.model)
-        probes = superintegrability_probe(
-            fam, functional_independence(fam.members(), fam.model.n, samples=100, seed=SEED))
+        probes = superintegrability_probe(functional_independence(fam, samples=100, seed=SEED))
         singles = [r for r in probes if r.kind == "generator" and r.cross_pair]
         if len(singles) != count or sorted(r.label for r in singles) != sorted(oracle):
             bad.append((n, alphas, "candidates", [r.label for r in singles]))
@@ -247,8 +246,7 @@ def test_09_single_generator_superintegrability_probe():
 def test_09_companion_pair_combinations_extend_the_family():
     for (n, alphas), count in (((4, ("1", "1")), 2), ((6, ("1", "1", "1")), 6)):
         fam = family_for(n, alphas)
-        probes = superintegrability_probe(
-            fam, functional_independence(fam.members(), fam.model.n, samples=100, seed=SEED))
+        probes = superintegrability_probe(functional_independence(fam, samples=100, seed=SEED))
         combos = [r for r in probes if r.kind in ("pair_sum", "pair_diff")]
         assert len(combos) == count, (n, alphas, [r.label for r in combos])
         for r in combos:

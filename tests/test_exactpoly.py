@@ -692,6 +692,17 @@ def test_from_dict_rejects_literals_as_the_fraction_reference_does(c):
     assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("n", [1.9, 1.0, "1", True, None])
+def test_from_dict_rejects_n_as_the_fraction_reference_does(n):
+    # int() would read each of the first four as 1
+    data = {"n": n, "terms": [{"c": "1", "e": [1, 0, 0, 0]}]}
+    with pytest.raises(InputError) as want:
+        reference_from_dict(data)
+    with pytest.raises(InputError) as got:
+        PhasePoly.from_dict(data)
+    assert str(got.value) == str(want.value)
+
+
 @pytest.mark.parametrize("expo, message", [
     ([-1, 0, 0, 0, 0, 0], "negative exponent in (-1, 0, 0, 0, 0, 0)"),
     ([0, 0, 0, 0, 0, -10**30], "negative exponent in (0, 0, 0, 0, 0, -1000000000000000000000000000000)"),

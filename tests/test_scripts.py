@@ -75,10 +75,11 @@ def test_ci_matrix_rejects_bad_input_with_one_error_line(args):
 
 def test_bench_tracer_targets_resolve(tmp_path, monkeypatch):
     """Every name in perfbench/tracing.TARGETS resolves in its module, a
-    traced build and verify counts brackets through `num_terms`, a traced
-    simulate counts the bytes of its record and its CSV, and the wrapped
-    cmd_* functions are the ones `main` calls, so a refactor cannot
-    silently break or darken a traced bench run."""
+    traced build and verify counts brackets through `num_terms`, the
+    commutation pairs and the probe candidates, a traced simulate counts
+    the bytes of its record and its CSV, and the wrapped cmd_* functions
+    are the ones `main` calls, so a refactor cannot silently break or
+    darken a traced bench run."""
     spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, "tracing", tracing)  # for its dataclass
@@ -106,10 +107,13 @@ def test_bench_tracer_targets_resolve(tmp_path, monkeypatch):
     finally:
         tracer.restore()
     spans = {span[0] for span in tracer.spans}
-    assert {"exactpoly.poisson_bracket", "verify.functional_independence",
+    assert {"exactpoly.poisson_bracket", "verify.check_commutation",
+            "verify.hamiltonian_membership", "verify.functional_independence",
             "verify.superintegrability_probe", "cli.cmd_build", "cli.cmd_verify"} <= spans
     assert tracer.counters["exactpoly.bracket_in_terms"] > 0
     assert tracer.counters["verify.rank_tests"] == 1
+    assert tracer.counters["verify.pairs"] > 0
+    assert tracer.counters["verify.probe_candidates"] > 0
     assert {"flow.integrate", "flow.picture_map", "flow.write_csv"} <= spans
     assert tracer.counters["flow.record_bytes"] > 0
     assert tracer.counters["flow.csv_bytes"] > 0

@@ -103,7 +103,7 @@ def test_oracle_rotation_invariance():
 
 def test_family_pairs_all_identically_zero():
     fam = commuting_basis(model_of(2, 1))
-    results = check_commutation(fam)
+    results = check_commutation(hamiltonian_membership(fam))
     # 3 member pairs (self pairs included) + 2 Hamiltonian pairs
     assert len(results) == 5
     assert all(r.status == "zero_polynomial" for r in results)
@@ -125,7 +125,7 @@ def test_self_pairs_are_zero_by_antisymmetry(monkeypatch):
         for member in fam.members():
             assert poisson_bracket(member, member).is_zero
         calls.clear()
-        results = check_commutation(fam)
+        results = check_commutation(hamiltonian_membership(fam))
         assert not any(f is g for f, g in calls)
         labels = fam.labels() + ["H"]
         expected = [(a, b) for i, a in enumerate(labels[:-1]) for b in labels[i:]]
@@ -161,11 +161,19 @@ def perturbed_member_family():
     return family_of(fam.model, [bent] + quads[1:], tagged(fam, "linear"))
 
 
+def rate_swapped_family():
+    """The members of (4; 1,3) under the model (4; 1,2), whose H is not in
+    their algebra: {F1, H} and {F2, H} are nonzero."""
+    members = commuting_basis(model_of(4, 1, 3)).integrals
+    return IntegralFamily(model=model_of(4, 1, 2), integrals=members)
+
+
 def test_commutation_distinguishes_all_three_tiers():
     # hand-built family: the squared sphere defect commutes with nothing
     # except on the constraint set, and the dilation function fails
     # against the potential term of H outright
-    results = {(r.left, r.right): r for r in check_commutation(three_tier_family())}
+    fam = three_tier_family()
+    results = {(r.left, r.right): r for r in check_commutation(hamiltonian_membership(fam))}
     assert results[("F1", "F1")].status == "zero_polynomial"
     assert results[("F1", "F2")].status == "zero_on_constraints"
     assert results[("F1", "F2")].witness_terms > 0
@@ -174,7 +182,7 @@ def test_commutation_distinguishes_all_three_tiers():
 
 
 def test_tampered_family_detected():
-    results = check_commutation(tampered_family())
+    results = check_commutation(hamiltonian_membership(tampered_family()))
     assert any(r.status == "nonzero" for r in results)
 
 
@@ -210,7 +218,7 @@ def test_float_tier_misses_are_nonzero(f1, f2):
     2e-12 X1^2 on the constraint set, the other -4 P1 (|P|^2 - 1), which
     vanishes on the |P| = 1 shell of the float points but not on T*S^n."""
     fam = family_of(model_of(2, 1), [f1], [f2])
-    results = {(r.left, r.right): r for r in check_commutation(fam)}
+    results = {(r.left, r.right): r for r in check_commutation(hamiltonian_membership(fam))}
     assert results[("F1", "F2")].status == "nonzero"
     bracket = poisson_bracket(f1, f2)
     verdict = float_classify_nonzero(f1, f2, bracket, commutation_points(2))
@@ -262,22 +270,23 @@ def test_derived_hamiltonian_pairs_match_bracketing_every_pair(n, alpha):
     # every premise holds, so each (F_i, H) is derived from H's membership
     fam = commuting_basis(model_of(n, *alpha.split(",")))
     assert hamiltonian_membership(fam).ok
-    results = check_commutation(fam)
+    results = check_commutation(hamiltonian_membership(fam))
     assert all(r.status == "zero_polynomial" for r in results)
     assert results == reference_commutation(fam, seed=0)
 
 
-@pytest.mark.parametrize("make", [tampered_family, three_tier_family, perturbed_member_family])
+@pytest.mark.parametrize("make", [tampered_family, three_tier_family, perturbed_member_family,
+                                  rate_swapped_family])
 @pytest.mark.parametrize("seed", [0, 3])
 def test_commutation_matches_bracketing_every_pair_when_membership_fails(make, seed):
     fam = make()
     assert not hamiltonian_membership(fam).ok
-    results = check_commutation(fam)
+    results = check_commutation(hamiltonian_membership(fam))
     assert any(r.right == "H" and r.status == "nonzero" for r in results)
     assert results == reference_commutation(fam, seed=seed)
 
 
-CLAIMED = verify.MembershipResult(ok=True, coefficients={})
+CLAIMED = {"ok": True, "coefficients": {}}
 
 
 @pytest.mark.parametrize("quads, linears, membership", [
@@ -293,7 +302,11 @@ def test_each_premise_of_the_derived_pair_rule_blocks_it_alone(quads, linears, m
     is not membership, membership is claimed instead of solved.  The rule
     must not derive (F2, H), whose bracket is nonzero."""
     fam = family_of(model_of(2, 1), quads, linears)
-    results = check_commutation(fam, membership=membership)
+    if membership is None:
+        membership = hamiltonian_membership(fam)
+    else:
+        membership = verify.MembershipResult(fam, **membership)
+    results = check_commutation(membership)
     assert [r.status for r in results if r.right == "H"][-1] == "nonzero"
     assert results == reference_commutation(fam, seed=0)
 
@@ -314,10 +327,8 @@ def test_passing_family_brackets_no_member_with_the_hamiltonian(monkeypatch):
 
     monkeypatch.setattr(verify, "poisson_bracket", bracket)
     monkeypatch.setattr(verify, "hamiltonian_membership", membership)
-    results = check_commutation(fam)
+    results = check_commutation(solve(fam))
     assert brackets and not any(h in pair for pair in brackets)
-    assert len(memberships) == 1  # solved here, since none was passed
-    memberships.clear()
     report = run_verification(fam, samples=20, seed=0)
     assert report.passed and report.pair_results == results
     assert len(memberships) == 1
@@ -376,7 +387,7 @@ def test_compatibility_validates_degrees():
 
 def test_healthy_family_has_full_rank():
     fam = commuting_basis(model_of(2, 1))
-    cert = functional_independence(fam.members(), 2, samples=50, seed=42)
+    cert = functional_independence(fam, samples=50, seed=42)
     assert cert.expected_rank == 2
     assert cert.ranks == [2]
     assert cert.certified
@@ -395,7 +406,7 @@ def test_healthy_family_has_full_rank():
 def test_repeated_member_drops_rank_everywhere():
     fam = commuting_basis(model_of(2, 1))
     members = [tagged(fam, "quad")[0]] * 2
-    cert = functional_independence(members, 2, samples=25, seed=42)
+    cert = functional_independence(family_of(fam.model, members, []), samples=25, seed=42)
     assert cert.ranks == [1] * 25
     assert not cert.certified
     assert cert.to_dict()["points_tried"] == 25
@@ -408,7 +419,8 @@ def test_repeated_member_drops_rank_everywhere():
 def test_rank_can_exceed_family_size_with_extra_function():
     fam = commuting_basis(model_of(4, 1, 1))
     extra = killing(1, 3, 4) + killing(2, 4, 4)
-    cert = functional_independence(fam.members() + [extra], 4, samples=40, seed=7)
+    extended = family_of(fam.model, tagged(fam, "quad"), tagged(fam, "linear") + [extra])
+    cert = functional_independence(extended, samples=40, seed=7)
     assert cert.expected_rank == 5
     assert cert.certified
     stats = float_independence(fam.members() + [extra], 4, samples=40, seed=7)
@@ -419,7 +431,7 @@ def test_rank_can_exceed_family_size_with_extra_function():
 def test_independence_rejects_no_samples():
     fam = commuting_basis(model_of(2, 1))
     with pytest.raises(InputError, match="samples"):
-        functional_independence(fam.members(), 2, samples=0)
+        functional_independence(fam, samples=0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 21])
@@ -450,10 +462,10 @@ def test_modular_rank_matches_fraction_rank(matrix):
 
 def test_independence_is_seed_deterministic():
     fam = commuting_basis(model_of(3, 1, 2))
-    s1 = functional_independence(fam.members(), 3, samples=30, seed=11)
-    s2 = functional_independence(fam.members(), 3, samples=30, seed=11)
+    s1 = functional_independence(fam, samples=30, seed=11)
+    s2 = functional_independence(fam, samples=30, seed=11)
     assert s1 == s2
-    assert functional_independence(fam.members(), 3, samples=30, seed=12).x != s1.x
+    assert functional_independence(fam, samples=30, seed=12).x != s1.x
 
 
 def projected_rank_oracle(grad, x, p):
@@ -510,11 +522,10 @@ def test_batched_ranks_of_zero_gradients_are_zero():
 
 def check_certificate_against_float_oracle(n, alpha):
     fam = commuting_basis(model_of(n, *alpha.split(",")))
-    cert = functional_independence(fam.members(), n, samples=100, seed=42)
+    cert = functional_independence(fam, samples=100, seed=42)
     assert cert.certified == float_independence(fam.members(), n, samples=100, seed=42).full_rank
     assert cert.certified
-    probe = superintegrability_probe(
-        fam, functional_independence(fam.members(), fam.model.n, samples=100, seed=42))
+    probe = superintegrability_probe(cert)
     polys = [poly for _, _, _, poly, _ in _probe_candidates(fam.model)]
     verdicts = float_probe_verdicts(fam, polys, samples=100, seed=42)
     assert [r.raises_rank for r in probe] == verdicts
@@ -685,8 +696,7 @@ def test_membership_solution_matches_fraction_gauss_jordan(n, alpha):
 
 def test_probe_empty_without_merged_blocks():
     fam = commuting_basis(model_of(4, 1, 2))
-    assert superintegrability_probe(
-        fam, functional_independence(fam.members(), fam.model.n, samples=20, seed=0)) == []
+    assert superintegrability_probe(functional_independence(fam, samples=20, seed=0)) == []
 
 
 def test_probe_single_generators_fail_hamiltonian_commutation():
@@ -696,8 +706,7 @@ def test_probe_single_generators_fail_hamiltonian_commutation():
     m13, m14, m23 = killing(1, 3, 4), killing(1, 4, 4), killing(2, 3, 4)
     # the bracket is a definite nonzero rotation momentum combination
     assert poisson_bracket(m13, h) == F(1, 2) * (m23 + m14)
-    results = superintegrability_probe(
-        fam, functional_independence(fam.members(), fam.model.n, samples=30, seed=1))
+    results = superintegrability_probe(functional_independence(fam, samples=30, seed=1))
     singles = [r for r in results if r.kind == "generator" and r.cross_pair]
     assert len(singles) == 4
     assert all(not r.commutes_with_hamiltonian for r in singles)
@@ -714,8 +723,7 @@ def test_probe_pair_combinations_are_additional_integrals():
     combo_diff = killing(1, 4, 4) - killing(2, 3, 4)
     assert poisson_bracket(combo_sum, h).is_zero
     assert poisson_bracket(combo_diff, h).is_zero
-    results = superintegrability_probe(
-        fam, functional_independence(fam.members(), fam.model.n, samples=50, seed=2))
+    results = superintegrability_probe(functional_independence(fam, samples=50, seed=2))
     combos = [r for r in results if r.kind in ("pair_sum", "pair_diff")]
     assert len(combos) == 2
     for r in combos:
@@ -728,8 +736,7 @@ def test_probe_pair_combinations_are_additional_integrals():
 def test_probe_in_plane_generators_commute_but_add_no_rank():
     model = model_of(4, 1, 1)
     fam = commuting_basis(model)
-    results = superintegrability_probe(
-        fam, functional_independence(fam.members(), fam.model.n, samples=20, seed=3))
+    results = superintegrability_probe(functional_independence(fam, samples=20, seed=3))
     in_plane = [r for r in results if r.kind == "generator" and not r.cross_pair]
     assert len(in_plane) == 2
     for r in in_plane:
@@ -751,15 +758,15 @@ def candidate_poly(label, n):
 def test_probe_ranks_match_standalone_independence(n, alpha):
     model = model_of(n, *alpha.split(","))
     fam = commuting_basis(model)
-    results = superintegrability_probe(
-        fam, functional_independence(fam.members(), fam.model.n, samples=30, seed=5))
+    results = superintegrability_probe(functional_independence(fam, samples=30, seed=5))
     assert results
     # the standalone certificate of members plus candidate tries the same
     # points; up to the members' last one it certifies exactly there
-    tried = len(functional_independence(fam.members(), n, samples=30, seed=5).ranks)
+    tried = len(functional_independence(fam, samples=30, seed=5).ranks)
     for r in results:
-        members = fam.members() + [candidate_poly(r.label, n)]
-        cert = functional_independence(members, n, samples=tried, seed=5)
+        linears = tagged(fam, "linear") + [candidate_poly(r.label, n)]
+        cert = functional_independence(family_of(model, tagged(fam, "quad"), linears),
+                                       samples=tried, seed=5)
         assert r.raises_rank == cert.certified
 
 
@@ -768,9 +775,9 @@ def test_probe_raises_no_rank_without_certified_members():
     first, second, *linears = fam.integrals
     twin = second._replace(poly=first.poly)
     dup = IntegralFamily(model=fam.model, integrals=(first, twin, *linears))
-    assert not functional_independence(dup.members(), 4, samples=10, seed=0).certified
-    results = superintegrability_probe(
-        dup, functional_independence(dup.members(), dup.model.n, samples=10, seed=0))
+    cert = functional_independence(dup, samples=10, seed=0)
+    assert not cert.certified
+    results = superintegrability_probe(cert)
     assert len(results) == 8
     assert not any(r.raises_rank or r.is_additional_integral for r in results)
 
@@ -793,11 +800,20 @@ def test_full_verification_fails_for_tampered_family():
     assert not report.passed
 
 
+def test_full_verification_fails_for_members_of_other_rates():
+    report = run_verification(rate_swapped_family(), samples=50, seed=42)
+    with_h = {r.left: r.status for r in report.pair_results if r.right == "H"}
+    assert with_h == {"F1": "nonzero", "F2": "nonzero",
+                      "F3": "zero_polynomial", "F4": "zero_polynomial"}
+    assert not report.passed
+
+
 def test_passed_requires_certified_independence():
     fam = commuting_basis(model_of(3, 1, 2))
     report = run_verification(fam, samples=5, seed=42)
     assert report.passed
-    uncertified = functional_independence([tagged(fam, "quad")[0]] * 3, 3, samples=5, seed=42)
+    repeated = family_of(fam.model, [tagged(fam, "quad")[0]] * 3, [])
+    uncertified = functional_independence(repeated, samples=5, seed=42)
     assert not uncertified.certified
     data = dataclasses.replace(report, independence=uncertified).to_dict()
     assert data["independence"]["certified"] is False
@@ -820,5 +836,5 @@ def test_verify_certifies_the_members_once(monkeypatch):
     assert len(calls) == 1
     assert report.probe_results
     assert report.probe_results == superintegrability_probe(
-        fam, verify.functional_independence(fam.members(), fam.model.n, samples=20, seed=3))
+        verify.functional_independence(fam, samples=20, seed=3))
     assert len(calls) == 2
