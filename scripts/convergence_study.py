@@ -60,8 +60,8 @@ def study(args) -> int:
     drifts = []
     for dt in DT_LADDER:
         steps = round(args.time / dt)
-        record = integrate(model, x0, p0, dt=dt, steps=steps,
-                           record_every=max(1, steps // 1000), family=family)
+        record = integrate(family, x0, p0, dt=dt, steps=steps,
+                           record_every=max(1, steps // 1000))
         drift = drift_report(record)["series"]["H"]["max_abs_drift"]
         order = ""
         if drifts:

@@ -19,8 +19,6 @@ from .exactpoly import (
     format_rational,
     parse_rational,
     poisson_bracket,
-    p_var,
-    x_var,
 )
 from .flow import (
     TrajectoryRecord,
@@ -38,7 +36,6 @@ from .integral_family import (
     degenerate_integral,
     killing,
     limit_integral,
-    uhlenbeck_integral,
 )
 from .magnetic_model import (
     MagneticModel,
@@ -46,8 +43,6 @@ from .magnetic_model import (
     gauge_shift,
     hamiltonian_pert,
     kinetic_energy,
-    potential,
-    sigma_linear,
     skew_normal_form,
 )
 from .verify import (
@@ -72,21 +67,16 @@ __all__ = [
     "compiled_evaluator",
     "parse_rational",
     "format_rational",
-    "x_var",
-    "p_var",
     "MagneticModel",
     "SkewNormalForm",
     "skew_normal_form",
     "kinetic_energy",
-    "sigma_linear",
-    "potential",
     "hamiltonian_pert",
     "gauge_shift",
     "Integral",
     "IntegralFamily",
     "commuting_basis",
     "killing",
-    "uhlenbeck_integral",
     "degenerate_integral",
     "limit_integral",
     "check_commutation",

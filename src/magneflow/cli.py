@@ -165,13 +165,11 @@ def cmd_simulate(args) -> int:
     model = MagneticModel(n=args.n, alphas=alphas)
     family = commuting_basis(model)
     x0, p0 = _initial_state(args, model)
-    record = integrate(
-        model, x0, p0, dt=args.dt, steps=args.steps,
-        record_every=args.record_every, family=family,
-    )
+    record = integrate(family, x0, p0, dt=args.dt, steps=args.steps,
+                       record_every=args.record_every)
     drift = drift_report(record)
     if args.check_picture:
-        drift["picture"] = drift_report(picture_map(record, model))
+        drift["picture"] = drift_report(picture_map(record))
 
     csv_path = f"{args.out}.csv"
     write_csv(record, csv_path, _artifact("trajectory", args, {}))

@@ -50,8 +50,6 @@ __all__ = [
     "PhasePoly",
     "poisson_bracket",
     "compiled_evaluator",
-    "x_var",
-    "p_var",
     "parse_rational",
     "format_rational",
 ]
@@ -450,20 +448,6 @@ def _partials(poly: PhasePoly) -> dict:
                 out.setdefault(slot, []).append((mono - _unit(width, slot), c * k))
         object.__setattr__(poly, "_derivs", out)
     return out
-
-
-def x_var(i: int, n: int) -> PhasePoly:
-    """The coordinate polynomial Xi (1-based)."""
-    if not 1 <= i <= n + 1:
-        raise InputError(f"variable index {i} out of range 1..{n + 1}")
-    return _raw(n, {_unit(2 * (n + 1), i - 1): 1}, 1)
-
-
-def p_var(i: int, n: int) -> PhasePoly:
-    """The momentum polynomial Pi (1-based)."""
-    if not 1 <= i <= n + 1:
-        raise InputError(f"variable index {i} out of range 1..{n + 1}")
-    return _raw(n, {_unit(2 * (n + 1), n + i): 1}, 1)
 
 
 def poisson_bracket(f: PhasePoly, g: PhasePoly) -> PhasePoly:

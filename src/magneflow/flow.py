@@ -38,7 +38,8 @@ picture) and its constraint residuals (the polynomials |X|^2 - 1 and
 picture's momentum shift from `sigma_sharp`.  Each value is elementwise
 products and sums over its own row in a fixed order, so it depends on no
 other row, on no block size and on no BLAS kernel, and a loop over
-Python floats in the same order gives its bits.
+Python floats in the same order gives its bits.  A series with a value
+that is not finite raises InputError, so no artifact reports NaN.
 
 `write_csv` prints every number as `%.17g` does, byte for byte, but with
 numpy instead of one `%` per value.  The 17 digits of a value come from
@@ -270,10 +271,13 @@ def step(x, p, model: MagneticModel, dt: float):
 class TrajectoryRecord:
     """Recorded states and diagnostics of one integration run.
 
-    xs and ps have one row per recorded state; diagnostics maps a label
-    to the series of that quantity along the recorded states, in a fixed
-    insertion order that the CSV writer reuses.
+    family is the family the run was integrated with, and so carries the
+    model whose flow the states follow.  xs and ps have one row per
+    recorded state; diagnostics maps a label to the series of that
+    quantity along the recorded states, in a fixed insertion order that
+    the CSV writer reuses.
     """
+    family: IntegralFamily
     times: np.ndarray
     xs: np.ndarray
     ps: np.ndarray
@@ -282,14 +286,9 @@ class TrajectoryRecord:
     tangency_residual: np.ndarray
 
 
-def _diagnostic_polys(model: MagneticModel, family: IntegralFamily | None):
-    polys = []
-    if family is not None:
-        if family.model != model:
-            raise InputError("family was built for a different model")
-        polys.extend(zip(family.labels(), family.members()))
-    polys.append(("H", hamiltonian_pert(model)))
-    return polys
+def _diagnostic_polys(family: IntegralFamily) -> list:
+    """(label, polynomial) of every diagnostic: the members, then H."""
+    return [*zip(family.labels(), family.members()), ("H", hamiltonian_pert(family.model))]
 
 
 def _residual_polys(n: int) -> tuple:
@@ -302,16 +301,26 @@ def _residual_polys(n: int) -> tuple:
     return _from_monomials(n, sphere), _from_monomials(n, tangency)
 
 
+def _series(label: str, poly, states: np.ndarray) -> np.ndarray:
+    """poly along the rows of states.  The states are finite, so a value
+    that is not is an overflow of double precision: it raises InputError
+    naming the series, before any artifact is written, and numpy prints
+    no warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = compiled_evaluator(poly)(states)
+    if not np.isfinite(values).all():
+        raise InputError(
+            f"the {label} series is not finite along the orbit: "
+            "the state overflows double precision"
+        )
+    return values
+
+
 def integrate(
-    model: MagneticModel,
-    x0,
-    p0,
-    dt: float,
-    steps: int,
-    record_every: int = 1,
-    family: IntegralFamily | None = None,
+    family: IntegralFamily, x0, p0, dt: float, steps: int, record_every: int = 1
 ) -> TrajectoryRecord:
-    """Integrate from (x0, p0) and evaluate conserved quantities.
+    """Integrate the flow of family.model from (x0, p0) and evaluate its
+    conserved quantities.
 
     The initial state is projected (within tolerance) before the run.
     The RATTLE steps of the whole run are one call of the kernel of
@@ -325,8 +334,10 @@ def integrate(
     k of them equal rotate(k dt) . rattle^k, because rattle commutes with
     the plane turns.  So row k has the bits of the last row of a run with
     steps=k.  Row 0 is not turned.  A failed step k raises StepError
-    with the prefix "step k: ".  If a family is given, every member is
-    evaluated along the recorded states together with the Hamiltonian.
+    with the prefix "step k: ".  Every member of the family is evaluated
+    along the recorded states, then the Hamiltonian and the constraint
+    residuals; a series with a value that is not finite raises
+    InputError (see `_series`).  The record carries the family.
     """
     if not (isinstance(steps, int) and steps >= 0):
         raise InputError(f"steps must be a nonnegative integer, got {steps!r}")
@@ -337,6 +348,7 @@ def integrate(
     if not (isinstance(record_every, int) and record_every >= 1):
         raise InputError(f"record_every must be a positive integer, got {record_every!r}")
 
+    model = family.model
     x, p = project_initial(x0, p0)
     if x.size != model.n + 1:
         raise InputError(
@@ -377,28 +389,31 @@ def integrate(
     del steps_of_rows
     states = np.hstack([xs, ps])
 
-    diagnostics = {}
-    for label, poly in _diagnostic_polys(model, family):
-        diagnostics[label] = compiled_evaluator(poly)(states)
-    sphere, tangency = (compiled_evaluator(poly)(states) for poly in _residual_polys(model.n))
-    return TrajectoryRecord(times, xs, ps, diagnostics, sphere, tangency)
+    diagnostics = {label: _series(label, poly, states)
+                   for label, poly in _diagnostic_polys(family)}
+    sphere, tangency = (_series(label, poly, states)
+                        for label, poly in zip(("c1", "c2"), _residual_polys(model.n)))
+    return TrajectoryRecord(family, times, xs, ps, diagnostics, sphere, tangency)
 
 
-def picture_map(record: TrajectoryRecord, model: MagneticModel) -> TrajectoryRecord:
-    """Transport a recorded trajectory to the plain-kinetic picture.
+def picture_map(record: TrajectoryRecord) -> TrajectoryRecord:
+    """Transport a recorded trajectory to the plain-kinetic picture of the
+    model it was integrated under, record.family.model.
 
     Each state gets the momentum shift p -> p + sigma#(x); in the image
     picture the relevant conserved quantity is the kinetic energy alone,
     reported as the single diagnostic series H_kin.  Conservation of that
     series is the dynamical form of the equivalence between the two
     descriptions of the flow.  The shift leaves X as it is, so the image
-    shares the record's times and sphere residual arrays.
+    shares the record's family, times and sphere residual arrays.
     """
+    model = record.family.model
     shifted_x, shifted_p = gauge_shift(record.xs, record.ps, +1, model)
     states = np.hstack([shifted_x, shifted_p])
-    h_kin = compiled_evaluator(kinetic_energy(model.n))(states)
-    tangency = compiled_evaluator(_residual_polys(model.n)[1])(states)
+    h_kin = _series("H_kin", kinetic_energy(model.n), states)
+    tangency = _series("picture c2", _residual_polys(model.n)[1], states)
     return TrajectoryRecord(
+        family=record.family,
         times=record.times,
         xs=shifted_x,
         ps=shifted_p,

@@ -3,12 +3,12 @@
 Three building blocks, all exact:
 
 * `killing(i, j, n)` the rotation momentum M_ij = Xi Pj - Xj Pi;
-* `uhlenbeck_integral(a, b)` the classical Neumann-system integrals
+* `degenerate_integral(a, b)` the classical Neumann-system integrals
   F_B = (1/2) sum_{i<j} (b_i - b_j)/(a_i - a_j) M_ij^2 + sum b_i X_i^2
-  for pairwise distinct a;
-* `degenerate_integral(a, b)` the same formula with all pairs of equal
-  a-value removed, defined whenever b is constant on the level blocks of
-  a, and `limit_integral` for the within-block quadratics that survive a
+  with all pairs of equal a-value removed, defined whenever b is
+  constant on the level blocks of a (for pairwise distinct a no pair is
+  removed, and F_B is Uhlenbeck's integral);
+* `limit_integral` the within-block quadratics that survive a
   one-parameter splitting of a degenerate block.
 
 `commuting_basis(model)` assembles n = dim S^n functions: one degenerate
@@ -36,7 +36,6 @@ from .magnetic_model import (
 
 __all__ = [
     "killing",
-    "uhlenbeck_integral",
     "degenerate_integral",
     "limit_integral",
     "Integral",
@@ -87,14 +86,6 @@ def _neumann_quadratic(n: int, lam: Mapping, mu: Mapping) -> list:
                     dmu, dlam = -dmu, -dlam
                 terms.extend(_killing_square_terms(l, m, n, dmu * dl, 2 * dm * dlam))
     return terms
-
-
-def uhlenbeck_integral(a: Sequence, b: Sequence) -> PhasePoly:
-    """F_B for pairwise distinct a.  Raises if any a_i coincide; use
-    degenerate_integral for that case."""
-    if len({Fraction(v) for v in a}) != len(a):
-        raise InputError("a-values must be pairwise distinct; use degenerate_integral")
-    return degenerate_integral(a, b)
 
 
 def degenerate_integral(a: Sequence, b: Sequence) -> PhasePoly:

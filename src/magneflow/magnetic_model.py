@@ -4,9 +4,12 @@ A model is the sphere dimension n together with the rotation rates
 alpha_1..alpha_m (m = floor((n+1)/2)) of the 2-form written in plane
 blocks.  Everything downstream is derived from the model exactly:
 
-* sigma_linear  S = (1/2) sum_i alpha_i (X_{2i-1} P_{2i} - X_{2i} P_{2i-1})
-* potential     U = (1/8) sum_i alpha_i^2 (X_{2i-1}^2 + X_{2i}^2)
-* hamiltonian_pert  H = K - S + U with K the rotational kinetic energy
+* hamiltonian_pert  H = K - S + U, where K is the rotational kinetic
+  energy (`kinetic_energy`), S the momentum function of the magnetic
+  rotation field and U the potential:
+
+      S = (1/2) sum_i alpha_i (X_{2i-1} P_{2i} - X_{2i} P_{2i-1})
+      U = (1/8) sum_i alpha_i^2 (X_{2i-1}^2 + X_{2i}^2)
 
 The A-vector a_{2i-1} = a_{2i} = alpha_i^2 / 8 (and a_{n+1} = 0 for even
 n) defines the accompanying Neumann-type potential; its level structure
@@ -40,8 +43,6 @@ from .exactpoly import (
 __all__ = [
     "MagneticModel",
     "ambient_units",
-    "sigma_linear",
-    "potential",
     "kinetic_energy",
     "hamiltonian_pert",
     "sigma_sharp",
@@ -231,17 +232,6 @@ def kinetic_energy(n: int) -> PhasePoly:
     (1/2)|P|^2, the round-sphere kinetic energy.
     """
     return _from_monomials(n, _kinetic_terms(n))
-
-
-def sigma_linear(model: MagneticModel) -> PhasePoly:
-    """Momentum function of the magnetic rotation field:
-    S = (1/2) sum_i alpha_i (X_{2i-1} P_{2i} - X_{2i} P_{2i-1})."""
-    return _from_monomials(model.n, _sigma_terms(model, 1))
-
-
-def potential(model: MagneticModel) -> PhasePoly:
-    """U = sum_k a_k X_k^2 = (1/8) sum_i alpha_i^2 (X_{2i-1}^2 + X_{2i}^2)."""
-    return _from_monomials(model.n, _x_square_terms(model.n, model.a))
 
 
 def hamiltonian_pert(model: MagneticModel) -> PhasePoly:

@@ -1,5 +1,7 @@
 """Oracles of the exact and float layers, used only by the tests.
 
+- The coordinate polynomials `x_var` and `p_var`, which no command
+  builds, on the public `PhasePoly` constructor.
 - The `PhasePoly` operations that no command needs: exact evaluation at
   a rational point, partial derivatives, the split by momentum degree,
   the bidegree profile and (linear) substitution.  They are written on
@@ -20,7 +22,9 @@
   and the probe candidates) built through generic `PhasePoly`
   arithmetic, as `src` built them before it listed their terms: the
   references of the term builders, down to the insertion order of the
-  terms.
+  terms.  `src` builds S and U only as terms of H, so
+  `reference_sigma_linear` and `reference_potential` are the tests' S
+  and U.
 - `reference_commutation`: the pair results of `check_commutation` with
   every member bracketed with H, as `verify` took them before it derived
   those brackets from H's membership, and with each nonzero bracket
@@ -53,10 +57,8 @@ from magneflow import (
     PhasePoly,
     compiled_evaluator,
     hamiltonian_pert,
-    p_var,
     poisson_bracket,
     sampling,
-    x_var,
 )
 from magneflow.magnetic_model import _plane_block
 from magneflow.verify import PairResult
@@ -76,6 +78,24 @@ COMMUTATION_POINTS = 50
 
 
 # -- exact PhasePoly operations ------------------------------------------------
+
+
+def _variable(slot: int, i: int, n: int) -> PhasePoly:
+    if not 1 <= i <= n + 1:
+        raise InputError(f"variable index {i} out of range 1..{n + 1}")
+    expo = [0] * (2 * (n + 1))
+    expo[slot] = 1
+    return PhasePoly(n, {tuple(expo): 1})
+
+
+def x_var(i: int, n: int) -> PhasePoly:
+    """The coordinate polynomial Xi (1-based)."""
+    return _variable(i - 1, i, n)
+
+
+def p_var(i: int, n: int) -> PhasePoly:
+    """The momentum polynomial Pi (1-based)."""
+    return _variable(n + i, i, n)
 
 
 def evaluate_exact(poly: PhasePoly, point) -> Fraction:

@@ -7,9 +7,11 @@ status lines, and artifact files.
 import contextlib
 import dataclasses
 import hashlib
+import importlib
 import io
 import json
 import math
+import pkgutil
 import tempfile
 import warnings
 from pathlib import Path
@@ -19,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import magneflow
 from magneflow import IntegralFamily, __version__
 from magneflow.cli import _write_json, build_parser, main
 from magneflow.flow import MAX_ABS_DT, MIN_ABS_DT
@@ -708,6 +711,26 @@ def test_simulate_huge_init_momentum(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("picture", [[], ["--check-picture"]], ids=["record", "picture"])
+def test_simulate_overflowing_series_exit_two(tmp_path, capsys, picture):
+    """|p|^2 is finite, so the state passes the input checks, but the
+    quadratic members and H overflow: exit 2 with one error line naming
+    the first such series, and no file.  (From --steps 1 on, the first
+    step fails first: exit 1.)"""
+    init = tmp_path / "init.json"
+    init.write_text(json.dumps({"x": [1, 0, 0], "p": [0, 9e153, 9e153]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(
+            capsys, "simulate", "--n", "2", "--alpha", "1", "--dt", "1e-3", "--steps", "0",
+            "--init", str(init), "--no-normalize", *picture, "--out", str(tmp_path / "x"),
+        )
+    assert code == 2 and out == "" and one_error_line(err)
+    assert caught == []
+    assert err.startswith("error: the F1 series is not finite along the orbit")
+    assert [p.name for p in tmp_path.iterdir()] == ["init.json"]
+
+
 INIT_NUMBERS = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, 1e200, -1e200, 1e-200, 0.0, -0.0, 1.0]),
     st.floats(),
@@ -927,6 +950,22 @@ def test_simulate_rejects_rates_beyond_the_float_range(tmp_path, capsys, alpha, 
 
 
 # -- parser-level behaviour -----------------------------------------------------
+
+
+REMOVED_NAMES = {"sigma_linear", "potential", "uhlenbeck_integral", "x_var", "p_var"}
+
+
+def test_public_names_resolve():
+    """Every name in the __all__ of the package and of each submodule
+    resolves, and none of the builders that no command runs is left."""
+    names = [info.name for info in pkgutil.iter_modules(magneflow.__path__)]
+    modules = [magneflow] + [
+        importlib.import_module(f"magneflow.{name}") for name in names if name != "__main__"
+    ]
+    for module in modules:
+        exported = getattr(module, "__all__", [])
+        assert all(hasattr(module, name) for name in exported), module.__name__
+        assert not any(hasattr(module, name) for name in REMOVED_NAMES), module.__name__
 
 
 def test_version_flag(capsys):

@@ -22,13 +22,12 @@ from magneflow import (
     kinetic_energy,
     parse_rational,
     poisson_bracket,
-    p_var,
-    x_var,
 )
 from magneflow import exactpoly
 from oracles import (
     evaluate_exact,
     fd_bracket_oracle,
+    p_var,
     partial,
     partial_p,
     partial_x,
@@ -36,6 +35,7 @@ from oracles import (
     reference_to_dict,
     scalar_evaluate,
     substitute_linear,
+    x_var,
 )
 
 N = 2

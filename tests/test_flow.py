@@ -1,8 +1,10 @@
 """Constrained integrator: geometry, reversibility, order, drift, output."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -179,9 +181,10 @@ def test_orbit_matches_numpy_reference(n, alphas):
     whole run.  (A loop of Strang steps accumulates the rounding of two
     turns per step: 1.1e-11 and 2.1e-11 from this orbit.)"""
     model = model_of(n, *alphas)
+    fam = commuting_basis(model)
     x0, p0 = seeded_state(n)
     steps = 10_000
-    rec = integrate(model, x0, p0, dt=1e-2, steps=steps, record_every=steps)
+    rec = integrate(fam, x0, p0, dt=1e-2, steps=steps, record_every=steps)
     x, p = project_initial(x0, p0)
     for _ in range(steps):
         x, p = reference_rattle(x, p, model, 1e-2)
@@ -225,20 +228,21 @@ def test_integrate_makes_one_kernel_call_per_run(monkeypatch):
         return counting_kernel
 
     monkeypatch.setattr(flow, "_step_kernel", counting_step_kernel)
-    model = model_of(4, 1, 2)
+    fam = commuting_basis(model_of(4, 1, 2))
     x0, p0 = seeded_state(4)
-    rec = integrate(model, x0, p0, dt=1e-2, steps=37, record_every=5)
+    rec = integrate(fam, x0, p0, dt=1e-2, steps=37, record_every=5)
     assert calls == [(37, 5)]
     assert rec.times.shape == (9,)
 
 
 def test_one_kernel_per_rates_and_dt():
     model = model_of(4, 1, 2)
+    fam = commuting_basis(model)
     x0, p0 = seeded_state(4)
     kernel = flow._step_kernel(model.two_a_floats, 1e-2)
     before = flow._step_kernel.cache_info()
-    integrate(model, x0, p0, dt=1e-2, steps=20)
-    integrate(model_of(4, 1, 2), x0, p0, dt=1e-2, steps=20)
+    integrate(fam, x0, p0, dt=1e-2, steps=20)
+    integrate(commuting_basis(model_of(4, 1, 2)), x0, p0, dt=1e-2, steps=20)
     after = flow._step_kernel.cache_info()
     assert after.misses == before.misses
     assert after.hits == before.hits + 2
@@ -250,10 +254,10 @@ def test_one_kernel_per_rates_and_dt():
 
 
 def test_zero_rate_flow_stays_on_great_circle():
-    model = model_of(2, 0)
+    fam = commuting_basis(model_of(2, 0))
     x0 = np.array([1.0, 0.0, 0.0])
     p0 = np.array([0.0, 1.0, 0.0])
-    rec = integrate(model, x0, p0, dt=1e-3, steps=1000)
+    rec = integrate(fam, x0, p0, dt=1e-3, steps=1000)
     # the orbit never leaves the coordinate plane spanned by x0, p0
     assert np.max(np.abs(rec.xs[:, 2])) < 1e-13
     # and matches the unit-speed circle in phase
@@ -292,29 +296,29 @@ def test_backward_run_returns_to_the_start():
     """A run with -dt from the last row of a run with dt retraces it: the
     rows are turned by k * alpha * dt / 2, so backwards by the opposite
     angle."""
-    model = model_of(4, 1, 2)
+    fam = commuting_basis(model_of(4, 1, 2))
     x0, p0 = project_initial(*seeded_state(4))
-    fwd = integrate(model, x0, p0, dt=1e-2, steps=200)
+    fwd = integrate(fam, x0, p0, dt=1e-2, steps=200)
     assert np.max(np.abs(fwd.xs[-1] - x0)) > 0.1
-    back = integrate(model, fwd.xs[-1], fwd.ps[-1], dt=-1e-2, steps=200)
+    back = integrate(fam, fwd.xs[-1], fwd.ps[-1], dt=-1e-2, steps=200)
     assert np.max(np.abs(back.xs[-1] - x0)) < 1e-12
     assert np.max(np.abs(back.ps[-1] - p0)) < 1e-12
 
 
 def test_many_step_reversibility():
-    model = model_of(3, 1, 2)
+    fam = commuting_basis(model_of(3, 1, 2))
     x0, p0 = seeded_state(3)
     k = 1000
-    fwd = integrate(model, x0, p0, dt=1e-3, steps=k)
-    back = integrate(model, fwd.xs[-1], fwd.ps[-1], dt=-1e-3, steps=k)
+    fwd = integrate(fam, x0, p0, dt=1e-3, steps=k)
+    back = integrate(fam, fwd.xs[-1], fwd.ps[-1], dt=-1e-3, steps=k)
     assert np.max(np.abs(back.xs[-1] - x0)) < 1e-10 * k
     assert np.max(np.abs(back.ps[-1] - p0)) < 1e-10 * k
 
 
 def test_constraints_preserved_along_flow():
-    model = model_of(4, 1, "3/2")
+    fam = commuting_basis(model_of(4, 1, "3/2"))
     x0, p0 = seeded_state(4)
-    rec = integrate(model, x0, p0, dt=1e-2, steps=1000)
+    rec = integrate(fam, x0, p0, dt=1e-2, steps=1000)
     assert np.max(np.abs(rec.sphere_residual)) < 1e-10
     assert np.max(np.abs(rec.tangency_residual)) < 1e-10
 
@@ -323,28 +327,27 @@ def test_constraints_preserved_along_flow():
 
 
 def test_family_members_conserved_along_flow():
-    model = model_of(2, 1)
-    fam = commuting_basis(model)
+    fam = commuting_basis(model_of(2, 1))
     x0, p0 = seeded_state(2)
-    rec = integrate(model, x0, p0, dt=1e-3, steps=5000, record_every=10, family=fam)
+    rec = integrate(fam, x0, p0, dt=1e-3, steps=5000, record_every=10)
     report = drift_report(rec)
     for label in ("F1", "F2", "H"):
         assert report["series"][label]["max_rel_drift"] < 1e-5
 
 
 def test_coordinates_are_not_conserved():
-    model = model_of(2, 1)
+    fam = commuting_basis(model_of(2, 1))
     x0, p0 = seeded_state(2)
-    rec = integrate(model, x0, p0, dt=1e-3, steps=10000, record_every=20)
+    rec = integrate(fam, x0, p0, dt=1e-3, steps=10000, record_every=20)
     assert np.max(np.abs(rec.xs[:, 0] - rec.xs[0, 0])) > 0.3
 
 
 def test_halving_dt_quarters_energy_drift():
-    model = model_of(2, 1)
+    fam = commuting_basis(model_of(2, 1))
     x0, p0 = seeded_state(2)
 
     def h_drift(dt, steps):
-        rec = integrate(model, x0, p0, dt=dt, steps=steps, record_every=10)
+        rec = integrate(fam, x0, p0, dt=dt, steps=steps, record_every=10)
         return drift_report(rec)["series"]["H"]["max_abs_drift"]
 
     ratio = h_drift(2e-3, 1000) / h_drift(1e-3, 2000)
@@ -359,13 +362,13 @@ def test_plane_momenta_drift_stays_below_the_per_step_turns():
     3.6e-12 and 3.9e-12 with the per-step turns, and is 5.9e-13 and
     9.4e-13 now.  The rest still grows with the run length; it comes from
     the rounding of the kernel's folded constants."""
-    model = model_of(4, 1, 2)
+    fam = commuting_basis(model_of(4, 1, 2))
     x0 = np.array([0.5, 0.3, -0.4, 0.6, 0.37])
     x0 /= np.linalg.norm(x0)
     p0 = np.array([0.1, 0.7, 0.5, -0.2, 0.4])
     p0 -= (x0 @ p0) * x0
     p0 /= np.linalg.norm(p0)
-    rec = integrate(model, x0, p0, dt=1e-3, steps=100_000, family=commuting_basis(model))
+    rec = integrate(fam, x0, p0, dt=1e-3, steps=100_000)
     for label in ("F3", "F4"):
         series = rec.diagnostics[label]
         assert np.max(np.abs(series - series[0])) < 2e-12, label
@@ -378,10 +381,10 @@ def test_long_run_energy_error_stays_bounded():
     Integration, ch. IX).  Over 1e6 steps the error stays below dt^2 (the
     seeded orbits reach about 0.25 dt^2), and the worst error in the last
     fifth of the run is no larger than twice the worst in the first fifth."""
-    model = model_of(4, 1, 2)
+    fam = commuting_basis(model_of(4, 1, 2))
     x0, p0 = seeded_state(4)
     dt = 1e-2
-    rec = integrate(model, x0, p0, dt=dt, steps=1_000_000, record_every=100)
+    rec = integrate(fam, x0, p0, dt=dt, steps=1_000_000, record_every=100)
     h_error = np.abs(rec.diagnostics["H"] - rec.diagnostics["H"][0])
     fifth = h_error.size // 5
     assert h_error.max() < dt * dt
@@ -389,11 +392,11 @@ def test_long_run_energy_error_stays_bounded():
 
 
 def test_drift_decreases_towards_exact_flow():
-    model = model_of(2, 1)
+    fam = commuting_basis(model_of(2, 1))
     x0, p0 = seeded_state(2)
     drifts = []
     for dt, steps in ((1e-1, 20), (1e-2, 200), (1e-3, 2000)):
-        rec = integrate(model, x0, p0, dt=dt, steps=steps)
+        rec = integrate(fam, x0, p0, dt=dt, steps=steps)
         drifts.append(drift_report(rec)["series"]["H"]["max_abs_drift"])
     assert drifts[0] > drifts[1] > drifts[2]
 
@@ -402,10 +405,10 @@ def test_drift_decreases_towards_exact_flow():
 
 
 def test_picture_map_conserves_kinetic_energy():
-    model = model_of(2, 1)
+    fam = commuting_basis(model_of(2, 1))
     x0, p0 = seeded_state(2)
-    rec = integrate(model, x0, p0, dt=1e-3, steps=5000, record_every=10)
-    shifted = picture_map(rec, model)
+    rec = integrate(fam, x0, p0, dt=1e-3, steps=5000, record_every=10)
+    shifted = picture_map(rec)
     report = drift_report(shifted)
     assert report["series"]["H_kin"]["max_rel_drift"] < 1e-5
     # tangency survives the shift because the field is orthogonal to X
@@ -419,9 +422,9 @@ def test_diagnostics_and_residuals_match_scalar_loops(n, alphas):
     model = model_of(n, *alphas)
     family = commuting_basis(model)
     x0, p0 = seeded_state(n)
-    rec = integrate(model, x0, p0, dt=1e-3, steps=300, record_every=7, family=family)
-    shifted = picture_map(rec, model)
-    polys = dict(flow._diagnostic_polys(model, family))
+    rec = integrate(family, x0, p0, dt=1e-3, steps=300, record_every=7)
+    shifted = picture_map(rec)
+    polys = dict(flow._diagnostic_polys(family))
     polys["H_kin"] = kinetic_energy(n)
 
     def same(got, want):
@@ -436,33 +439,48 @@ def test_diagnostics_and_residuals_match_scalar_loops(n, alphas):
 
 
 def test_picture_map_zero_rates_is_identity():
-    model = model_of(2, 0)
+    fam = commuting_basis(model_of(2, 0))
     x0, p0 = seeded_state(2)
-    rec = integrate(model, x0, p0, dt=1e-3, steps=100)
-    shifted = picture_map(rec, model)
+    rec = integrate(fam, x0, p0, dt=1e-3, steps=100)
+    shifted = picture_map(rec)
     assert np.array_equal(shifted.xs, rec.xs)
     assert np.array_equal(shifted.ps, rec.ps)
 
 
 def test_double_shift_breaks_conservation():
-    model = model_of(2, 1)
+    fam = commuting_basis(model_of(2, 1))
     x0, p0 = seeded_state(2)
-    rec = integrate(model, x0, p0, dt=1e-3, steps=5000, record_every=10)
-    once = picture_map(rec, model)
-    twice = picture_map(once, model)
+    rec = integrate(fam, x0, p0, dt=1e-3, steps=5000, record_every=10)
+    once = picture_map(rec)
+    twice = picture_map(once)
     single_drift = drift_report(once)["series"]["H_kin"]["max_rel_drift"]
     double_drift = drift_report(twice)["series"]["H_kin"]["max_rel_drift"]
     assert double_drift > 1e-3
     assert double_drift > 100 * single_drift
 
 
+def test_picture_map_reads_the_model_of_its_record():
+    """picture_map shifts by the model of the record's family.  When it
+    took the model as a second argument, an orbit of (4; 1,2) mapped
+    under (4; 1,3) read an H_kin drift of about 0.48, with no error."""
+    x0, p0 = seeded_state(4)
+    families = [commuting_basis(model_of(4, 1, 2)), commuting_basis(model_of(4, 1, 3))]
+    for family, other in (families, families[::-1]):
+        rec = integrate(family, x0, p0, dt=5e-4, steps=4000)
+        shifted = picture_map(rec)
+        assert shifted.family is rec.family
+        assert drift_report(shifted)["series"]["H_kin"]["max_rel_drift"] < 1e-6
+        wrong = picture_map(dataclasses.replace(rec, family=other))
+        assert drift_report(wrong)["series"]["H_kin"]["max_rel_drift"] > 0.1
+
+
 # -- bookkeeping and failure modes -----------------------------------------------------
 
 
 def test_zero_steps_records_initial_state_only():
-    model = model_of(2, 1)
+    fam = commuting_basis(model_of(2, 1))
     x0, p0 = seeded_state(2)
-    rec = integrate(model, x0, p0, dt=1e-3, steps=0)
+    rec = integrate(fam, x0, p0, dt=1e-3, steps=0)
     assert rec.times.shape == (1,)
     assert np.array_equal(rec.times, [0.0])
     report = drift_report(rec)
@@ -470,27 +488,27 @@ def test_zero_steps_records_initial_state_only():
 
 
 def test_recording_stride_includes_last_step():
-    model = model_of(2, 1)
+    fam = commuting_basis(model_of(2, 1))
     x0, p0 = seeded_state(2)
-    rec = integrate(model, x0, p0, dt=1e-3, steps=105, record_every=10)
+    rec = integrate(fam, x0, p0, dt=1e-3, steps=105, record_every=10)
     assert rec.times[0] == 0.0
     assert abs(rec.times[-1] - 0.105) < 1e-15
     assert rec.times.shape == (12,)  # 0, 10, ..., 100, 105
 
 
-def assert_rows_are_single_runs(model, x0, p0, steps, every):
+def assert_rows_are_single_runs(family, x0, p0, steps, every):
     """Each recorded row of a run is, bit for bit, the last row of a run
     that stops at that row's step, and the first row is the projected
     initial state."""
-    rec = integrate(model, x0, p0, dt=1e-2, steps=steps, record_every=every)
+    rec = integrate(family, x0, p0, dt=1e-2, steps=steps, record_every=every)
     ks = sorted({0, steps, *range(0, steps + 1, every)})
     assert rec.times.tolist() == [k * 1e-2 for k in ks]
-    d = model.n + 1
+    d = family.model.n + 1
     assert rec.xs.shape == rec.ps.shape == (len(ks), d)
     x, p = project_initial(x0, p0)
     assert rec.xs[0].tolist() == x.tolist() and rec.ps[0].tolist() == p.tolist()
     for row, k in enumerate(ks[1:], start=1):
-        single = integrate(model, x0, p0, dt=1e-2, steps=k, record_every=k)
+        single = integrate(family, x0, p0, dt=1e-2, steps=k, record_every=k)
         assert single.times.shape == (2,)
         assert np.array_equal(rec.xs[row], single.xs[-1])
         assert np.array_equal(rec.ps[row], single.ps[-1])
@@ -500,7 +518,7 @@ def assert_rows_are_single_runs(model, x0, p0, steps, every):
 def test_recorded_rows_match_the_stride(steps, every):
     model = model_of(2, 1)
     x0, p0 = seeded_state(2)
-    assert_rows_are_single_runs(model, x0, p0, steps, every)
+    assert_rows_are_single_runs(commuting_basis(model), x0, p0, steps, every)
 
 
 def test_orbit_rows_are_bit_identical_to_single_runs_at_n61():
@@ -508,10 +526,11 @@ def test_orbit_rows_are_bit_identical_to_single_runs_at_n61():
     each recorded row is the last row of a run that stops there, and
     `step` is the run with steps=1."""
     model = model_of(61, *(("0", "1", "3/2", "0", "5")[k % 5] for k in range(31)))
+    fam = commuting_basis(model)
     x0, p0 = seeded_state(61)
-    assert_rows_are_single_runs(model, x0, p0, 200, 9)
+    assert_rows_are_single_runs(fam, x0, p0, 200, 9)
     x, p = project_initial(x0, p0)
-    one = integrate(model, x0, p0, dt=1e-2, steps=1)
+    one = integrate(fam, x0, p0, dt=1e-2, steps=1)
     got_x, got_p = step(x, p, model, 1e-2)
     assert got_x == one.xs[-1].tolist() and got_p == one.ps[-1].tolist()
 
@@ -522,12 +541,12 @@ def test_integrate_memory_is_the_recorded_rows():
     states the evaluator reads) and the evaluator's working chunk.  A
     Python list of the floats would take about 32 bytes per value, four
     times the 8 bytes of the record."""
-    model = model_of(4, 1, 2)
+    fam = commuting_basis(model_of(4, 1, 2))
     x0, p0 = seeded_state(4)
-    integrate(model, x0, p0, dt=1e-3, steps=10)  # compile the kernel and the evaluator
+    integrate(fam, x0, p0, dt=1e-3, steps=10)  # compile the kernel and the evaluator
     tracemalloc.start()
     try:
-        rec = integrate(model, x0, p0, dt=1e-3, steps=100_000)
+        rec = integrate(fam, x0, p0, dt=1e-3, steps=100_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -538,18 +557,18 @@ def test_integrate_memory_is_the_recorded_rows():
 
 
 def test_integrate_validates_parameters():
-    model = model_of(2, 1)
+    fam = commuting_basis(model_of(2, 1))
     x0, p0 = seeded_state(2)
     with pytest.raises(InputError):
-        integrate(model, x0, p0, dt=0.0, steps=10)
+        integrate(fam, x0, p0, dt=0.0, steps=10)
     with pytest.raises(InputError):
-        integrate(model, x0, p0, dt=MIN_ABS_DT / 2, steps=10)
+        integrate(fam, x0, p0, dt=MIN_ABS_DT / 2, steps=10)
     with pytest.raises(InputError):
-        integrate(model, x0, p0, dt=1e-3, steps=-1)
+        integrate(fam, x0, p0, dt=1e-3, steps=-1)
     with pytest.raises(InputError):
-        integrate(model, x0, p0, dt=1e-3, steps=10, record_every=0)
+        integrate(fam, x0, p0, dt=1e-3, steps=10, record_every=0)
     with pytest.raises(InputError):
-        integrate(model_of(3, 1, 1), x0, p0, dt=1e-3, steps=10)
+        integrate(commuting_basis(model_of(3, 1, 1)), x0, p0, dt=1e-3, steps=10)
 
 
 @pytest.mark.parametrize("seed", [2, 7])
@@ -557,43 +576,55 @@ def test_tiny_steps_stay_at_roundoff(seed):
     """Down to MIN_ABS_DT the RATTLE solve keeps the orbit on the
     constraint set and the integrals at roundoff.  Above about 1e-5 the
     drift is the O(dt^2) splitting error, which dt**2 bounds here."""
-    model = model_of(4, 1, 2)
-    fam = commuting_basis(model)
+    fam = commuting_basis(model_of(4, 1, 2))
     x0, p0 = seeded_state(4, seed)
     ladder = [10.0 ** -k for k in range(3, 16, 2)] + [MIN_ABS_DT, -MIN_ABS_DT]
     for dt in ladder:
-        report = drift_report(integrate(model, x0, p0, dt=dt, steps=5, family=fam))
+        report = drift_report(integrate(fam, x0, p0, dt=dt, steps=5))
         worst = max(entry["max_rel_drift"] for entry in report["series"].values())
         assert worst <= 1e-12 + dt * dt, dt
         assert max(report["constraints"].values()) <= 1e-14, dt
 
 
-def test_family_model_mismatch_rejected():
-    model = model_of(2, 1)
-    fam = commuting_basis(model_of(2, 2))
-    x0, p0 = seeded_state(2)
-    with pytest.raises(InputError):
-        integrate(model, x0, p0, dt=1e-3, steps=10, family=fam)
+def test_series_that_overflow_are_input_errors():
+    """A series with a value that overflows is named in an InputError,
+    the first one in the record (here |p|^2 is finite, but the quadratic
+    members and H are not) and H_kin in the picture, and numpy prints no
+    warning."""
+    fam = commuting_basis(model_of(2, 1))
+    x0 = [1.0, 0.0, 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="^the F1 series is not finite along the orbit"):
+            integrate(fam, x0, [0.0, 9e153, 9e153], dt=1e-3, steps=0)
+        one_row = np.zeros(1)
+        rec = TrajectoryRecord(
+            family=fam, times=one_row, xs=np.array([x0]), ps=np.array([[0.0, 2e154, 0.0]]),
+            diagnostics={}, sphere_residual=one_row, tangency_residual=one_row,
+        )
+        with pytest.raises(InputError, match="^the H_kin series is not finite"):
+            picture_map(rec)
 
 
 def test_oversized_step_fails_loudly():
-    model = model_of(2, 1)
+    fam = commuting_basis(model_of(2, 1))
     x0, p0 = seeded_state(2)
     with pytest.raises(StepError) as err:
-        integrate(model, x0, p0, dt=2.0, steps=10)
+        integrate(fam, x0, p0, dt=2.0, steps=10)
     assert "step" in str(err.value)
 
 
 def test_step_error_names_dt_and_step():
     """At speed 10 and dt = 1 the first step cannot reach the sphere."""
     model = model_of(2, 1)
+    fam = commuting_basis(model)
     x0, p0 = [1.0, 0.0, 0.0], [0.0, 10.0, 0.0]
     message = "constraint projection lost the sphere (dt=1)"
     with pytest.raises(StepError) as err:
         step(x0, p0, model, 1.0)
     assert str(err.value) == message
     with pytest.raises(StepError) as err:
-        integrate(model, x0, p0, dt=1.0, steps=3)
+        integrate(fam, x0, p0, dt=1.0, steps=3)
     assert str(err.value) == "step 1: " + message
     with pytest.raises(StepError, match=r"\(dt=nan\)"):
         step(x0, [0.0, 1.0, 0.0], model, math.nan)
@@ -604,6 +635,7 @@ def test_step_error_names_a_later_step(every):
     """A step that fails after others succeeded is named by its number,
     the k at which a loop of `step` calls fails."""
     model = model_of(4, 1, 2)
+    fam = commuting_basis(model)
     x0, p0 = seeded_state(4, seed=1)
     x, p = project_initial(x0, p0)
     message = None
@@ -615,7 +647,7 @@ def test_step_error_names_a_later_step(every):
             break
     assert k > 1 and message == "constraint projection lost the sphere (dt=0.85)"
     with pytest.raises(StepError) as err:
-        integrate(model, x0, p0, dt=0.85, steps=100, record_every=every)
+        integrate(fam, x0, p0, dt=0.85, steps=100, record_every=every)
     assert str(err.value) == f"step {k}: {message}"
 
 
@@ -623,7 +655,7 @@ def test_csv_output_round_trips(tmp_path):
     model = model_of(2, 1)
     fam = commuting_basis(model)
     x0, p0 = seeded_state(2)
-    rec = integrate(model, x0, p0, dt=1e-3, steps=50, record_every=10, family=fam)
+    rec = integrate(fam, x0, p0, dt=1e-3, steps=50, record_every=10)
     path = tmp_path / "orbit.csv"
     header = {"model": model.to_dict(), "seed": 42}
     write_csv(rec, path, header)
@@ -646,6 +678,7 @@ def test_csv_matches_value_by_value_formatting(tmp_path):
     xs = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-300, 300, (rows, 3))
     xs[0] = [-0.0, 5e-324, 1.7976931348623157e308]
     rec = TrajectoryRecord(
+        family=commuting_basis(model_of(2, 1)),
         times=np.arange(rows) * 1e-3, xs=xs, ps=rng.standard_normal((rows, 3)),
         diagnostics={"H": rng.standard_normal(rows)},
         sphere_residual=rng.standard_normal(rows) * 1e-16,
@@ -719,6 +752,7 @@ def test_write_csv_memory_does_not_grow_with_rows(tmp_path):
     def peak_bytes(rows):
         rng = np.random.default_rng(rows)
         rec = TrajectoryRecord(
+            family=commuting_basis(model_of(2, 1)),
             times=np.arange(rows) * 1e-3, xs=rng.standard_normal((rows, 3)),
             ps=rng.standard_normal((rows, 3)), diagnostics={"H": rng.standard_normal(rows)},
             sphere_residual=rng.standard_normal(rows) * 1e-16,

@@ -21,13 +21,11 @@ from magneflow import (
     kinetic_energy,
     limit_integral,
     poisson_bracket,
-    potential,
     run_verification,
-    sigma_linear,
-    uhlenbeck_integral,
-    x_var,
 )
 from magneflow import sampling
+from magneflow.exactpoly import _from_monomials
+from magneflow.magnetic_model import _sigma_terms, _x_square_terms
 from magneflow.verify import _membership_columns, _probe_candidates, _residual_is_zero, _solve_exact
 from oracles import (
     evaluate_exact,
@@ -45,6 +43,7 @@ from oracles import (
     reference_residual_is_zero,
     reference_sigma_linear,
     tagged,
+    x_var,
 )
 
 
@@ -103,13 +102,13 @@ def test_overlapping_rotations_close_with_minus_sign():
 
 
 def test_uhlenbeck_all_ones_collapses_to_radius():
-    f = uhlenbeck_integral([1, 2, 3], [1, 1, 1])
+    f = degenerate_integral([1, 2, 3], [1, 1, 1])
     assert f == sphere_poly(2)
 
 
 def test_uhlenbeck_at_its_own_coefficients_is_the_neumann_hamiltonian():
     a = [F(1), F(2), F(3)]
-    f = uhlenbeck_integral(a, a)
+    f = degenerate_integral(a, a)
     u = PhasePoly(2)
     for i, ai in enumerate(a, start=1):
         u = u + ai * x_var(i, 2) ** 2
@@ -117,7 +116,7 @@ def test_uhlenbeck_at_its_own_coefficients_is_the_neumann_hamiltonian():
 
 
 def test_uhlenbeck_basis_vector_expansion():
-    f = uhlenbeck_integral([1, 2, 3], [1, 0, 0])
+    f = degenerate_integral([1, 2, 3], [1, 0, 0])
     m12, m13 = killing(1, 2, 2), killing(1, 3, 2)
     expected = (
         x_var(1, 2) ** 2
@@ -130,17 +129,12 @@ def test_uhlenbeck_basis_vector_expansion():
 def test_uhlenbeck_family_commutes_fd_oracle_first():
     # the oracle: central differences of the two evaluators at random
     # constrained points, before any symbolic bracket is trusted
-    f1 = uhlenbeck_integral([1, 2, 3], [1, 0, 0])
-    f2 = uhlenbeck_integral([1, 2, 3], [0, 1, 0])
+    f1 = degenerate_integral([1, 2, 3], [1, 0, 0])
+    f2 = degenerate_integral([1, 2, 3], [0, 1, 0])
     rng = sampling.generator(2, 99)
     for z in sampling.constrained_points(rng, 2, 10):
         assert abs(fd_bracket_oracle(f1, f2, z)) < 1e-8
     assert poisson_bracket(f1, f2).is_zero
-
-
-def test_uhlenbeck_rejects_repeated_coefficients():
-    with pytest.raises(InputError):
-        uhlenbeck_integral([1, 1, 2], [1, 0, 0])
 
 
 def test_uhlenbeck_linearity():
@@ -148,8 +142,8 @@ def test_uhlenbeck_linearity():
     b1 = [F(1), F(-2), F(0), F(3)]
     b2 = [F(2), F(2), F(1), F(-1)]
     b12 = [u + v for u, v in zip(b1, b2)]
-    lhs = uhlenbeck_integral(a, b1) + uhlenbeck_integral(a, b2)
-    assert lhs == uhlenbeck_integral(a, b12)
+    lhs = degenerate_integral(a, b1) + degenerate_integral(a, b2)
+    assert lhs == degenerate_integral(a, b12)
 
 
 # -- degenerate quadratics ----------------------------------------------------
@@ -176,7 +170,7 @@ def test_degenerate_two_block_expansion():
 def test_degenerate_matches_nondegenerate_when_distinct():
     a = [1, 2, 3]
     b = [F(1, 2), F(0), F(-1)]
-    assert degenerate_integral(a, b) == uhlenbeck_integral(a, b)
+    assert degenerate_integral(a, b) == reference_degenerate_integral(a, b)
 
 
 def test_degenerate_rejects_non_block_constant_weights():
@@ -490,7 +484,8 @@ def test_two_block_deformation_limit_by_cleared_denominators():
     for t in [F(1, 2), F(1, 3), F(2, 7), F(3, 4), F(1, 9)]:
         a_t = [ai + t * li for ai, li in zip(a, lam)]
         b_t = [bi + t * mi for bi, mi in zip(b, mu)]
-        f_t = uhlenbeck_integral(a_t, b_t)  # defined: all four values distinct
+        assert len(set(a_t)) == 4  # all four values distinct: no pair is left out
+        f_t = degenerate_integral(a_t, b_t)
         for i in range(1, 5):
             for j in range(i + 1, 5):
                 c_t = coefficient_of_pair_square(f_t, i, j, 3)
@@ -554,8 +549,8 @@ def assert_same_poly(poly, ref):
 def test_closed_form_builders_match_generic_arithmetic(case):
     model, b = case
     n = model.n
-    assert_same_poly(sigma_linear(model), reference_sigma_linear(model))
-    assert_same_poly(potential(model), reference_potential(model))
+    assert_same_poly(_from_monomials(n, _sigma_terms(model, 1)), reference_sigma_linear(model))
+    assert_same_poly(_from_monomials(n, _x_square_terms(n, model.a)), reference_potential(model))
     assert_same_poly(kinetic_energy(n), reference_kinetic_energy(n))
     assert_same_poly(model.hamiltonian, reference_hamiltonian(model))
     assert_same_poly(degenerate_integral(model.a, b), reference_degenerate_integral(model.a, b))

@@ -17,18 +17,15 @@ from magneflow import (
     PhasePoly,
     check_commutation,
     commuting_basis,
+    degenerate_integral,
     functional_independence,
     hamiltonian_membership,
     hamiltonian_pert,
     killing,
     kinetic_energy,
     poisson_bracket,
-    potential,
     run_verification,
     superintegrability_probe,
-    uhlenbeck_integral,
-    x_var,
-    p_var,
 )
 from magneflow import sampling, verify
 from magneflow.verify import (
@@ -49,11 +46,14 @@ from oracles import (
     fraction_rank,
     gradient_tensor,
     p_degree_parts,
+    p_var,
     potential_compatibility,
     projected_ranks,
     rank_points,
     reference_commutation,
+    reference_potential,
     tagged,
+    x_var,
 )
 
 
@@ -344,13 +344,13 @@ def split_kinetic_potential(poly):
 
 
 def test_compatibility_of_function_with_itself():
-    k, u = split_kinetic_potential(uhlenbeck_integral([1, 2, 3], [1, 0, 0]))
+    k, u = split_kinetic_potential(degenerate_integral([1, 2, 3], [1, 0, 0]))
     assert potential_compatibility(k, u, k, u)
 
 
 def test_compatibility_across_the_commuting_pair():
-    f1 = uhlenbeck_integral([1, 2, 3], [1, 0, 0])
-    f2 = uhlenbeck_integral([1, 2, 3], [0, 1, 0])
+    f1 = degenerate_integral([1, 2, 3], [1, 0, 0])
+    f2 = degenerate_integral([1, 2, 3], [0, 1, 0])
     k1, u1 = split_kinetic_potential(f1)
     k2, u2 = split_kinetic_potential(f2)
     # the full bracket vanishes, so both graded pieces vanish separately
@@ -362,7 +362,7 @@ def test_compatibility_across_the_commuting_pair():
 def test_compatibility_rotation_with_invariant_potential():
     model = model_of(2, 1)
     k = kinetic_energy(2)
-    u = potential(model)  # depends on X1^2 + X2^2 only
+    u = reference_potential(model)  # depends on X1^2 + X2^2 only
     m12 = killing(1, 2, 2)
     assert potential_compatibility(k, u, m12 * m12, PhasePoly(2))
 
