@@ -23,10 +23,17 @@ normals are reduced modulo the prime PRIME = 2^61 - 1 into one echelon
 form; full rank there implies a nonzero minor over Q, which proves
 independence (Schwartz 1980 and Zippel 1979 bound the chance that a
 random point misses it; for modular rank see von zur Gathen and Gerhard,
-*Modern Computer Algebra*, ch. 5).  The probe reduces each candidate's
-gradient against the same echelon form.  Its points, drawn from the seed
-through a substream of `sampling`, are the only randomness, and verify
-evaluates no float.
+*Modern Computer Algebra*, ch. 5).  The probe reads each candidate's
+rank from the same echelon, brought once to reduced row-echelon form:
+a candidate's gradient has at most 8 nonzeros, and it raises the rank
+iff it is nonzero outside the pivot columns once each of its pivot
+entries is cleared by that pivot's row.  The probe brackets each
+candidate with U - S rather than with H: every candidate is a rational
+combination of rotation momenta M_lm, and K = (1/2) sum M_ij^2 is
+SO(n+1)-invariant, so {M_lm, K} is the zero polynomial over Q and
+{cand, H} = {cand, U - S}.  The certificate's points, drawn from the
+seed through a substream of `sampling`, are the only randomness, and
+verify evaluates no float.
 """
 
 from __future__ import annotations
@@ -49,7 +56,13 @@ from .exactpoly import (
     poisson_bracket,
 )
 from .integral_family import IntegralFamily, killing
-from .magnetic_model import MagneticModel, _killing_terms, _x_square_terms, hamiltonian_pert
+from .magnetic_model import (
+    MagneticModel,
+    _killing_terms,
+    _sigma_terms,
+    _x_square_terms,
+    hamiltonian_pert,
+)
 
 __all__ = [
     "PairResult",
@@ -167,7 +180,8 @@ class IndependenceCertificate:
     rank[(2X, 0); (P, X); dF_1..dF_k] - 2;
     `x` and `p` are the last point tried, `residues` its coordinates mod
     PRIME, and `echelon` the echelon form of the normals and member
-    gradients there, against which the probe reduces candidate gradients.
+    gradients there, which the probe brings to reduced form to read the
+    rank of candidate gradients.
     Rank k at one point certifies independence, a smaller rank proves
     nothing."""
 
@@ -240,6 +254,38 @@ def _echelon(rows) -> list:
             inverse = pow(row[col], -1, PRIME)
             echelon.append((col, [v * inverse % PRIME for v in row]))
     return echelon
+
+
+def _reduced_echelon(echelon: list) -> dict:
+    """The reduced row-echelon form of an `_echelon`, as pivot column ->
+    row with a 1 there and a 0 in every other pivot column.  Its rows span
+    the same space, so a row's remainder against them is `_reduce`'s."""
+    reduced = {}
+    for col, row in reversed(echelon):
+        # a later row is 0 in every pivot column but its own, so row's
+        # entry in that column is the factor of the later row, and the
+        # products can be summed before one reduction mod PRIME
+        for c, later in reduced.items():
+            factor = row[c]
+            if factor:
+                row = [a - factor * b for a, b in zip(row, later)]
+        reduced[col] = [a % PRIME for a in row]
+    return reduced
+
+
+def _raises_rank(row: list, reduced: dict, free: list) -> bool:
+    """Whether row lies outside the span of the reduced echelon rows,
+    whose non-pivot columns are `free`: whether row - sum_c row[c] E_c,
+    over the pivot columns c, is nonzero in a free column.  That
+    difference is 0 in every pivot column, so it is `_reduce(row, echelon)`."""
+    hits = [(row[c], pivot) for c, pivot in reduced.items() if row[c]]
+    for j in free:
+        value = row[j]
+        for v, pivot in hits:
+            value -= v * pivot[j]
+        if value % PRIME:
+            return True
+    return False
 
 
 def functional_independence(
@@ -442,27 +488,35 @@ def superintegrability_probe(certificate: IndependenceCertificate) -> list:
     combinations M_ac + M_bd and M_ad - M_bc (planes (a,b) and (c,d)).
     A candidate qualifies when its bracket with H and with every
     indicator quadratic is identically zero and it raises the rank of
-    the family to n+1.  The family is the certificate's, from
-    `functional_independence`; each candidate's gradient at its
-    certifying point is reduced against the members' echelon form, and a
-    nonzero remainder proves that the candidate raises the rank.  When
-    the members are not certified, no candidate does.
+    the family to n+1.  A candidate is a combination of rotation momenta,
+    so its bracket with the SO(n+1)-invariant K is the zero polynomial
+    and its bracket with H is taken as its bracket with U - S, built from
+    the terms that `MagneticModel.hamiltonian` sums.  The family is the
+    certificate's, from `functional_independence`; each candidate's
+    gradient at its certifying point is reduced against the reduced
+    echelon form of the members' gradients, and a nonzero remainder
+    proves that the candidate raises the rank.  When the members are not
+    certified, no candidate does.
     """
     family = certificate.family
-    candidates = list(_probe_candidates(family.model))
+    model = family.model
+    candidates = list(_probe_candidates(model))
     if not candidates:
         return []
-    h = hamiltonian_pert(family.model)
+    u_minus_s = _from_monomials(
+        model.n, _sigma_terms(model, -1) + _x_square_terms(model.n, model.a))
     indicator_quads = [
         item.poly for item in family.integrals
         if item.tag == "quad" and item.provenance.get("kind") == "indicator"
     ]
+    reduced = _reduced_echelon(certificate.echelon)
+    free = [j for j in range(u_minus_s.width) if j not in reduced]
     results = []
     for block, kind, label, poly, cross in candidates:
-        commutes_h = poisson_bracket(poly, h).is_zero
+        commutes_h = poisson_bracket(poly, u_minus_s).is_zero
         commutes_ind = all(poisson_bracket(poly, q).is_zero for q in indicator_quads)
-        raises = certificate.certified and any(
-            _reduce(_gradient_row(poly, certificate.residues), certificate.echelon))
+        raises = certificate.certified and _raises_rank(
+            _gradient_row(poly, certificate.residues), reduced, free)
         results.append(ProbeResult(
             block=block,
             kind=kind,

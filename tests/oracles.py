@@ -31,6 +31,11 @@
   classified by `float_classify_nonzero`, the float test that `verify`
   used before its exact remainder: peaks at COMMUTATION_POINTS seeded
   points of the |P| = 1 shell against ON_CONSTRAINT_RTOL.
+- `reference_probe`: the results of `superintegrability_probe` with
+  each candidate bracketed with all of H, and its rank read by the dense
+  `_reduce` of its gradient row against the certificate's echelon, as
+  `verify` took them before it bracketed with U - S and read the rank on
+  the reduced echelon.
 - `fd_bracket_oracle`: a central-difference estimate of a Poisson
   bracket, the independent cross-check of the exact bracket engine.
 - `potential_compatibility`: the exact mixed-degree commutation test
@@ -61,7 +66,13 @@ from magneflow import (
     sampling,
 )
 from magneflow.magnetic_model import _plane_block
-from magneflow.verify import PairResult
+from magneflow.verify import (
+    PairResult,
+    ProbeResult,
+    _gradient_row,
+    _probe_candidates,
+    _reduce,
+)
 
 RANK_THRESHOLD_REL = 1e-8
 FULL_RANK_QUOTA = 0.95
@@ -417,6 +428,37 @@ def reference_probe_candidates(model) -> list:
                 out.append((block, "pair_diff", f"M({a},{d})-M({b},{c})",
                             reference_killing(a, d, n) - reference_killing(b, c, n), True))
     return out
+
+
+def reference_probe(certificate) -> list:
+    """`superintegrability_probe` with every candidate bracketed with all
+    of H and reduced densely against the certificate's echelon."""
+    family = certificate.family
+    candidates = list(_probe_candidates(family.model))
+    if not candidates:
+        return []
+    h = hamiltonian_pert(family.model)
+    indicator_quads = [
+        item.poly for item in family.integrals
+        if item.tag == "quad" and item.provenance.get("kind") == "indicator"
+    ]
+    results = []
+    for block, kind, label, poly, cross in candidates:
+        commutes_h = poisson_bracket(poly, h).is_zero
+        commutes_ind = all(poisson_bracket(poly, q).is_zero for q in indicator_quads)
+        raises = certificate.certified and any(
+            _reduce(_gradient_row(poly, certificate.residues), certificate.echelon))
+        results.append(ProbeResult(
+            block=block,
+            kind=kind,
+            label=label,
+            cross_pair=cross,
+            commutes_with_hamiltonian=commutes_h,
+            commutes_with_indicator_quads=commutes_ind,
+            raises_rank=raises,
+            is_additional_integral=commutes_h and commutes_ind and raises,
+        ))
+    return results
 
 
 # -- commutation with every bracket taken ------------------------------------

@@ -33,6 +33,9 @@ from magneflow.verify import (
     _constraint_remainder,
     _echelon,
     _probe_candidates,
+    _raises_rank,
+    _reduce,
+    _reduced_echelon,
     _solve_exact,
 )
 from oracles import (
@@ -52,6 +55,8 @@ from oracles import (
     rank_points,
     reference_commutation,
     reference_potential,
+    reference_probe,
+    reference_sigma_linear,
     tagged,
     x_var,
 )
@@ -460,6 +465,42 @@ def test_modular_rank_matches_fraction_rank(matrix):
     assert len(_echelon(residues)) == fraction_rank(matrix)
 
 
+@st.composite
+def rows_and_gradient(draw):
+    """Rows mod PRIME, mostly sparse, and a row g of their width with at
+    most 8 nonzeros or inside their span."""
+    cols = draw(st.integers(1, 10))
+    entry = st.one_of(st.sampled_from([0, 0, 0, 1, -1, 2]), st.integers(0, PRIME - 1))
+    rows = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+        g = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(cols)]
+    else:
+        g = [0] * cols
+        for slot in draw(st.lists(st.integers(0, cols - 1), max_size=8)):
+            g[slot] = draw(entry)
+    return [[v % PRIME for v in row] for row in rows], [v % PRIME for v in g]
+
+
+@given(rows_and_gradient())
+@settings(max_examples=300, deadline=None)
+@example(([[1, 2, 0], [0, 1, 1]], [1, 3, 1]))
+@example(([[0, 0, 5], [0, 0, 7]], [0, 0, 1]))
+@example(([[1, 0, 0, 2], [0, 1, 0, 3]], [0, 0, 1, 0]))
+def test_reduced_echelon_reads_the_rank_of_reduce(case):
+    rows, g = case
+    echelon = _echelon(rows)
+    reduced = _reduced_echelon(echelon)
+    assert list(reduced)[::-1] == [col for col, _ in echelon]
+    for col, row in reduced.items():
+        assert [row[c] for c in reduced] == [int(c == col) for c in reduced]
+        assert all(0 <= v < PRIME for v in row)
+    # the reduced rows span the echelon's space, and so have its rank
+    assert len(_echelon([row for _, row in echelon] + list(reduced.values()))) == len(echelon)
+    free = [j for j in range(len(g)) if j not in reduced]
+    assert _raises_rank(g, reduced, free) == any(_reduce(g, echelon))
+
+
 def test_independence_is_seed_deterministic():
     fam = commuting_basis(model_of(3, 1, 2))
     s1 = functional_independence(fam, samples=30, seed=11)
@@ -529,7 +570,7 @@ def check_certificate_against_float_oracle(n, alpha):
     polys = [poly for _, _, _, poly, _ in _probe_candidates(fam.model)]
     verdicts = float_probe_verdicts(fam, polys, samples=100, seed=42)
     assert [r.raises_rank for r in probe] == verdicts
-    return probe
+    return cert, probe
 
 
 FLOAT_ORACLE_MODELS = CI_MATRIX + [(9, "1,1,1,1,1"), (11, "1,2,3,4,5,6"), (15, "1,2,3,4,5,6,7,8")]
@@ -542,9 +583,10 @@ def test_certificate_agrees_with_float_oracle(n, alpha):
 
 @pytest.mark.slow
 def test_certificate_agrees_with_float_oracle_at_n21():
-    probe = check_certificate_against_float_oracle(21, ",".join(["1"] * 11))
+    cert, probe = check_certificate_against_float_oracle(21, ",".join(["1"] * 11))
     assert len(probe) == 341
     assert sum(r.is_additional_integral for r in probe) == 110
+    assert probe == reference_probe(cert)
 
 
 # -- membership of the Hamiltonian ---------------------------------------------------
@@ -768,6 +810,56 @@ def test_probe_ranks_match_standalone_independence(n, alpha):
         cert = functional_independence(family_of(model, tagged(fam, "quad"), linears),
                                        samples=tried, seed=5)
         assert r.raises_rank == cert.certified
+
+
+def test_rotation_momenta_commute_with_kinetic_energy():
+    """K is SO(n+1)-invariant, so {M_lm, K} is the zero polynomial over Q:
+    the probe may bracket its candidates with U - S instead of H."""
+    for n in range(2, 13):
+        k = kinetic_energy(n)
+        for l in range(1, n + 2):
+            for m in range(l + 1, n + 2):
+                assert poisson_bracket(killing(l, m, n), k).is_zero, (n, l, m)
+
+
+RATE_POOL = [F(0), F(1), F(3, 7), F(2)]
+
+
+@st.composite
+def models_with_repeated_rates(draw):
+    n = draw(st.integers(3, 9))
+    m = (n + 1) // 2
+    rates = draw(st.lists(st.sampled_from(RATE_POOL), min_size=m, max_size=m)
+                 .filter(lambda r: len(set(r)) < len(r)))
+    return MagneticModel(n=n, alphas=tuple(rates))
+
+
+@given(models_with_repeated_rates())
+@settings(max_examples=15, deadline=None)
+@example(model_of(4, 1, 1))
+def test_probe_candidates_bracket_with_h_as_with_u_minus_s(model):
+    h = hamiltonian_pert(model)
+    u_minus_s = reference_potential(model) - reference_sigma_linear(model)
+    candidates = list(_probe_candidates(model))
+    assert candidates
+    for _, _, label, poly, _ in candidates:
+        assert poisson_bracket(poly, h) == poisson_bracket(poly, u_minus_s), label
+
+
+SHARED_RATE_MODELS = [
+    (n, alpha) for n, alpha in FLOAT_ORACLE_MODELS
+    if len(set(alpha.split(","))) < len(alpha.split(","))
+] + [(7, "2,1,2,1"), (8, "1,2,2,1"), (15, ",".join(["1"] * 8))]
+
+
+@pytest.mark.parametrize("n, alpha", SHARED_RATE_MODELS)
+def test_probe_matches_reference_probe(n, alpha):
+    fam = commuting_basis(model_of(n, *alpha.split(",")))
+    for seed in (0, 1):
+        cert = functional_independence(fam, samples=100, seed=seed)
+        probe = superintegrability_probe(cert)
+        assert probe
+        assert probe == reference_probe(cert)
 
 
 def test_probe_raises_no_rank_without_certified_members():
