@@ -44,8 +44,10 @@ def main() -> int:
 
 
 def study(args) -> int:
-    coarsest = DT_LADDER[0]
-    if not (math.isfinite(args.time) and round(args.time / coarsest) >= 1):
+    coarsest, finest = DT_LADDER[0], DT_LADDER[-1]
+    if not math.isfinite(args.time / finest):
+        raise InputError(f"--time must give a finite step count at {finest:g}, got {args.time!r}")
+    if round(args.time / coarsest) < 1:
         raise InputError(f"--time must give at least one step of {coarsest:g}, got {args.time!r}")
     if args.seed < 0:
         raise InputError(f"--seed must be non-negative, got {args.seed}")

@@ -405,17 +405,17 @@ def picture_map(record: TrajectoryRecord) -> TrajectoryRecord:
     reported as the single diagnostic series H_kin.  Conservation of that
     series is the dynamical form of the equivalence between the two
     descriptions of the flow.  The shift leaves X as it is, so the image
-    shares the record's family, times and sphere residual arrays.
+    shares the record's family, times, positions and sphere residual arrays.
     """
     model = record.family.model
-    shifted_x, shifted_p = gauge_shift(record.xs, record.ps, +1, model)
-    states = np.hstack([shifted_x, shifted_p])
+    shifted_p = gauge_shift(record.xs, record.ps, model)
+    states = np.hstack([record.xs, shifted_p])
     h_kin = _series("H_kin", kinetic_energy(model.n), states)
     tangency = _series("picture c2", _residual_polys(model.n)[1], states)
     return TrajectoryRecord(
         family=record.family,
         times=record.times,
-        xs=shifted_x,
+        xs=record.xs,
         ps=shifted_p,
         diagnostics={"H_kin": h_kin},
         sphere_residual=record.sphere_residual,

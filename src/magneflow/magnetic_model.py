@@ -269,22 +269,21 @@ def sigma_sharp(model: MagneticModel, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def gauge_shift(x: np.ndarray, p: np.ndarray, direction: int, model: MagneticModel):
-    """Shift momenta by the magnetic covector field: P -> P + direction*sigma(X).
+def gauge_shift(x: np.ndarray, p: np.ndarray, model: MagneticModel) -> np.ndarray:
+    """Momenta shifted by the magnetic covector field: P + sigma#(X).
 
     x and p are one phase point (d,) or a stack of points (R, d).  Every
     point must sit on the unit sphere (checked to 1e-9); the shift
-    preserves tangency because sigma(X) is orthogonal to X.
+    preserves tangency because sigma(X) is orthogonal to X, and
+    p - sigma_sharp(model, x) undoes it.
     """
-    if direction not in (1, -1):
-        raise InputError(f"shift direction must be +1 or -1, got {direction!r}")
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     if x.shape != p.shape or x.ndim not in (1, 2) or x.shape[-1] != model.n + 1:
         raise InputError("phase point has wrong dimension for this model")
     if np.any(np.abs(np.linalg.norm(x, axis=-1) - 1.0) > 1e-9):
         raise InputError("gauge shift requires |X| = 1 within 1e-9")
-    return x.copy(), p + direction * sigma_sharp(model, x)
+    return p + sigma_sharp(model, x)
 
 
 # -- skew normal form ---------------------------------------------------------

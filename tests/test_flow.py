@@ -27,6 +27,7 @@ from magneflow import (
 )
 from magneflow import flow, sampling
 from magneflow.flow import CSV_CHUNK_ROWS, CSV_FORMAT, MIN_ABS_DT, TrajectoryRecord, _csv_bytes
+from magneflow.magnetic_model import sigma_sharp
 from oracles import scalar_dot, scalar_evaluate
 
 
@@ -445,6 +446,15 @@ def test_picture_map_zero_rates_is_identity():
     shifted = picture_map(rec)
     assert np.array_equal(shifted.xs, rec.xs)
     assert np.array_equal(shifted.ps, rec.ps)
+
+
+def test_picture_map_shares_positions_and_shifts_momenta():
+    model = model_of(4, 1, 2)
+    x0, p0 = seeded_state(4)
+    rec = integrate(commuting_basis(model), x0, p0, dt=1e-3, steps=200)
+    shifted = picture_map(rec)
+    assert shifted.xs is rec.xs
+    assert shifted.ps.tobytes() == (rec.ps + sigma_sharp(model, rec.xs)).tobytes()
 
 
 def test_double_shift_breaks_conservation():

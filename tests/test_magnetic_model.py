@@ -195,8 +195,8 @@ def test_gauge_shift_zero_rates_is_identity():
     model = model_of(2, 0)
     x = np.array([1.0, 0.0, 0.0])
     p = np.array([0.0, 0.3, -0.1])
-    x2, p2 = gauge_shift(x, p, +1, model)
-    assert np.array_equal(x2, x) and np.array_equal(p2, p)
+    p2 = gauge_shift(x, p, model)
+    assert np.array_equal(p2, p)
 
 
 def test_gauge_shift_round_trip():
@@ -205,19 +205,16 @@ def test_gauge_shift_round_trip():
     x = rng.normal(size=5)
     x /= np.linalg.norm(x)
     p = rng.normal(size=5)
-    _, p_shifted = gauge_shift(x, p, +1, model)
-    _, p_back = gauge_shift(x, p_shifted, -1, model)
+    p_shifted = gauge_shift(x, p, model)
+    p_back = p_shifted - sigma_sharp(model, x)
     assert np.max(np.abs(p_back - p)) < 1e-15
     # a stack of points shifts row by row, bit for bit
     xs = rng.normal(size=(7, 5))
     xs /= np.linalg.norm(xs, axis=1, keepdims=True)
     ps = rng.normal(size=(7, 5))
-    for direction in (+1, -1):
-        xs_out, ps_out = gauge_shift(xs, ps, direction, model)
-        assert np.array_equal(xs_out, xs)
-        for r in range(xs.shape[0]):
-            _, row = gauge_shift(xs[r], ps[r], direction, model)
-            assert np.array_equal(ps_out[r], row)
+    ps_out = gauge_shift(xs, ps, model)
+    for r in range(xs.shape[0]):
+        assert np.array_equal(ps_out[r], gauge_shift(xs[r], ps[r], model))
 
 
 @pytest.mark.parametrize("n, alphas", [(2, (1,)), (4, ("7/3", 0)), (5, (1, 0, "1/3"))])
@@ -241,21 +238,19 @@ def test_gauge_shift_point_value():
     model = model_of(2, 1)
     x = np.array([1.0, 0.0, 0.0])
     p = np.zeros(3)
-    _, p_shifted = gauge_shift(x, p, +1, model)
+    p_shifted = gauge_shift(x, p, model)
     assert np.allclose(p_shifted, [0.0, 0.5, 0.0], atol=1e-15)
 
 
 def test_gauge_shift_rejects_off_sphere_points():
     model = model_of(2, 1)
     with pytest.raises(InputError):
-        gauge_shift(np.array([1.1, 0.0, 0.0]), np.zeros(3), +1, model)
-    with pytest.raises(InputError):
-        gauge_shift(np.array([1.0, 0.0, 0.0]), np.zeros(3), +2, model)
+        gauge_shift(np.array([1.1, 0.0, 0.0]), np.zeros(3), model)
     batch = np.array([[1.0, 0.0, 0.0], [0.0, 1.1, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(InputError):
-        gauge_shift(batch, np.zeros((3, 3)), +1, model)
+        gauge_shift(batch, np.zeros((3, 3)), model)
     with pytest.raises(InputError):
-        gauge_shift(batch, np.zeros(3), +1, model)
+        gauge_shift(batch, np.zeros(3), model)
 
 
 def test_gauge_shift_preserves_tangency():
@@ -265,7 +260,7 @@ def test_gauge_shift_preserves_tangency():
     x /= np.linalg.norm(x)
     p = rng.normal(size=4)
     p -= (x @ p) * x
-    _, p_shifted = gauge_shift(x, p, +1, model)
+    p_shifted = gauge_shift(x, p, model)
     assert abs(x @ p_shifted) < 1e-14
     assert abs(x @ sigma_sharp(model, x)) < 1e-15
 

@@ -63,6 +63,7 @@ def assert_rejected_with_one_error_line(script, args):
     ["--time", "0"],
     ["--time", "0.004"],
     ["--n", "0"],
+    ["--time", "1e308"],
 ])
 def test_convergence_study_rejects_bad_input_with_one_error_line(args):
     assert_rejected_with_one_error_line("convergence_study.py", args)
